@@ -1,0 +1,6 @@
+"""Lets the benchmark's own tests import agedelay from the checkout's src/."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))

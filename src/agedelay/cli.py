@@ -22,7 +22,10 @@ def _parse_floats(text: str) -> list[float]:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ParameterError(f"expected a list of numbers, got {text!r}")
-    return [float(p) for p in parts]
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise ParameterError(f"expected a list of numbers, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:

@@ -1,4 +1,4 @@
-"""Queue scheduling disciplines and their server-state machines.
+"""Queue scheduling disciplines.
 
 Every policy is service-blind: the order of service never depends on the
 individual service requirements, and no packet is ever discarded.  The
@@ -8,11 +8,7 @@ finished later, so all generated packets are eventually delivered.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from enum import Enum
-
-INFINITY = float("inf")
 
 
 class Discipline(Enum):
@@ -26,128 +22,3 @@ class Discipline(Enum):
     @property
     def single_server(self) -> bool:
         return self is not Discipline.INFINITE_SERVER
-
-
-class FcfsServer:
-    """Single server, first-come-first-serve, non-preemptive."""
-
-    __slots__ = ("t_complete", "serving", "queue")
-
-    def __init__(self):
-        self.t_complete = INFINITY
-        self.serving = -1
-        self.queue = deque()  # FIFO of (packet id, service requirement)
-
-    def handle_arrival(self, pkt_id: int, service_req: float, now: float) -> None:
-        if self.serving < 0:
-            self.serving = pkt_id
-            self.t_complete = now + service_req
-        else:
-            self.queue.append((pkt_id, service_req))
-
-    def handle_completion(self) -> int:
-        """Finish the in-service packet at self.t_complete; start the oldest waiter."""
-        done = self.serving
-        if self.queue:
-            pkt_id, service_req = self.queue.popleft()
-            self.serving = pkt_id
-            self.t_complete += service_req
-        else:
-            self.serving = -1
-            self.t_complete = INFINITY
-        return done
-
-
-class LcfsServer:
-    """Single server, last-come-first-serve, non-preemptive."""
-
-    __slots__ = ("t_complete", "serving", "stack")
-
-    def __init__(self):
-        self.t_complete = INFINITY
-        self.serving = -1
-        self.stack = []  # LIFO of (packet id, service requirement)
-
-    def handle_arrival(self, pkt_id: int, service_req: float, now: float) -> None:
-        if self.serving < 0:
-            self.serving = pkt_id
-            self.t_complete = now + service_req
-        else:
-            self.stack.append((pkt_id, service_req))
-
-    def handle_completion(self) -> int:
-        done = self.serving
-        if self.stack:
-            pkt_id, service_req = self.stack.pop()
-            self.serving = pkt_id
-            self.t_complete += service_req
-        else:
-            self.serving = -1
-            self.t_complete = INFINITY
-        return done
-
-
-class LcfsPreemptiveServer:
-    """Single server, LCFS with preempt-resume.
-
-    A new arrival always seizes the server; the interrupted packet keeps its
-    remaining work and is pushed onto the suspension stack, to resume when
-    everything above it has finished.
-    """
-
-    __slots__ = ("t_complete", "serving", "stack")
-
-    def __init__(self):
-        self.t_complete = INFINITY
-        self.serving = -1
-        self.stack = []  # LIFO of (packet id, remaining work)
-
-    def handle_arrival(self, pkt_id: int, service_req: float, now: float) -> None:
-        if self.serving >= 0:
-            # remaining work of the preempted packet is preserved exactly
-            self.stack.append((self.serving, self.t_complete - now))
-        self.serving = pkt_id
-        self.t_complete = now + service_req
-
-    def handle_completion(self) -> int:
-        done = self.serving
-        if self.stack:
-            pkt_id, remaining = self.stack.pop()
-            self.serving = pkt_id
-            self.t_complete += remaining
-        else:
-            self.serving = -1
-            self.t_complete = INFINITY
-        return done
-
-
-class InfiniteServer:
-    """Every arrival starts service immediately on its own server."""
-
-    __slots__ = ("t_complete", "in_service")
-
-    def __init__(self):
-        self.t_complete = INFINITY
-        self.in_service = []  # min-heap of (completion time, packet id)
-
-    def handle_arrival(self, pkt_id: int, service_req: float, now: float) -> None:
-        heapq.heappush(self.in_service, (now + service_req, pkt_id))
-        self.t_complete = self.in_service[0][0]
-
-    def handle_completion(self) -> int:
-        _, done = heapq.heappop(self.in_service)
-        self.t_complete = self.in_service[0][0] if self.in_service else INFINITY
-        return done
-
-
-_SERVERS = {
-    Discipline.FCFS: FcfsServer,
-    Discipline.LCFS_NONPREEMPTIVE: LcfsServer,
-    Discipline.LCFS_PREEMPTIVE: LcfsPreemptiveServer,
-    Discipline.INFINITE_SERVER: InfiniteServer,
-}
-
-
-def make_server(discipline: Discipline):
-    """Fresh server state for one simulation run."""
-    return _SERVERS[discipline]()

@@ -1,20 +1,23 @@
-"""Event-driven simulation of a renewal update stream through one station.
+"""Exact sample-path simulation of a renewal update stream through one station.
 
 A run generates exactly n_arrivals packets, draws every packet's service
 requirement at arrival time from a dedicated substream (so all disciplines
 see identical arrival/service sequences for a given seed), stops generation,
 drains the backlog completely, and returns the full trace.  Ties between a
 departure and an arrival at the same instant process the departure first.
+Each discipline has its own serve kernel: closed forms for fcfs, lcfs-p and
+inf, one pass over completions for lcfs-np.
 """
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disciplines import Discipline, make_server
+from .disciplines import Discipline
 from .distributions import ArrivalProcess, ServiceDistribution
 from .errors import ParameterError, StabilityError
 
@@ -109,28 +112,99 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     return informative, times, ages
 
 
-def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarray:
-    """Run the event loop and return the reception time of every packet."""
+def _serve_fcfs(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
+    """FCFS completion instants from the Lindley recursion in closed form.
+
+    c_i = max(c_{i-1}, g_i) + s_i unrolls to
+    c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  A packet that
+    finds the server idle (a departure at its arrival instant leaves first)
+    is given exactly g_i + s_i, as a sequential run would.
+    """
+    cs = np.cumsum(svc)
+    c = cs + np.maximum.accumulate(gen - (cs - svc))
+    idle = np.empty(gen.shape[0], dtype=bool)
+    idle[0] = True
+    np.greater_equal(gen[1:], c[:-1], out=idle[1:])
+    c[idle] = gen[idle] + svc[idle]
+    return c
+
+
+def _next_not_above(w: np.ndarray) -> np.ndarray:
+    """For each i, the first k > i with w[k] <= w[i], or len(w) if none.
+
+    Vectorised pointer jumping: while w[nxt[i]] > w[i], every element
+    between i and nxt[nxt[i]] exceeds w[i] too, so nxt[i] may skip there.
+    """
+    n = w.shape[0]
+    ext = np.append(w, -_INF)
+    nxt = np.arange(1, n + 2)
+    nxt[n] = n
+    active = np.flatnonzero(ext[1:] > w)
+    while active.size:
+        jumped = nxt[nxt[active]]
+        nxt[active] = jumped
+        active = active[ext[jumped] > w[active]]
+    return nxt[:n]
+
+
+def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
+    """LCFS preempt-resume reception instants.
+
+    A packet's sojourn is the sub-busy-period its arrival starts: it ends
+    when the unfinished work falls back to w_i, the work the packet found
+    on arrival (the FCFS wait).  The first later packet k with w_k <= w_i
+    arrives after that instant (or at it, and departures go first), so the
+    sojourn holds exactly the work of packets i..k-1.  Written as
+    (g_i + s_i) + (c_{k-1} - c_i), a packet never preempted gets exactly
+    g_i + s_i.
+    """
+    c = _serve_fcfs(gen, svc)
+    w = np.empty_like(c)
+    w[0] = 0.0
+    np.maximum(c[:-1] - gen[1:], 0.0, out=w[1:])
+    k = _next_not_above(w)
+    return (gen + svc) + (c[k - 1] - c)
+
+
+def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
+    """LCFS non-preemptive reception instants: one pass over service completions.
+
+    Arrivals strictly before the current completion join the stack; one at
+    the same instant arrives just after the departure.
+    """
     n = gen.shape[0]
-    server = make_server(discipline)
-    handle_arrival = server.handle_arrival
-    handle_completion = server.handle_completion
-    gen_l = gen.tolist()
-    svc_l = svc.tolist()
-    recv = [0.0] * n
-    i = 0
-    t_next_arrival = gen_l[0]
+    # flat double buffers: no float object per packet
+    g = array("d", gen.tobytes())
+    g.append(_INF)  # sentinel: stops the push loop after the last arrival
+    s = array("d", svc.tobytes())
+    recv = array("d", bytes(8 * n))
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    serving, t, i = 0, g[0] + s[0], 1
     while True:
-        t_complete = server.t_complete
-        if t_complete <= t_next_arrival:
-            if t_complete == _INF:
-                break  # no arrivals left and the server is idle: drained
-            recv[handle_completion()] = t_complete
-        else:
-            handle_arrival(i, svc_l[i], t_next_arrival)
+        while g[i] < t:
+            push(i)
             i += 1
-            t_next_arrival = gen_l[i] if i < n else _INF
-    return np.asarray(recv)
+        recv[serving] = t
+        if stack:
+            serving = pop()
+            t += s[serving]
+        elif i < n:
+            serving, t = i, g[i] + s[i]
+            i += 1
+        else:
+            return np.frombuffer(recv, dtype=float)
+
+
+def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarray:
+    """Reception time of every packet under the discipline."""
+    if discipline is Discipline.INFINITE_SERVER:
+        return gen + svc
+    if discipline is Discipline.FCFS:
+        return _serve_fcfs(gen, svc)
+    if discipline is Discipline.LCFS_PREEMPTIVE:
+        return _serve_lcfs_preemptive(gen, svc)
+    return _serve_lcfs_nonpreemptive(gen, svc)
 
 
 def run_simulation(

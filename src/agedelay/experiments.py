@@ -450,15 +450,21 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
-    cp.read_string(text)
+    settings = []
     for item in overrides:
         key, sep, value = item.partition("=")
-        if not sep or "." not in key:
+        section, dot, option = (part.strip() for part in key.partition("."))
+        if not (sep and dot and section and option):
             raise ParameterError(f"override must look like section.key=value, got {item!r}")
-        section, option = key.split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section.strip(), option.strip(), value.strip())
+        settings.append((section, option, value.strip()))
+    try:
+        cp.read_string(text)
+        for section, option, value in settings:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, option, value)
+    except (configparser.Error, ValueError) as exc:
+        raise ParameterError(f"bad config: {exc}") from exc
 
     try:
         arrival = parse_arrival(cp.get("arrival", "family"), cp.getfloat("arrival", "rate"))

@@ -66,6 +66,33 @@ def age_at(trace: "SimulationTrace", t) -> np.ndarray | float:
     return float(out) if np.isscalar(t) else out
 
 
+def _check_window(trace: "SimulationTrace", window: tuple[float, float]) -> None:
+    t_a, t_b = window
+    if not t_a < t_b:
+        raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
+    if t_a < 0 or t_b > trace.horizon + 1e-9:
+        raise ParameterError(f"window [{t_a}, {t_b}] outside trace horizon {trace.horizon}")
+
+
+def _age_area_at(trace: "SimulationTrace", ts: np.ndarray) -> np.ndarray:
+    """Exact age area from the segment holding ts[0] up to each time in ts.
+
+    ts must be nondecreasing.  One cumsum over the whole trapezoids between
+    breakpoints, then the partial trapezoid up to each query time; area
+    over [ts[j], ts[k]] is the difference of entries k and j.  Starting the
+    sum at the first query keeps its rounding on the window's scale.
+    """
+    idx = np.searchsorted(trace.breakpoint_times, ts, side="right") - 1
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    times = trace.breakpoint_times[lo:hi]
+    ages = trace.breakpoint_ages[lo:hi]
+    d = np.diff(times)
+    cum = np.concatenate(([0.0], np.cumsum(ages[:-1] * d + 0.5 * d * d)))
+    j = idx - lo
+    dt = ts - times[j]
+    return cum[j] + ages[j] * dt + 0.5 * dt * dt
+
+
 def compute_average_age(trace: "SimulationTrace", window: tuple[float, float] | None = None) -> float:
     """Exact time-average of the age process over the window.
 
@@ -74,21 +101,9 @@ def compute_average_age(trace: "SimulationTrace", window: tuple[float, float] | 
     edges are clipped exactly.
     """
     t_a, t_b = window if window is not None else default_window(trace)
-    if not t_a < t_b:
-        raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
-    if t_a < 0 or t_b > trace.horizon + 1e-9:
-        raise ParameterError(f"window [{t_a}, {t_b}] outside trace horizon {trace.horizon}")
-    times = trace.breakpoint_times
-    ages = trace.breakpoint_ages
-    seg_end = np.append(times[1:], np.inf)
-    start = np.maximum(times, t_a)
-    end = np.minimum(seg_end, t_b)
-    d = end - start
-    live = d > 0
-    a0 = ages[live] + (start[live] - times[live])
-    d = d[live]
-    area = float(np.sum(a0 * d + 0.5 * d * d))
-    return area / (t_b - t_a)
+    _check_window(trace, (t_a, t_b))
+    area_a, area_b = _age_area_at(trace, np.array([t_a, t_b], dtype=float))
+    return float(area_b - area_a) / (t_b - t_a)
 
 
 def compute_delay_stats(
@@ -98,19 +113,20 @@ def compute_delay_stats(
 
     Counts every delivered packet, informative or not.
     """
-    d = _windowed_delays(trace, window)
+    packets = _packets_generated_in(trace, window)
+    d = trace.recv_times[packets] - trace.gen_times[packets]
     if d.shape[0] < 2:
         raise DegenerateSampleError(f"need >= 2 packets for delay statistics, got {d.shape[0]}")
     return float(d.mean()), float(d.var(ddof=1))
 
 
-def _windowed_delays(trace: "SimulationTrace", window) -> np.ndarray:
+def _packets_generated_in(trace: "SimulationTrace", window) -> slice:
     t_a, t_b = window if window is not None else default_window(trace)
     if not t_a < t_b:
         raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
     lo = np.searchsorted(trace.gen_times, t_a, side="left")
     hi = np.searchsorted(trace.gen_times, t_b, side="right")
-    return trace.recv_times[lo:hi] - trace.gen_times[lo:hi]
+    return slice(lo, hi)
 
 
 def informative_receptions(trace: "SimulationTrace") -> float:
@@ -176,36 +192,30 @@ def summarize(trace: "SimulationTrace", n_batches: int = DEFAULT_BATCHES) -> Met
     CI; delays split into n_batches contiguous batches by generation order.
     """
     window = default_window(trace)
+    _check_window(trace, window)
     t_a, t_b = window
-    avg_age = compute_average_age(trace, window)
-    delays = _windowed_delays(trace, window)
+    edges = np.linspace(t_a, t_b, n_batches + 1)
+    area = _age_area_at(trace, edges)
+    avg_age = float(area[-1] - area[0]) / (t_b - t_a)
+    ci_age = _t_halfwidth(np.diff(area) / np.diff(edges))
+
+    packets = _packets_generated_in(trace, window)
+    delays = trace.recv_times[packets] - trace.gen_times[packets]
     if delays.shape[0] < 2:
         raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
     mean_delay = float(delays.mean())
     delay_var = float(delays.var(ddof=1))
-
-    edges = np.linspace(t_a, t_b, n_batches + 1)
-    age_batches = np.array(
-        [compute_average_age(trace, (edges[j], edges[j + 1])) for j in range(n_batches)]
-    )
-    ci_age = _t_halfwidth(age_batches)
-
     if delays.shape[0] >= 2 * n_batches:
         delay_batches = np.array([b.mean() for b in np.array_split(delays, n_batches)])
         ci_delay = _t_halfwidth(delay_batches)
     else:
         ci_delay = _t_halfwidth(delays)
 
-    counted = trace.informative[
-        np.searchsorted(trace.gen_times, t_a, side="left") : np.searchsorted(
-            trace.gen_times, t_b, side="right"
-        )
-    ]
     return MetricsReport(
         avg_age=avg_age,
         mean_delay=mean_delay,
         delay_variance=delay_var,
-        informative_fraction=float(counted.mean()),
+        informative_fraction=float(trace.informative[packets].mean()),
         n_counted=int(delays.shape[0]),
         ci_halfwidth_age=ci_age,
         ci_halfwidth_delay=ci_delay,

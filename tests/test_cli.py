@@ -186,6 +186,17 @@ def test_oracle_rejects_bad_domain(capsys):
     assert "1/lambda" in err
 
 
+def test_oracle_rejects_non_numeric_list(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "oracle", "tail-table", "--family", "pareto", "--shapes", "2",
+        "--xs", "abc", "--mu", "0.8", "--lam", "0.5",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "'abc'" in err
+
+
 def test_stability_error_on_oracle(capsys):
     code, _, err = run_cli(capsys, "oracle", "dd1-age", "--lam", "0.9", "--mu", "0.8")
     assert code == 1

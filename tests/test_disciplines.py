@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from agedelay import Discipline, parse_arrival, parse_service, run_simulation
-from agedelay.disciplines import (
+from agedelay.engine import busy_periods
+from agedelay.metrics import summarize
+from reference_loop import (
     FcfsServer,
     InfiniteServer,
     LcfsPreemptiveServer,
     LcfsServer,
     make_server,
 )
-from agedelay.engine import busy_periods
-from agedelay.metrics import summarize
 
 INF = float("inf")
 

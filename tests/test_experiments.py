@@ -334,6 +334,15 @@ def test_load_config_overrides(tmp_path):
         load_config(path, ["no-dots"])
 
 
+def test_load_config_override_adds_missing_section(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIG_TEXT.replace("[output]\ncsv = out.csv\n", ""))
+    assert load_config(path, [" output.csv=x.csv"]).csv_name == "x.csv"
+    for bad in (" .csv=x.csv", "output. =x.csv", "DEFAULT.csv=x.csv"):
+        with pytest.raises(ParameterError):
+            load_config(path, [bad])
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "missing.ini")
@@ -341,6 +350,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("[arrival]\nfamily = exp\n")
     with pytest.raises(ParameterError):
         load_config(bad)
+    headless = tmp_path / "headless.ini"
+    headless.write_text("family = exp\n" + CONFIG_TEXT)
+    with pytest.raises(ParameterError):
+        load_config(headless)
     badgrid = tmp_path / "badgrid.ini"
     badgrid.write_text(CONFIG_TEXT.replace("fcfs det\n", "warp det\n", 1))
     with pytest.raises(ParameterError):

@@ -1,0 +1,86 @@
+"""The engine's serve kernels against the event-loop reference.
+
+inf and lcfs-np do the same float operations as the loop, so they must be
+bit-identical.  fcfs and lcfs-p sum service times in another order, so
+they may differ by rounding on the scale of the horizon; REL_TOL bounds
+that at about 450 ulps of the horizon.  Packets whose reception is
+g + s in the loop (fcfs: found the server idle; lcfs-p: never preempted)
+must get exactly g + s from the kernel too: a one-ulp mismatch there
+moves an age breakpoint across a coupled path's breakpoint.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agedelay import ArrivalProcess, Discipline, ServiceDistribution
+from agedelay.engine import _serve
+from reference_loop import serve as reference_serve
+
+REL_TOL = 1e-13
+
+ALL_DISCIPLINES = list(Discipline)
+SHAPES = {
+    "det": st.none(),
+    "exp": st.none(),
+    "lognormal": st.floats(0.1, 2.5),
+    "pareto": st.floats(1.05, 3.0),
+    "weibull": st.floats(0.3, 3.0),
+}
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def assert_matches_reference(gen, svc, discipline):
+    got = _serve(gen, svc, discipline)
+    ref = reference_serve(gen, svc, discipline)
+    if discipline in (Discipline.INFINITE_SERVER, Discipline.LCFS_NONPREEMPTIVE):
+        assert np.array_equal(got, ref)
+        return
+    assert np.max(np.abs(got - ref)) <= REL_TOL * ref.max()
+    if discipline is Discipline.FCFS:
+        exact = np.concatenate(([True], gen[1:] >= ref[:-1]))  # found the server idle
+    else:
+        exact = np.concatenate((ref[:-1] <= gen[1:], [True]))  # done before the next arrival
+    assert np.array_equal(got[exact], gen[exact] + svc[exact])
+
+
+@st.composite
+def sampled_paths(draw, family):
+    """A path drawn from the library's own samplers, at load up to 1.2."""
+    service = ServiceDistribution(family, 1.0, draw(SHAPES[family]))
+    arrival = ArrivalProcess(draw(st.sampled_from(("det", "exp"))), draw(st.floats(0.05, 1.2)))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.cumsum(arrival.sample_n(rng, n)), service.sample_n(rng, n)
+
+
+@st.composite
+def integer_paths(draw):
+    """Small integers: simultaneous arrivals and departure/arrival ties are common."""
+    gaps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=60))
+    svc = draw(st.lists(st.integers(1, 4), min_size=len(gaps), max_size=len(gaps)))
+    return np.cumsum(np.array(gaps, dtype=float)), np.array(svc, dtype=float)
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+@pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)
+@PROPERTY
+@given(data=st.data())
+def test_kernel_matches_reference_loop(discipline, family, data):
+    assert_matches_reference(*data.draw(sampled_paths(family)), discipline)
+
+
+@pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)
+@PROPERTY
+@given(path=integer_paths())
+def test_kernel_matches_reference_loop_with_ties(discipline, path):
+    assert_matches_reference(*path, discipline)
+
+
+def test_lcfs_preemptive_heavy_tail_stress():
+    # alpha near 1 at load 0.95: long busy periods and deep preemption nests
+    rng = np.random.default_rng(2024)
+    gen = np.cumsum(ArrivalProcess("exp", 0.95).sample_n(rng, 200_000))
+    svc = ServiceDistribution("pareto", 1.0, 1.05).sample_n(rng, 200_000)
+    assert_matches_reference(gen, svc, Discipline.LCFS_PREEMPTIVE)

@@ -9,13 +9,9 @@ from .distributions import (
 )
 from .engine import (
     ExperimentPoint,
-    Packet,
     SimulationTrace,
     busy_periods,
-    replicate,
-    run_point,
     run_simulation,
-    throughput,
 )
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from .experiments import (
@@ -31,13 +27,9 @@ from .experiments import (
     scalarized_pick,
 )
 from .metrics import (
-    AgeTracker,
     MetricsReport,
     age_at,
     compute_average_age,
-    compute_delay_stats,
-    default_window,
-    informative_receptions,
     summarize,
 )
 from .oracles import (
@@ -54,7 +46,6 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeTracker",
     "ArrivalProcess",
     "DegenerateSampleError",
     "Discipline",
@@ -62,7 +53,6 @@ __all__ = [
     "FrontierPoint",
     "LimitTable",
     "MetricsReport",
-    "Packet",
     "ParameterError",
     "ServiceDistribution",
     "SimulationTrace",
@@ -71,12 +61,9 @@ __all__ = [
     "age_at",
     "busy_periods",
     "compute_average_age",
-    "compute_delay_stats",
     "dd1_age",
-    "default_window",
     "emit_outputs",
     "gginf_age_estimate",
-    "informative_receptions",
     "load_config",
     "load_preset",
     "min_average_age",
@@ -86,14 +73,11 @@ __all__ = [
     "pending_update_min",
     "pk_delay",
     "preset_path",
-    "replicate",
     "run_and_emit",
-    "run_point",
     "run_simulation",
     "run_suite",
     "scalarized_pick",
     "second_moment_table",
     "summarize",
     "tail_decay_table",
-    "throughput",
 ]

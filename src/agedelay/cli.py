@@ -49,8 +49,7 @@ def _cmd_simulate(args) -> int:
 
         print(json.dumps(point.to_json_dict(), indent=2))
     else:
-        print(",".join(experiments.CSV_COLUMNS))
-        print(experiments._csv_row(point))
+        print(experiments.csv_text([point]), end="")
     return 0
 
 
@@ -76,7 +75,7 @@ def _cmd_oracle(args) -> int:
         service = parse_service(args.service, args.mu)
         value = oracles.pk_delay(args.lam, service)
         print("service,lambda,mu,pk_delay")
-        print(f"{service.label()},{args.lam:.12g},{args.mu:.12g},{experiments._fmt(value)}")
+        print(f"{service.label()},{args.lam:.12g},{args.mu:.12g},{experiments.format_cell(value)}")
     elif kind == "dd1-age":
         print("lambda,mu,dd1_age")
         print(f"{args.lam:.12g},{args.mu:.12g},{oracles.dd1_age(args.lam, args.mu):.12g}")
@@ -113,7 +112,7 @@ def _cmd_oracle(args) -> int:
         print("family,shape,second_moment")
         for i, shape in enumerate(table.shapes):
             s = "" if shape is None else f"{shape:.12g}"
-            print(f"{table.family},{s},{experiments._fmt(float(table.second_moment[i]))}")
+            print(f"{table.family},{s},{experiments.format_cell(float(table.second_moment[i]))}")
         print(f"# second_moment_diverging={table.second_moment_diverging}", file=sys.stderr)
     return 0
 
@@ -210,10 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, StabilityError, DegenerateSampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParameterError, StabilityError, DegenerateSampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

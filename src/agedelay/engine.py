@@ -12,7 +12,6 @@ inf, one pass over completions for lcfs-np.
 from __future__ import annotations
 
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +21,6 @@ from .distributions import ArrivalProcess, ServiceDistribution
 from .errors import ParameterError, StabilityError
 
 _INF = float("inf")
-
-
-@dataclass
-class Packet:
-    """Lifecycle record of one update packet."""
-
-    id: int
-    gen_time: float
-    service_req: float
-    remaining: float
-    recv_time: float | None
-    informative: bool
 
 
 @dataclass(frozen=True)
@@ -69,46 +56,34 @@ class SimulationTrace:
     seed: int
     point: ExperimentPoint = field(repr=False)
 
-    @property
-    def delays(self) -> np.ndarray:
-        return self.recv_times - self.gen_times
-
-    @property
-    def age_breakpoints(self) -> np.ndarray:
-        """(m, 2) array of (time, age just after)."""
-        return np.column_stack((self.breakpoint_times, self.breakpoint_ages))
-
-    @property
-    def delivered(self) -> list[Packet]:
-        """Materialized packet records; intended for small traces and tests."""
-        return [
-            Packet(i, g, s, 0.0, r, bool(f))
-            for i, (g, s, r, f) in enumerate(
-                zip(self.gen_times, self.service_reqs, self.recv_times, self.informative)
-            )
-        ]
-
 
 def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     """Informative flags plus age breakpoints, from the reception order.
 
     A reception is informative iff its generation time exceeds the largest
-    generation time among all packets received earlier; only those
-    receptions drop the age.
+    generation time among all packets received earlier (equal reception
+    instants are taken in generation order); only those receptions drop
+    the age.  Generation times are nondecreasing, so packet i can be
+    informative only if no later packet is received before it:
+    recv[i] <= min(recv[i+1:]).  Those candidates are received in index
+    order, and one whose generation time equals the previous candidate's
+    is stale.  The breakpoints come out already sorted by time.
     """
-    order = np.argsort(recv, kind="stable")
-    g = gen[order]
-    n = g.shape[0]
-    flags_sorted = np.empty(n, dtype=bool)
-    flags_sorted[0] = True
-    running_max = np.maximum.accumulate(g)
-    flags_sorted[1:] = g[1:] > running_max[:-1]
-    informative = np.empty(n, dtype=bool)
-    informative[order] = flags_sorted
-    bp_t = recv[order][flags_sorted]
-    bp_a = bp_t - g[flags_sorted]
+    n = recv.shape[0]
+    later_min = np.empty(n)
+    later_min[-1] = _INF
+    later_min[:-1] = np.minimum.accumulate(recv[:0:-1])[::-1]
+    cand = np.flatnonzero(recv <= later_min)
+    g = gen[cand]
+    fresh = np.empty(cand.shape[0], dtype=bool)
+    fresh[0] = True
+    np.greater(g[1:], g[:-1], out=fresh[1:])
+    kept = cand[fresh]
+    informative = np.zeros(n, dtype=bool)
+    informative[kept] = True
+    bp_t = recv[kept]
     times = np.concatenate(([0.0], bp_t))
-    ages = np.concatenate(([0.0], bp_a))
+    ages = np.concatenate(([0.0], bp_t - gen[kept]))
     return informative, times, ages
 
 
@@ -256,43 +231,6 @@ def run_simulation(
     )
 
 
-def run_point(point: ExperimentPoint, seed: int) -> SimulationTrace:
-    return run_simulation(
-        point.arrival,
-        point.service,
-        point.discipline,
-        point.n_arrivals,
-        point.warmup_fraction,
-        seed,
-    )
-
-
-def _replicate_worker(args: tuple[ExperimentPoint, int]) -> SimulationTrace:
-    point, seed = args
-    return run_point(point, seed)
-
-
-def replicate(
-    point: ExperimentPoint,
-    n_reps: int,
-    base_seed: int,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> list[SimulationTrace]:
-    """n_reps independent runs seeded base_seed + rep index, in rep order.
-
-    Replications share no state, so serial and concurrent execution return
-    identical traces.
-    """
-    if n_reps < 1:
-        raise ParameterError(f"n_reps must be >= 1, got {n_reps}")
-    jobs = [(point, base_seed + rep) for rep in range(n_reps)]
-    if not parallel or n_reps == 1:
-        return [run_point(p, s) for p, s in jobs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_replicate_worker, jobs))
-
-
 def busy_periods(gen: np.ndarray, svc: np.ndarray) -> list[tuple[float, float]]:
     """(start, end) of each busy period of a work-conserving single server.
 
@@ -312,8 +250,3 @@ def busy_periods(gen: np.ndarray, svc: np.ndarray) -> list[tuple[float, float]]:
             end += s
     periods.append((start, end))
     return periods
-
-
-def throughput(trace: SimulationTrace) -> float:
-    """Delivered packets per unit time over the whole run."""
-    return trace.n_generated / trace.horizon

@@ -19,13 +19,13 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as spstats
 
 from .disciplines import Discipline
 from .distributions import ArrivalProcess, ServiceDistribution, parse_arrival, parse_service
-from .engine import ExperimentPoint, run_point
+from . import engine
+from .engine import ExperimentPoint
 from .errors import ParameterError, StabilityError
-from .metrics import MetricsReport, summarize
+from .metrics import MetricsReport, summarize, t_halfwidth
 from .oracles import gginf_age_estimate, min_average_age, pk_delay
 
 CSV_COLUMNS = (
@@ -121,7 +121,7 @@ class FrontierPoint:
         return f"{self.discipline} {self.family}{shape}{tag}"
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "discipline": self.discipline,
             "family": self.family,
             "shape": self.shape,
@@ -144,7 +144,6 @@ class FrontierPoint:
             "gginf_stderr": self.gginf_stderr,
             "slow_convergence": self.slow_convergence,
         }
-        return d
 
 
 def _json_float(x: float | None):
@@ -153,25 +152,21 @@ def _json_float(x: float | None):
     return "inf" if math.isinf(x) else x
 
 
-def _suite_worker(args) -> tuple[int, int, MetricsReport]:
-    idx, rep, point, seed = args
-    return idx, rep, summarize(run_point(point, seed))
-
-
-def _across_rep_ci(values: Sequence[float]) -> float:
-    n = len(values)
-    if n < 2:
-        return math.nan
-    arr = np.asarray(values)
-    return float(spstats.t.ppf(0.975, n - 1) * arr.std(ddof=1) / math.sqrt(n))
+def _suite_worker(job: tuple[ExperimentPoint, int]) -> MetricsReport:
+    p, seed = job
+    # looked up on the module at call time, so a wrapper patched onto engine applies
+    trace = engine.run_simulation(
+        p.arrival, p.service, p.discipline, p.n_arrivals, p.warmup_fraction, seed
+    )
+    return summarize(trace)
 
 
 def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None = None) -> list[FrontierPoint]:
     """Run every grid point, aggregate replications, attach oracle columns.
 
     Deterministic for a given config and base seed: point base seeds are
-    base_seed + index * n_reps and assembly order is (grid index, rep),
-    regardless of execution order.
+    base_seed + index * n_reps and results come back in job order, (grid
+    index, rep), regardless of execution order.
     """
     if not cfg.grid:
         raise ParameterError("sweep grid is empty")
@@ -188,30 +183,26 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     for idx, (discipline, service, arrival) in enumerate(cfg.grid):
         point = ExperimentPoint(arrival, service, discipline, cfg.n_arrivals, cfg.warmup_fraction)
         base = cfg.base_seed + idx * cfg.n_reps
-        for rep in range(cfg.n_reps):
-            jobs.append((idx, rep, point, base + rep))
+        jobs.extend((point, base + rep) for rep in range(cfg.n_reps))
 
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(_suite_worker, jobs))
     else:
         results = [_suite_worker(job) for job in jobs]
-    reports: dict[int, list[MetricsReport]] = {}
-    for idx, rep, report in sorted(results, key=lambda r: (r[0], r[1])):
-        reports.setdefault(idx, []).append(report)
 
     gginf_cache: dict[tuple, tuple[float, float]] = {}
     gginf_seed_base = cfg.base_seed + len(cfg.grid) * cfg.n_reps
     points = []
     for idx, (discipline, service, arrival) in enumerate(cfg.grid):
-        reps = reports[idx]
+        reps = results[idx * cfg.n_reps : (idx + 1) * cfg.n_reps]
         ages = [r.avg_age for r in reps]
         delays = [r.mean_delay for r in reps]
         variances = [r.delay_variance for r in reps]
         if cfg.n_reps >= 2:
-            age_ci = _across_rep_ci(ages)
-            delay_ci = _across_rep_ci(delays)
-            var_ci = _across_rep_ci(variances)
+            age_ci = t_halfwidth(ages)
+            delay_ci = t_halfwidth(delays)
+            var_ci = t_halfwidth(variances)
         else:
             age_ci = reps[0].ci_halfwidth_age
             delay_ci = reps[0].ci_halfwidth_delay
@@ -300,7 +291,8 @@ def scalarized_pick(points: Sequence[FrontierPoint], nu: float, objective: str =
     )
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """One CSV cell: empty for None, 'inf' for infinity, floats to 12 significant digits."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -330,13 +322,14 @@ def _csv_row(p: FrontierPoint) -> str:
         p.pk_delay,
         p.gginf_age,
     )
-    return ",".join(_fmt(c) for c in cells)
+    return ",".join(format_cell(c) for c in cells)
 
 
-def write_csv(points: Sequence[FrontierPoint], path: Path) -> None:
+def csv_text(points: Sequence[FrontierPoint]) -> str:
+    """The CSV header and one row per point, newline-terminated."""
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(_csv_row(p) for p in points)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _plot_script(points: Sequence[FrontierPoint], csv_name: str) -> str:
@@ -383,13 +376,13 @@ def emit_outputs(
         csv_path = out_dir / csv_name
         json_path = out_dir / json_name
         plot_path = out_dir / plot_name
-        write_csv(points, csv_path)
+        csv_path.write_text(csv_text(points))
         doc = {
             "config": cfg.echo() if cfg is not None else None,
             "points": [p.to_json_dict() for p in points],
             "frontier": [p.label() for p in frontier],
             "scalarized_picks": (
-                {_fmt(nu): p.label() for nu, p in scalarized.items()} if scalarized else None
+                {format_cell(nu): p.label() for nu, p in scalarized.items()} if scalarized else None
             ),
         }
         json_path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -22,35 +22,11 @@ from .errors import DegenerateSampleError, ParameterError
 if TYPE_CHECKING:
     from .engine import SimulationTrace
 
-DEFAULT_BATCHES = 32
+# Batch-means sub-windows (age) and contiguous delay batches per summary.
+N_BATCHES = 32
 
 
-class AgeTracker:
-    """Incremental age-state updates, one reception at a time.
-
-    A reception drops the age to (now - gen_time) iff gen_time exceeds the
-    generation time of every previously received packet; everything else
-    leaves the age growing at slope one.  Starts from age 0 at time 0.
-    """
-
-    __slots__ = ("latest_gen", "times", "ages")
-
-    def __init__(self):
-        self.latest_gen = -math.inf
-        self.times = [0.0]
-        self.ages = [0.0]
-
-    def on_reception(self, gen_time: float, now: float) -> bool:
-        """Record one reception; returns True iff it was informative."""
-        if gen_time > self.latest_gen:
-            self.latest_gen = gen_time
-            self.times.append(now)
-            self.ages.append(now - gen_time)
-            return True
-        return False
-
-
-def default_window(trace: "SimulationTrace") -> tuple[float, float]:
+def _default_window(trace: "SimulationTrace") -> tuple[float, float]:
     """Post-warmup window: from the first kept packet's generation to the horizon."""
     k = int(trace.point.warmup_fraction * trace.n_generated)
     k = min(k, trace.n_generated - 1)
@@ -100,43 +76,15 @@ def compute_average_age(trace: "SimulationTrace", window: tuple[float, float] | 
     the area contribution is a*d + d^2/2; partial segments at the window
     edges are clipped exactly.
     """
-    t_a, t_b = window if window is not None else default_window(trace)
+    t_a, t_b = window if window is not None else _default_window(trace)
     _check_window(trace, (t_a, t_b))
     area_a, area_b = _age_area_at(trace, np.array([t_a, t_b], dtype=float))
     return float(area_b - area_a) / (t_b - t_a)
 
 
-def compute_delay_stats(
-    trace: "SimulationTrace", window: tuple[float, float] | None = None
-) -> tuple[float, float]:
-    """(sample mean, unbiased sample variance) of delay over packets generated in the window.
-
-    Counts every delivered packet, informative or not.
-    """
-    packets = _packets_generated_in(trace, window)
-    d = trace.recv_times[packets] - trace.gen_times[packets]
-    if d.shape[0] < 2:
-        raise DegenerateSampleError(f"need >= 2 packets for delay statistics, got {d.shape[0]}")
-    return float(d.mean()), float(d.var(ddof=1))
-
-
-def _packets_generated_in(trace: "SimulationTrace", window) -> slice:
-    t_a, t_b = window if window is not None else default_window(trace)
-    if not t_a < t_b:
-        raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
-    lo = np.searchsorted(trace.gen_times, t_a, side="left")
-    hi = np.searchsorted(trace.gen_times, t_b, side="right")
-    return slice(lo, hi)
-
-
-def informative_receptions(trace: "SimulationTrace") -> float:
-    """Fraction of all delivered packets that caused an age drop."""
-    if trace.n_generated < 1:
-        raise DegenerateSampleError("no delivered packets")
-    return float(trace.informative.mean())
-
-
-def _t_halfwidth(values: np.ndarray) -> float:
+def t_halfwidth(values) -> float:
+    """95% Student-t confidence halfwidth of the mean of values; nan below 2 values."""
+    values = np.asarray(values)
     n = values.shape[0]
     if n < 2:
         return math.nan
@@ -156,69 +104,43 @@ class MetricsReport:
     ci_halfwidth_age: float
     ci_halfwidth_delay: float
     seed: int
-    config: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "avg_age": self.avg_age,
-            "mean_delay": self.mean_delay,
-            "delay_variance": self.delay_variance,
-            "informative_fraction": self.informative_fraction,
-            "n_counted": self.n_counted,
-            "ci_halfwidth_age": self.ci_halfwidth_age,
-            "ci_halfwidth_delay": self.ci_halfwidth_delay,
-            "seed": self.seed,
-            "config": self.config,
-        }
 
 
-def describe_point(point) -> dict:
-    """Config echo for reports and result files."""
-    return {
-        "arrival": point.arrival.label(),
-        "lambda": point.arrival.lam,
-        "service": point.service.label(),
-        "mu": point.service.mu,
-        "discipline": point.discipline.value,
-        "n_arrivals": point.n_arrivals,
-        "warmup_fraction": point.warmup_fraction,
-    }
-
-
-def summarize(trace: "SimulationTrace", n_batches: int = DEFAULT_BATCHES) -> MetricsReport:
+def summarize(trace: "SimulationTrace") -> MetricsReport:
     """Post-warmup metrics with batch-means confidence halfwidths.
 
-    The window splits into n_batches equal-length sub-windows for the age
-    CI; delays split into n_batches contiguous batches by generation order.
+    The window splits into N_BATCHES equal-length sub-windows for the age
+    CI; delays split into N_BATCHES contiguous batches by generation order.
+    Delays count every packet generated in the window, which ends at the
+    horizon and so after every generation.
     """
-    window = default_window(trace)
+    window = _default_window(trace)
     _check_window(trace, window)
     t_a, t_b = window
-    edges = np.linspace(t_a, t_b, n_batches + 1)
+    edges = np.linspace(t_a, t_b, N_BATCHES + 1)
     area = _age_area_at(trace, edges)
     avg_age = float(area[-1] - area[0]) / (t_b - t_a)
-    ci_age = _t_halfwidth(np.diff(area) / np.diff(edges))
+    ci_age = t_halfwidth(np.diff(area) / np.diff(edges))
 
-    packets = _packets_generated_in(trace, window)
-    delays = trace.recv_times[packets] - trace.gen_times[packets]
+    lo = int(np.searchsorted(trace.gen_times, t_a, side="left"))
+    delays = trace.recv_times[lo:] - trace.gen_times[lo:]
     if delays.shape[0] < 2:
         raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
     mean_delay = float(delays.mean())
     delay_var = float(delays.var(ddof=1))
-    if delays.shape[0] >= 2 * n_batches:
-        delay_batches = np.array([b.mean() for b in np.array_split(delays, n_batches)])
-        ci_delay = _t_halfwidth(delay_batches)
+    if delays.shape[0] >= 2 * N_BATCHES:
+        delay_batches = np.array([b.mean() for b in np.array_split(delays, N_BATCHES)])
+        ci_delay = t_halfwidth(delay_batches)
     else:
-        ci_delay = _t_halfwidth(delays)
+        ci_delay = t_halfwidth(delays)
 
     return MetricsReport(
         avg_age=avg_age,
         mean_delay=mean_delay,
         delay_variance=delay_var,
-        informative_fraction=float(trace.informative[packets].mean()),
+        informative_fraction=float(trace.informative[lo:].mean()),
         n_counted=int(delays.shape[0]),
         ci_halfwidth_age=ci_age,
         ci_halfwidth_delay=ci_delay,
         seed=trace.seed,
-        config=describe_point(trace.point),
     )

@@ -1,14 +1,17 @@
-"""Event-loop reference for the engine's serve kernels.
+"""Event-loop references for the engine's serve kernels and informative marking.
 
 One server-state machine per discipline, driven packet by packet by
 `serve`: the straightforward simulation that the closed-form kernels in
 `agedelay.engine` are tested against.  Ties between a departure and an
-arrival at the same instant process the departure first.
+arrival at the same instant process the departure first.  `AgeTracker`
+replays receptions one at a time; it is the reference for the engine's
+vectorised informative marking.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 import numpy as np
@@ -165,3 +168,28 @@ def serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarra
             i += 1
             t_next_arrival = gen_l[i] if i < n else INFINITY
     return np.asarray(recv)
+
+
+class AgeTracker:
+    """Incremental age-state updates, one reception at a time.
+
+    A reception drops the age to (now - gen_time) iff gen_time exceeds the
+    generation time of every previously received packet; everything else
+    leaves the age growing at slope one.  Starts from age 0 at time 0.
+    """
+
+    __slots__ = ("latest_gen", "times", "ages")
+
+    def __init__(self):
+        self.latest_gen = -math.inf
+        self.times = [0.0]
+        self.ages = [0.0]
+
+    def on_reception(self, gen_time: float, now: float) -> bool:
+        """Record one reception; returns True iff it was informative."""
+        if gen_time > self.latest_gen:
+            self.latest_gen = gen_time
+            self.times.append(now)
+            self.ages.append(now - gen_time)
+            return True
+        return False

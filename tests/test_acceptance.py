@@ -3,7 +3,7 @@
 Each criterion prints one PASS/FAIL line (visible with pytest -s).  The
 full-scale scenarios (1e6 arrivals, 8 replications per grid point) run
 once as session fixtures and are shared by the criteria that need them;
-expect a few minutes of wall time on two cores.
+the module takes about 50 s of wall time on two cores.
 
 Two clauses are mathematically unattainable and are encoded verbatim as
 strict xfail twins instead of being weakened (details in the test
@@ -17,10 +17,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import agedelay as ad
 from agedelay import Discipline
-from agedelay.engine import ExperimentPoint
 from agedelay.metrics import age_at
 
 LAM, MU = 0.5, 0.8
@@ -35,6 +35,26 @@ def report(num, ok, detail=""):
 
 def by_label(points):
     return {p.label(): p for p in points}
+
+
+def one_point_suite(arrival, service, discipline, n_arrivals, n_reps, base_seed):
+    """Replications base_seed .. base_seed + n_reps - 1 of one point, aggregated.
+
+    The suite's own gginf column is not read here, so it gets the fewest draws.
+    """
+    cfg = ad.SweepConfig(
+        arrival=arrival,
+        mu=service.mu,
+        grid=((discipline, service, arrival),),
+        n_arrivals=n_arrivals,
+        n_reps=n_reps,
+        base_seed=base_seed,
+        warmup_fraction=0.1,
+        nu_grid=(0.0,),
+        gginf_samples=1000,
+    )
+    (point,) = ad.run_suite(cfg, parallel=True)
+    return point
 
 
 @pytest.fixture(scope="session")
@@ -56,10 +76,10 @@ def test_criterion_01_mm1_closed_form_and_simulation():
     """pk_delay(0.5, exp mu=0.8) = 10/3 and an 8x1e6 M/M/1 FCFS run agrees within 2% in <= 30 s."""
     pk = ad.pk_delay(LAM, ad.parse_service("exp", MU))
     assert pk == pytest.approx(10.0 / 3.0, rel=1e-12)
-    point = ExperimentPoint(POISSON, ad.parse_service("exp", MU), Discipline.FCFS, 1_000_000, 0.1)
     t0 = time.perf_counter()
-    traces = ad.replicate(point, 8, 101, parallel=True)
-    mean_delay = float(np.mean([ad.summarize(t).mean_delay for t in traces]))
+    mean_delay = one_point_suite(
+        POISSON, ad.parse_service("exp", MU), Discipline.FCFS, 1_000_000, 8, 101
+    ).mean_delay
     elapsed = time.perf_counter() - t0
     rel = abs(mean_delay - pk) / pk
     ok = rel <= 0.02 and elapsed <= 30.0
@@ -90,16 +110,15 @@ def test_criterion_03_infinite_server_age_consistency():
     ok = True
     for arrival in (PERIODIC, POISSON):
         for service in services:
-            point = ExperimentPoint(arrival, service, Discipline.INFINITE_SERVER, 200_000, 0.1)
-            traces = ad.replicate(point, 6, 301, parallel=True)
-            ages = np.array([ad.summarize(t).avg_age for t in traces])
-            se_sim = float(ages.std(ddof=1) / math.sqrt(len(ages)))
+            point = one_point_suite(arrival, service, Discipline.INFINITE_SERVER, 200_000, 6, 301)
+            # the row's CI is the 6-replication t halfwidth; undo the t quantile
+            se_sim = point.avg_age_ci / stats.t.ppf(0.975, 5)
             est, se_mc = ad.gginf_age_estimate(arrival, service, 200_000, 977)
-            gap = abs(float(ages.mean()) - est)
+            gap = abs(point.avg_age - est)
             bound = 3.0 * math.hypot(se_sim, se_mc) + 5e-3
             ok &= gap <= bound
             lines.append(
-                f"{arrival.family}/{service.label()}: sim={ages.mean():.4f} est={est:.4f} "
+                f"{arrival.family}/{service.label()}: sim={point.avg_age:.4f} est={est:.4f} "
                 f"gap={gap:.4f} bound={bound:.4f}"
             )
     report(3, ok, "; ".join(lines))

@@ -1,0 +1,45 @@
+import agedelay
+
+PUBLIC_NAMES = [
+    "ArrivalProcess",
+    "DegenerateSampleError",
+    "Discipline",
+    "ExperimentPoint",
+    "FrontierPoint",
+    "LimitTable",
+    "MetricsReport",
+    "ParameterError",
+    "ServiceDistribution",
+    "SimulationTrace",
+    "StabilityError",
+    "SweepConfig",
+    "age_at",
+    "busy_periods",
+    "compute_average_age",
+    "dd1_age",
+    "emit_outputs",
+    "gginf_age_estimate",
+    "load_config",
+    "load_preset",
+    "min_average_age",
+    "pareto_frontier",
+    "parse_arrival",
+    "parse_service",
+    "pending_update_min",
+    "pk_delay",
+    "preset_path",
+    "run_and_emit",
+    "run_simulation",
+    "run_suite",
+    "scalarized_pick",
+    "second_moment_table",
+    "summarize",
+    "tail_decay_table",
+]
+
+
+def test_public_api_is_exactly_the_expected_names():
+    # a name added to or dropped from the package API must be a deliberate change here
+    assert sorted(agedelay.__all__) == PUBLIC_NAMES
+    for name in agedelay.__all__:
+        assert getattr(agedelay, name) is not None

@@ -19,8 +19,10 @@ from agedelay import (
     parse_service,
     preset_path,
     run_and_emit,
+    run_simulation,
     run_suite,
     scalarized_pick,
+    summarize,
 )
 from agedelay.experiments import CSV_COLUMNS, PRESETS
 
@@ -216,6 +218,26 @@ def test_run_suite_rejects_empty_grid():
     empty = SweepConfig(**{**cfg.__dict__, "grid": ()})
     with pytest.raises(ParameterError):
         run_suite(empty, parallel=False)
+
+
+def test_run_suite_rejects_bad_counts():
+    cfg = small_config(reps=0)
+    with pytest.raises(ParameterError, match="n_reps"):
+        run_suite(cfg, parallel=False)
+
+
+def test_run_suite_matches_run_simulation():
+    # replication rep of grid point idx runs seed base_seed + idx * n_reps + rep
+    cfg = small_config(reps=3, seed=40)
+    points = run_suite(cfg, parallel=False)
+    for idx, ((discipline, service, arrival), pt) in enumerate(zip(cfg.grid, points)):
+        reports = [
+            summarize(run_simulation(arrival, service, discipline, cfg.n_arrivals, cfg.warmup_fraction, seed))
+            for seed in range(40 + 3 * idx, 40 + 3 * idx + 3)
+        ]
+        assert pt.seed == 40 + 3 * idx
+        assert pt.mean_delay == float(np.mean([r.mean_delay for r in reports]))
+        assert pt.avg_age == float(np.mean([r.avg_age for r in reports]))
 
 
 # ---- outputs ----------------------------------------------------------------------

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from agedelay import (
-    AgeTracker,
     DegenerateSampleError,
     Discipline,
     ExperimentPoint,
     ParameterError,
     SimulationTrace,
     compute_average_age,
-    compute_delay_stats,
-    default_window,
-    informative_receptions,
     parse_arrival,
     parse_service,
     run_simulation,
@@ -21,6 +17,7 @@ from agedelay import (
 )
 from agedelay.engine import _mark_informative
 from agedelay.metrics import age_at
+from reference_loop import AgeTracker
 
 ARR = parse_arrival("exp", 0.5)
 SVC = parse_service("exp", 0.8)
@@ -84,21 +81,34 @@ def test_four_packet_out_of_order_scenario_fraction():
     recv = [1.8, 4.4, 3.9, 5.0]  # 3 overtakes 2
     tr = make_trace(gen, recv)
     assert list(tr.informative) == [True, False, True, True]
-    assert informative_receptions(tr) == 0.75
+    assert summarize(tr).informative_fraction == 0.75
 
 
 def test_informative_single_packet():
     tr = make_trace([1.0], [2.0])
-    assert informative_receptions(tr) == 1.0
+    assert tr.informative.mean() == 1.0
+    assert np.array_equal(_mark_informative(tr.gen_times, tr.recv_times)[0], [True])
+
+
+def assert_marking_matches_tracker(gen, recv):
+    informative, times, ages = _mark_informative(gen, recv)
+    rebuilt = make_trace(gen, recv)
+    assert np.array_equal(informative, rebuilt.informative)
+    assert np.array_equal(times, rebuilt.breakpoint_times)
+    assert np.array_equal(ages, rebuilt.breakpoint_ages)
 
 
 def test_engine_vectorized_marking_matches_tracker():
     trace = run_simulation(ARR, parse_service("pareto alpha=2", 0.8), Discipline.LCFS_PREEMPTIVE, 5000, 0.1, 77)
-    informative, times, ages = _mark_informative(trace.gen_times, trace.recv_times)
-    rebuilt = make_trace(trace.gen_times, trace.recv_times)
-    assert np.array_equal(informative, rebuilt.informative)
-    assert np.allclose(times, rebuilt.breakpoint_times, rtol=0, atol=0)
-    assert np.allclose(ages, rebuilt.breakpoint_ages, rtol=0, atol=0)
+    assert_marking_matches_tracker(trace.gen_times, trace.recv_times)
+    # small integers force equal generation times, equal reception times and both
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        gen = np.sort(rng.integers(0, 4, n)).astype(float)
+        assert_marking_matches_tracker(gen, gen + rng.integers(0, 4, n))
+    # a stale copy of the freshest generation time, received later, is not informative
+    assert_marking_matches_tracker(np.array([1.0, 1.0, 2.0]), np.array([3.0, 3.0, 4.0]))
 
 
 # ---- average age ----------------------------------------------------------------
@@ -162,39 +172,43 @@ def test_age_window_validation():
 
 def test_two_point_delay_sample():
     tr = make_trace([0.5, 1.0], [1.5, 4.0])  # delays 1 and 3
-    mean, var = compute_delay_stats(tr, (0.0, 4.0))
-    assert mean == pytest.approx(2.0)
-    assert var == pytest.approx(2.0)
+    rep = summarize(tr)
+    assert rep.n_counted == 2
+    assert rep.mean_delay == pytest.approx(2.0)
+    assert rep.delay_variance == pytest.approx(2.0)
 
 
 def test_delay_stats_window_by_generation_time():
     gen = [1.0, 2.0, 3.0]
     recv = [2.0, 9.0, 3.5]  # delays 1, 7, 0.5
-    tr = make_trace(gen, recv)
-    mean, var = compute_delay_stats(tr, (1.5, 3.5))
-    # only packets generated in (1.5, 3.5] count, however late they land
-    assert mean == pytest.approx((7.0 + 0.5) / 2)
+    tr = make_trace(gen, recv, warmup=0.4)  # window [2, 9]; packet 0 is received at 2
+    rep = summarize(tr)
+    # only packets generated in the window count, however late they land
+    assert rep.n_counted == 2
+    assert rep.mean_delay == pytest.approx((7.0 + 0.5) / 2)
 
 
 def test_delay_stats_degenerate():
     tr = make_trace([1.0], [2.0])
     with pytest.raises(DegenerateSampleError):
-        compute_delay_stats(tr, (0.5, 3.0))
+        summarize(tr)
 
 
 def test_dd1_delay_constant():
     tr = run_simulation(
         parse_arrival("det", 0.5), parse_service("det", 0.8), Discipline.FCFS, 1000, 0.0, 1
     )
-    mean, var = compute_delay_stats(tr)
-    assert mean == pytest.approx(1.25, rel=1e-12)
-    assert var == 0.0
+    rep = summarize(tr)
+    assert rep.mean_delay == pytest.approx(1.25, rel=1e-12)
+    assert rep.delay_variance == 0.0
 
 
 def test_infinite_server_delay_variance_equals_service_variance():
     svc = parse_service("lognormal sigma=1", 0.8)
     tr = run_simulation(ARR, svc, Discipline.INFINITE_SERVER, 200_000, 0.0, 13)
-    _, var = compute_delay_stats(tr, (0.0, tr.horizon))
+    rep = summarize(tr)  # no warmup: every packet counts
+    assert rep.n_counted == tr.n_generated
+    var = rep.delay_variance
     # delays are exactly the service draws here
     assert var == pytest.approx(float(tr.service_reqs.var(ddof=1)), rel=1e-12)
     # and agree with the population value within a generous MC band
@@ -207,18 +221,15 @@ def test_infinite_server_delay_variance_equals_service_variance():
 def test_summarize_fields_and_window():
     tr = run_simulation(ARR, SVC, Discipline.FCFS, 50_000, 0.1, 3)
     rep = summarize(tr)
-    t_a, t_b = default_window(tr)
-    assert t_a == pytest.approx(tr.gen_times[5000])
-    assert t_b == tr.horizon
+    # the window runs from the first post-warmup generation to the horizon
+    assert rep.avg_age == compute_average_age(tr, (tr.gen_times[5000], tr.horizon))
+    assert rep.avg_age == compute_average_age(tr)
     assert rep.n_counted == 45_000
     assert rep.informative_fraction == 1.0
     assert rep.avg_age > 0 and rep.delay_variance > 0
     assert rep.ci_halfwidth_age > 0 and rep.ci_halfwidth_delay > 0
     assert rep.mean_delay >= tr.service_reqs.min()
-    assert rep.config["discipline"] == "fcfs"
     assert rep.seed == 3
-    d = rep.to_json_dict()
-    assert d["n_counted"] == 45_000
 
 
 def test_ci_shrinks_with_run_length():

@@ -37,7 +37,6 @@ from .oracles import (
     dd1_age,
     gginf_age_estimate,
     min_average_age,
-    pending_update_min,
     pk_delay,
     second_moment_table,
     tail_decay_table,
@@ -70,7 +69,6 @@ __all__ = [
     "pareto_frontier",
     "parse_arrival",
     "parse_service",
-    "pending_update_min",
     "pk_delay",
     "preset_path",
     "run_and_emit",

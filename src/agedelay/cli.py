@@ -41,7 +41,6 @@ def _cmd_simulate(args) -> int:
         base_seed=args.base_seed,
         warmup_fraction=args.warmup,
         nu_grid=(0.0,),
-        gginf_samples=args.gginf_samples,
     )
     (point,) = experiments.run_suite(cfg, parallel=not args.serial)
     if args.json:
@@ -138,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n-reps", type=int, default=4)
     sim.add_argument("--base-seed", type=int, default=0)
     sim.add_argument("--warmup", type=float, default=0.1)
-    sim.add_argument("--gginf-samples", type=int, default=50_000)
     sim.add_argument("--serial", action="store_true", help="disable concurrent replications")
     sim.add_argument("--json", action="store_true", help="emit JSON instead of a CSV row")
     sim.set_defaults(func=_cmd_simulate)

@@ -35,6 +35,14 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
+def _or_inf(fn, x: float) -> float:
+    """fn(x), or math.inf where it exceeds the double range."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ServiceDistribution:
     """One service-time law with mean pinned to 1/mu.
@@ -64,6 +72,10 @@ class ServiceDistribution:
             raise ParameterError(f"pareto requires alpha > 1, got {self.shape}")
         if self.family in ("lognormal", "weibull") and not self.shape > 0:
             raise ParameterError(f"{self.family} requires a positive shape, got {self.shape}")
+        if self.family == "weibull" and math.isinf(_or_inf(math.gamma, 1.0 + 1.0 / self.shape)):
+            raise ParameterError(
+                f"weibull k={self.shape:g} is too small: Gamma(1+1/k) exceeds the double range"
+            )
 
     # ---- derived parameters -------------------------------------------------
 
@@ -88,22 +100,26 @@ class ServiceDistribution:
         return 1.0 / self.mu
 
     def second_moment(self) -> float:
-        """E[S^2]; math.inf when it diverges (pareto with alpha <= 2)."""
+        """E[S^2]; math.inf when it diverges (pareto alpha <= 2) or exceeds the double range."""
         mu = self.mu
         if self.family == "det":
             return 1.0 / (mu * mu)
         if self.family == "exp":
             return 2.0 / (mu * mu)
         if self.family == "lognormal":
-            return math.exp(self.shape * self.shape) / (mu * mu)
+            return _or_inf(math.exp, self.shape * self.shape) / (mu * mu)
         if self.family == "pareto":
             a = self.shape
             if a <= 2.0:
                 return math.inf
             th = self.pareto_scale
             return a * th * th / (a - 2.0)
-        b = self.weibull_scale
-        return b * b * math.gamma(1.0 + 2.0 / self.shape)
+        b, k = self.weibull_scale, self.shape
+        gamma2 = _or_inf(math.gamma, 1.0 + 2.0 / k)
+        if not math.isinf(gamma2):
+            return b * b * gamma2  # exact at k = 1, unlike the log-space ratio below
+        # Gamma(1+2/k) overflows for k below about 0.0117; its ratio to Gamma(1+1/k)^2 does not
+        return math.exp(math.lgamma(1.0 + 2.0 / k) - 2.0 * math.lgamma(1.0 + 1.0 / k)) / (mu * mu)
 
     def moments(self) -> tuple[float, float]:
         """(E[S], E[S^2]), the second possibly math.inf."""
@@ -178,20 +194,8 @@ class ServiceDistribution:
 
     # ---- sampling -------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """One strictly positive draw from this law."""
-        if self.family == "det":
-            return 1.0 / self.mu
-        if self.family == "exp":
-            return rng.standard_exponential() / self.mu
-        if self.family == "lognormal":
-            return math.exp(self.lognormal_location + self.shape * rng.standard_normal())
-        if self.family == "pareto":
-            return self.pareto_scale * math.exp(rng.standard_exponential() / self.shape)
-        return self.weibull_scale * rng.standard_exponential() ** (1.0 / self.shape)
-
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. draws as a float64 array, same transforms as sample()."""
+        """n i.i.d. draws from this law as a float64 array."""
         if self.family == "det":
             return np.full(n, 1.0 / self.mu)
         if self.family == "exp":
@@ -232,11 +236,6 @@ class ArrivalProcess:
 
     def moments(self) -> tuple[float, float]:
         return self.mean(), self.second_moment()
-
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.family == "det":
-            return 1.0 / self.lam
-        return rng.standard_exponential() / self.lam
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == "det":

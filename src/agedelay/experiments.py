@@ -53,6 +53,9 @@ PRESETS = ("figure1", "tradeoff-sweep", "no-tradeoff")
 # Pareto sample means converge too slowly below this tail index for CI claims.
 SLOW_CONVERGENCE_ALPHA = 1.5
 
+# Monte-Carlo draws behind each point's gginf_age column.
+GGINF_SAMPLES = 200_000
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -67,7 +70,6 @@ class SweepConfig:
     csv_name: str = "points.csv"
     json_name: str = "points.json"
     plot_name: str = "plot.gp"
-    gginf_samples: int = 200_000
 
     def echo(self) -> dict:
         return {
@@ -79,7 +81,6 @@ class SweepConfig:
             "base_seed": self.base_seed,
             "warmup_fraction": self.warmup_fraction,
             "nu_grid": list(self.nu_grid),
-            "gginf_samples": self.gginf_samples,
             "grid": [_entry_label(d, s, a) for d, s, a in self.grid],
         }
 
@@ -211,7 +212,7 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
         key = (arrival, service)
         if key not in gginf_cache:
             gginf_cache[key] = gginf_age_estimate(
-                arrival, service, cfg.gginf_samples, gginf_seed_base + idx
+                arrival, service, GGINF_SAMPLES, gginf_seed_base + idx
             )
         gginf_val, gginf_se = gginf_cache[key]
 
@@ -283,7 +284,7 @@ def scalarized_pick(points: Sequence[FrontierPoint], nu: float, objective: str =
     """Point minimizing objective + nu * avg_age; ties go to lower age, then label."""
     if not points:
         raise ParameterError("scalarized_pick needs a nonempty point list")
-    if nu < 0:
+    if not nu >= 0:
         raise ParameterError(f"nu must be nonnegative, got {nu}")
     return min(
         points,
@@ -466,13 +467,12 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
         n_reps = cp.getint("run", "n_reps")
         base_seed = cp.getint("run", "base_seed")
         warmup = cp.getfloat("run", "warmup_fraction")
-        gginf_samples = cp.getint("run", "gginf_samples", fallback=200_000)
         grid_lines = [ln.strip() for ln in cp.get("grid", "points").splitlines() if ln.strip()]
         nu_grid = tuple(float(v) for v in cp.get("scalarization", "nu_grid").split())
     except (configparser.Error, ValueError) as exc:
         raise ParameterError(f"bad config: {exc}") from exc
-    if not nu_grid:
-        raise ParameterError("nu_grid must be nonempty")
+    if not nu_grid or not all(nu >= 0 for nu in nu_grid):
+        raise ParameterError(f"nu_grid must be nonempty and nonnegative, got {list(nu_grid)}")
     grid = tuple(_parse_grid_line(line, mu, arrival) for line in grid_lines)
     return SweepConfig(
         arrival=arrival,
@@ -486,7 +486,6 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
         csv_name=cp.get("output", "csv", fallback="points.csv"),
         json_name=cp.get("output", "json", fallback="points.json"),
         plot_name=cp.get("output", "plot", fallback="plot.gp"),
-        gginf_samples=gginf_samples,
     )
 
 

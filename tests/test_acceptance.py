@@ -38,10 +38,7 @@ def by_label(points):
 
 
 def one_point_suite(arrival, service, discipline, n_arrivals, n_reps, base_seed):
-    """Replications base_seed .. base_seed + n_reps - 1 of one point, aggregated.
-
-    The suite's own gginf column is not read here, so it gets the fewest draws.
-    """
+    """Replications base_seed .. base_seed + n_reps - 1 of one point, aggregated."""
     cfg = ad.SweepConfig(
         arrival=arrival,
         mu=service.mu,
@@ -51,7 +48,6 @@ def one_point_suite(arrival, service, discipline, n_arrivals, n_reps, base_seed)
         base_seed=base_seed,
         warmup_fraction=0.1,
         nu_grid=(0.0,),
-        gginf_samples=1000,
     )
     (point,) = ad.run_suite(cfg, parallel=True)
     return point
@@ -322,7 +318,7 @@ def test_criterion_11_byte_identical_outputs(tmp_path):
     across serial vs concurrent execution."""
     cfg = ad.load_preset(
         "no-tradeoff",
-        ["run.n_arrivals=20000", "run.n_reps=2", "run.gginf_samples=2000"],
+        ["run.n_arrivals=20000", "run.n_reps=2"],
     )
     runs = {
         "serial-1": ad.run_and_emit(cfg, tmp_path / "serial-1", parallel=False),

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "pareto_frontier",
     "parse_arrival",
     "parse_service",
-    "pending_update_min",
     "pk_delay",
     "preset_path",
     "run_and_emit",

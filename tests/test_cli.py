@@ -1,6 +1,5 @@
 import json
-
-import pytest
+import math
 
 from agedelay.cli import main
 from agedelay.experiments import CSV_COLUMNS
@@ -23,7 +22,6 @@ def test_simulate_csv_row(capsys):
         "--n-arrivals", "2000",
         "--n-reps", "2",
         "--base-seed", "3",
-        "--gginf-samples", "2000",
         "--serial",
     )
     assert code == 0
@@ -44,7 +42,6 @@ def test_simulate_json(capsys):
         "--discipline", "lcfs-p",
         "--n-arrivals", "1000",
         "--n-reps", "1",
-        "--gginf-samples", "1000",
         "--serial",
         "--json",
     )
@@ -79,7 +76,6 @@ def test_sweep_writes_outputs(tmp_path, capsys):
         "[arrival]\nfamily = exp\nrate = 0.5\n"
         "[service]\nrate = 0.8\n"
         "[run]\nn_arrivals = 1000\nn_reps = 1\nbase_seed = 4\nwarmup_fraction = 0.1\n"
-        "gginf_samples = 1000\n"
         "[grid]\npoints =\n    fcfs exp\n    lcfs-p exp\n"
         "[scalarization]\nnu_grid = 0 1\n"
     )
@@ -99,7 +95,6 @@ def test_figure1_preset_scaled_down(tmp_path, capsys):
         "figure1",
         "--set", "run.n_arrivals=500",
         "--set", "run.n_reps=1",
-        "--set", "run.gginf_samples=1000",
         "--out-dir", str(out_dir),
         "--serial",
     )
@@ -174,6 +169,26 @@ def test_oracle_moment_table(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].endswith("inf")
     assert "second_moment_diverging=True" in err
+
+
+def test_oracle_moment_table_weibull_small_k(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "oracle", "moment-table", "--family", "weibull", "--shapes", "1,0.5,0.01", "--mu", "0.8",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == f"weibull,0.01,{math.comb(200, 100) / 0.64:.12g}"
+
+
+def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
+    for argv in (
+        ("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "weibull k=0.004", "--serial"),
+        ("oracle", "moment-table", "--family", "weibull", "--shapes", "1,0.5,0.004", "--mu", "0.8"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "k=0.004" in err
 
 
 def test_oracle_rejects_bad_domain(capsys):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -12,6 +11,7 @@ from agedelay import (
     StabilityError,
     SweepConfig,
     emit_outputs,
+    gginf_age_estimate,
     load_config,
     load_preset,
     pareto_frontier,
@@ -77,7 +77,6 @@ def small_config(points=("fcfs exp", "lcfs-p exp"), n=2000, reps=2, seed=5):
         base_seed=seed,
         warmup_fraction=0.1,
         nu_grid=(0.0, 1.0, 100.0),
-        gginf_samples=2000,
     )
 
 
@@ -190,6 +189,18 @@ def test_run_suite_oracle_columns():
     assert pts[1].a_min == 1.0
     assert pts[1].arrival_family == "det"
     assert all(p.gginf_age is not None for p in pts)
+
+
+def test_run_suite_gginf_column_seed_rule_and_cache():
+    cfg = small_config(points=("fcfs exp", "lcfs-p exp", "fcfs det"), n=1000)
+    pts = run_suite(cfg, parallel=False)
+    # one estimate per (arrival, service), seeded past every replication seed
+    # by the index of the first grid point that needs it
+    assert (pts[0].gginf_age, pts[0].gginf_stderr) == (pts[1].gginf_age, pts[1].gginf_stderr)
+    seed_base = cfg.base_seed + len(cfg.grid) * cfg.n_reps
+    for pt, (_, service, arrival), first_index in zip(pts, cfg.grid, (0, 0, 2)):
+        expected = gginf_age_estimate(arrival, service, 200_000, seed_base + first_index)
+        assert (pt.gginf_age, pt.gginf_stderr) == expected
 
 
 def test_run_suite_flags_slow_convergence():
@@ -380,6 +391,15 @@ def test_load_config_errors(tmp_path):
     badgrid.write_text(CONFIG_TEXT.replace("fcfs det\n", "warp det\n", 1))
     with pytest.raises(ParameterError):
         load_config(badgrid)
+
+
+def test_nan_scalarization_weight_rejected(tmp_path):
+    with pytest.raises(ParameterError):
+        scalarized_pick([fp(1, 3), fp(2, 1)], math.nan)
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(CONFIG_TEXT.replace("nu_grid = 0 1 5", "nu_grid = 0 nan 5"))
+    with pytest.raises(ParameterError, match="nu_grid"):
+        load_config(cfg)
 
 
 def test_presets_ship_and_parse():

@@ -12,13 +12,13 @@ from agedelay import (
     min_average_age,
     parse_arrival,
     parse_service,
-    pending_update_min,
     pk_delay,
     run_simulation,
     second_moment_table,
     summarize,
     tail_decay_table,
 )
+from agedelay.oracles import _pending_minima
 
 MU = 0.8
 POISSON = parse_arrival("exp", 0.5)
@@ -95,9 +95,12 @@ def test_dd1_age_beats_simulated_mm1_fcfs():
 def test_pending_min_deterministic_service_bounded_by_first_draw():
     det = parse_service("det", MU)
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        z = pending_update_min(lambda: POISSON.sample(rng), lambda: det.sample(rng))
-        assert z <= 1.25 + 1e-15
+    z = _pending_minima(
+        200,
+        lambda live: POISSON.sample_n(rng, live.size),
+        lambda live: det.sample_n(rng, live.size),
+    )
+    assert np.all(z <= 1.25 + 1e-15)
 
 
 def test_gginf_det_det_is_exact():
@@ -119,8 +122,9 @@ def test_gginf_requires_enough_samples():
 
 
 def test_gginf_early_termination_matches_brute_force():
-    # shared draws: serve prerolled rows into the production routine and
-    # compare against a no-early-exit minimization truncated at l = 1000
+    # shared draws: serve prerolled rows into the production kernel, each
+    # live draw taking the next unused entry of its own row, and compare
+    # against a no-early-exit minimization truncated at l = 1000
     n_draws, max_l = 10_000, 1000
     rng = np.random.default_rng(2024)
     xs = rng.standard_exponential((n_draws, max_l)) / 0.5
@@ -129,11 +133,18 @@ def test_gginf_early_termination_matches_brute_force():
     prefix = np.cumsum(xs, axis=1)
     brute = np.minimum(ss[:, 0], (prefix + ss[:, 1:]).min(axis=1))
 
-    for row in range(n_draws):
-        it_x = iter(xs[row])
-        it_s = iter(ss[row])
-        z = pending_update_min(lambda: next(it_x), lambda: next(it_s))
-        assert abs(z - brute[row]) <= 1e-12
+    def prerolled(rows):
+        used = np.zeros(n_draws, dtype=np.intp)
+
+        def draw(live):
+            values = rows[live, used[live]]
+            used[live] += 1
+            return values
+
+        return draw
+
+    z = _pending_minima(n_draws, prerolled(xs), prerolled(ss))
+    assert np.all(np.abs(z - brute) <= 1e-12)
 
 
 def test_gginf_pareto_sweep_decreases_toward_floor():
@@ -228,6 +239,14 @@ def test_second_moment_table_lognormal_trend():
     # a configurable threshold can declare the trend divergent
     low = second_moment_table("lognormal", [1.0, 2.0], MU, divergence_threshold=10.0)
     assert low.second_moment_diverging is True
+
+
+def test_second_moment_past_double_range_is_divergent():
+    table = second_moment_table("lognormal", [1.0, 30.0], MU)
+    assert math.isfinite(table.second_moment[0])
+    assert math.isinf(table.second_moment[1])
+    assert table.second_moment_diverging is True
+    assert math.isinf(pk_delay(0.5, parse_service("lognormal sigma=30", MU)))
 
 
 def test_second_moment_table_deterministic_constant():

@@ -66,41 +66,36 @@ def _cmd_sweep(args, preset: str | None = None) -> int:
 
 def _cmd_oracle(args) -> int:
     kind = args.oracle_kind
+    note = None
     if kind == "a-min":
         arrival = parse_arrival(args.arrival, args.lam)
-        print("arrival,lambda,a_min")
-        print(f"{arrival.family},{args.lam:.12g},{oracles.min_average_age(arrival):.12g}")
+        header = "arrival,lambda,a_min"
+        rows = [(arrival.family, args.lam, oracles.min_average_age(arrival))]
     elif kind == "pk-delay":
         service = parse_service(args.service, args.mu)
-        value = oracles.pk_delay(args.lam, service)
-        print("service,lambda,mu,pk_delay")
-        print(f"{service.label()},{args.lam:.12g},{args.mu:.12g},{experiments.format_cell(value)}")
+        header = "service,lambda,mu,pk_delay"
+        rows = [(service.label(), args.lam, args.mu, oracles.pk_delay(args.lam, service))]
     elif kind == "dd1-age":
-        print("lambda,mu,dd1_age")
-        print(f"{args.lam:.12g},{args.mu:.12g},{oracles.dd1_age(args.lam, args.mu):.12g}")
+        header = "lambda,mu,dd1_age"
+        rows = [(args.lam, args.mu, oracles.dd1_age(args.lam, args.mu))]
     elif kind == "gginf":
         arrival = parse_arrival(args.arrival, args.lam)
         service = parse_service(args.service, args.mu)
         est, se = oracles.gginf_age_estimate(arrival, service, args.n_samples, args.seed)
-        print("arrival,service,lambda,mu,n_samples,seed,gginf_age,stderr")
-        print(
-            f"{arrival.family},{service.label()},{args.lam:.12g},{args.mu:.12g},"
-            f"{args.n_samples},{args.seed},{est:.12g},{se:.12g}"
-        )
+        header = "arrival,service,lambda,mu,n_samples,seed,gginf_age,stderr"
+        rows = [(arrival.family, service.label(), args.lam, args.mu, args.n_samples, args.seed, est, se)]
     elif kind == "tail-table":
         table = oracles.tail_decay_table(
             args.family, _parse_floats(args.shapes) if args.shapes else (),
             _parse_floats(args.xs), args.mu, args.lam
         )
-        print("family,shape,x,tail_prob,truncated_mean")
-        for i, shape in enumerate(table.shapes):
-            for j, x in enumerate(table.xs):
-                s = "" if shape is None else f"{shape:.12g}"
-                print(
-                    f"{table.family},{s},{x:.12g},"
-                    f"{table.tail[i, j]:.12g},{table.truncated_mean[i, j]:.12g}"
-                )
-        print(f"# columns_decreasing={table.columns_decreasing}", file=sys.stderr)
+        header = "family,shape,x,tail_prob,truncated_mean"
+        rows = [
+            (table.family, shape, x, table.tail[i, j], table.truncated_mean[i, j])
+            for i, shape in enumerate(table.shapes)
+            for j, x in enumerate(table.xs)
+        ]
+        note = f"# columns_decreasing={table.columns_decreasing}"
     else:  # moment-table
         table = oracles.second_moment_table(
             args.family,
@@ -108,11 +103,14 @@ def _cmd_oracle(args) -> int:
             args.mu,
             args.threshold,
         )
-        print("family,shape,second_moment")
-        for i, shape in enumerate(table.shapes):
-            s = "" if shape is None else f"{shape:.12g}"
-            print(f"{table.family},{s},{experiments.format_cell(float(table.second_moment[i]))}")
-        print(f"# second_moment_diverging={table.second_moment_diverging}", file=sys.stderr)
+        header = "family,shape,second_moment"
+        rows = [(table.family, shape, table.second_moment[i]) for i, shape in enumerate(table.shapes)]
+        note = f"# second_moment_diverging={table.second_moment_diverging}"
+    print(header)
+    for row in rows:
+        print(",".join(experiments.format_cell(cell) for cell in row))
+    if note is not None:
+        print(note, file=sys.stderr)
     return 0
 
 

@@ -18,6 +18,7 @@ Inter-arrival families are deterministic (X = 1/lambda) and exponential
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,20 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def _or_inf(fn, x: float) -> float:
-    """fn(x), or math.inf where it exceeds the double range."""
+def _or_inf(fn, *args: float) -> float:
+    """fn(*args), or math.inf where it exceeds the double range."""
     try:
-        return fn(x)
+        return fn(*args)
     except OverflowError:
         return math.inf
+
+
+def _check_rate(name: str, rate: float) -> None:
+    """A rate must be positive and finite, and its square a normal double: moments divide by it."""
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ParameterError(f"{name} must be positive, got {rate}")
+    if rate * rate < sys.float_info.min:
+        raise ParameterError(f"{name}={rate:g} is too small: its square is below the double range")
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,7 @@ class ServiceDistribution:
     def __post_init__(self):
         if self.family not in SERVICE_FAMILIES:
             raise ParameterError(f"unknown service family {self.family!r}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ParameterError(f"service rate mu must be positive, got {self.mu}")
+        _check_rate("service rate mu", self.mu)
         if self.family in ("det", "exp"):
             if self.shape is not None:
                 raise ParameterError(f"{self.family} service takes no shape parameter")
@@ -76,13 +84,19 @@ class ServiceDistribution:
             raise ParameterError(
                 f"weibull k={self.shape:g} is too small: Gamma(1+1/k) exceeds the double range"
             )
+        if self.family == "lognormal" and math.isinf(self.shape * self.shape):
+            raise ParameterError(
+                f"lognormal sigma={self.shape:g} is too large: sigma^2 exceeds the double range"
+            )
 
     # ---- derived parameters -------------------------------------------------
 
     @property
     def pareto_scale(self) -> float:
         """theta(alpha) = (alpha-1)/(mu*alpha)."""
-        return (self.shape - 1.0) / (self.mu * self.shape)
+        a, mu = self.shape, self.mu
+        # regrouped only where mu * alpha overflows, so every other value keeps its bits
+        return (a - 1.0) / (mu * a) if mu * a < math.inf else (a - 1.0) / a / mu
 
     @property
     def weibull_scale(self) -> float:
@@ -113,7 +127,9 @@ class ServiceDistribution:
             if a <= 2.0:
                 return math.inf
             th = self.pareto_scale
-            return a * th * th / (a - 2.0)
+            m2 = a * th * th / (a - 2.0)
+            # regrouped only where a * th^2 overflows, so every other value keeps its bits
+            return m2 if m2 < math.inf else th * th * (a / (a - 2.0))
         b, k = self.weibull_scale, self.shape
         gamma2 = _or_inf(math.gamma, 1.0 + 2.0 / k)
         if not math.isinf(gamma2):
@@ -160,7 +176,7 @@ class ServiceDistribution:
             if x <= th:
                 return 1.0
             return (th / x) ** self.shape
-        return math.exp(-((x / self.weibull_scale) ** self.shape))
+        return math.exp(-_or_inf(math.pow, x / self.weibull_scale, self.shape))
 
     def expected_min_with(self, x: float) -> float:
         """E[min(S, x)] = integral of P(S > t) over (0, x), in closed form."""
@@ -170,7 +186,7 @@ class ServiceDistribution:
         if self.family == "det":
             return min(x, 1.0 / mu)
         if self.family == "exp":
-            return -math.expm1(-mu * x) / mu
+            return min(x, -math.expm1(-mu * x) / mu)  # mu * x loses digits at subnormal x
         if self.family == "lognormal":
             # E[S 1{S<x}] + x P(S>x) with the lognormal partial expectation
             m, s = self.lognormal_location, self.shape
@@ -183,7 +199,7 @@ class ServiceDistribution:
                 return x
             return th + th * (1.0 - (th / x) ** (a - 1.0)) / (a - 1.0)
         b, k = self.weibull_scale, self.shape
-        u = (x / b) ** k
+        u = _or_inf(math.pow, x / b, k)  # at u = inf both terms take their exact limits
         below = (1.0 / mu) * gammainc(1.0 + 1.0 / k, u)
         return below + x * math.exp(-u)
 
@@ -223,8 +239,7 @@ class ArrivalProcess:
     def __post_init__(self):
         if self.family not in ARRIVAL_FAMILIES:
             raise ParameterError(f"unknown arrival family {self.family!r}")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ParameterError(f"arrival rate lambda must be positive, got {self.lam}")
+        _check_rate("arrival rate lambda", self.lam)
 
     def mean(self) -> float:
         return 1.0 / self.lam
@@ -270,8 +285,11 @@ def _parse_family_spec(spec: str) -> tuple[str, dict[str, float]]:
         key, sep, val = tok.partition("=")
         if not sep:
             raise ParameterError(f"expected key=value, got {tok!r} in {spec!r}")
+        key = key.lower()
+        if key in kwargs:
+            raise ParameterError(f"repeated key {key!r} in {spec!r}")
         try:
-            kwargs[key.lower()] = float(val)
+            kwargs[key] = float(val)
         except ValueError:
             raise ParameterError(f"bad numeric value in {tok!r}") from None
     return family, kwargs

@@ -13,7 +13,7 @@ import configparser
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -27,26 +27,6 @@ from .engine import ExperimentPoint
 from .errors import ParameterError, StabilityError
 from .metrics import MetricsReport, summarize, t_halfwidth
 from .oracles import gginf_age_estimate, min_average_age, pk_delay
-
-CSV_COLUMNS = (
-    "discipline",
-    "family",
-    "shape",
-    "lambda",
-    "mu",
-    "n_arrivals",
-    "n_reps",
-    "seed",
-    "avg_age",
-    "avg_age_ci",
-    "mean_delay",
-    "mean_delay_ci",
-    "delay_var",
-    "informative_frac",
-    "a_min",
-    "pk_delay",
-    "gginf_age",
-)
 
 PRESETS = ("figure1", "tradeoff-sweep", "no-tradeoff")
 
@@ -122,35 +102,23 @@ class FrontierPoint:
         return f"{self.discipline} {self.family}{shape}{tag}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "discipline": self.discipline,
-            "family": self.family,
-            "shape": self.shape,
-            "arrival": self.arrival_family,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "n_arrivals": self.n_arrivals,
-            "n_reps": self.n_reps,
-            "seed": self.seed,
-            "avg_age": self.avg_age,
-            "avg_age_ci": self.avg_age_ci,
-            "mean_delay": self.mean_delay,
-            "mean_delay_ci": self.mean_delay_ci,
-            "delay_var": self.delay_var,
-            "delay_var_ci": _json_float(self.delay_var_ci),
-            "informative_frac": self.informative_frac,
-            "a_min": self.a_min,
-            "pk_delay": _json_float(self.pk_delay),
-            "gginf_age": self.gginf_age,
-            "gginf_stderr": self.gginf_stderr,
-            "slow_convergence": self.slow_convergence,
-        }
+        """The point's fields under their published names; no NaN or infinity, which JSON lacks."""
+        return {_RENAMES.get(f.name, f.name): _json_float(getattr(self, f.name)) for f in fields(self)}
 
 
-def _json_float(x: float | None):
-    if x is None or math.isnan(x):
-        return None
-    return "inf" if math.isinf(x) else x
+# Published names of the fields whose attribute names differ.
+_RENAMES = {"lam": "lambda", "arrival_family": "arrival"}
+# The CSV carries every other field, in declaration order.
+_JSON_ONLY = ("arrival_family", "delay_var_ci", "gginf_stderr", "slow_convergence")
+_CSV_FIELDS = tuple(f.name for f in fields(FrontierPoint) if f.name not in _JSON_ONLY)
+CSV_COLUMNS = tuple(_RENAMES.get(name, name) for name in _CSV_FIELDS)
+
+
+def _json_float(x):
+    """NaN becomes null and an infinity the string 'inf'; other values pass through."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None if math.isnan(x) else "inf"
+    return x
 
 
 def _suite_worker(job: tuple[ExperimentPoint, int]) -> MetricsReport:
@@ -293,43 +261,18 @@ def scalarized_pick(points: Sequence[FrontierPoint], nu: float, objective: str =
 
 
 def format_cell(value) -> str:
-    """One CSV cell: empty for None, 'inf' for infinity, floats to 12 significant digits."""
+    """One CSV cell: empty for None, floats to 12 significant digits ('inf' for infinity)."""
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return f"{value:.12g}"
     return str(value)
-
-
-def _csv_row(p: FrontierPoint) -> str:
-    cells = (
-        p.discipline,
-        p.family,
-        p.shape,
-        p.lam,
-        p.mu,
-        p.n_arrivals,
-        p.n_reps,
-        p.seed,
-        p.avg_age,
-        p.avg_age_ci,
-        p.mean_delay,
-        p.mean_delay_ci,
-        p.delay_var,
-        p.informative_frac,
-        p.a_min,
-        p.pk_delay,
-        p.gginf_age,
-    )
-    return ",".join(format_cell(c) for c in cells)
 
 
 def csv_text(points: Sequence[FrontierPoint]) -> str:
     """The CSV header and one row per point, newline-terminated."""
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(_csv_row(p) for p in points)
+    lines.extend(",".join(format_cell(getattr(p, name)) for name in _CSV_FIELDS) for p in points)
     return "\n".join(lines) + "\n"
 
 
@@ -339,13 +282,17 @@ def _plot_script(points: Sequence[FrontierPoint], csv_name: str) -> str:
         key = (p.discipline, p.family)
         if key not in series:
             series.append(key)
+    disc, fam, age, delay = (
+        CSV_COLUMNS.index(name) + 1 for name in ("discipline", "family", "avg_age", "mean_delay")
+    )
     clauses = []
     for discipline, family in series:
-        cond = f'strcol(1) eq "{discipline}" && strcol(2) eq "{family}"'
+        cond = f'strcol({disc}) eq "{discipline}" && strcol({fam}) eq "{family}"'
         clauses.append(
-            f'  "{csv_name}" using ({cond} ? $9 : 1/0):($11) title "{discipline} {family}" with points'
+            f'  "{csv_name}" using ({cond} ? ${age} : 1/0):(${delay})'
+            f' title "{discipline} {family}" with points'
         )
-    body = ", \\\n".join(clauses) if clauses else f'  "{csv_name}" using 9:11 with points'
+    body = ", \\\n".join(clauses) if clauses else f'  "{csv_name}" using {age}:{delay} with points'
     return (
         "# age-delay scatter; render with: gnuplot -persist <this file>\n"
         "set datafile separator comma\n"
@@ -421,13 +368,11 @@ def _parse_grid_line(line: str, mu: float, arrival: ArrivalProcess):
         discipline = Discipline(tokens[0].lower())
     except ValueError:
         raise ParameterError(f"unknown discipline {tokens[0]!r} in grid line {line!r}") from None
-    service_tokens = []
-    point_arrival = arrival
-    for tok in tokens[1:]:
-        if tok.startswith("arrival="):
-            point_arrival = parse_arrival(tok.split("=", 1)[1], arrival.lam)
-        else:
-            service_tokens.append(tok)
+    arrival_specs = [tok[len("arrival="):] for tok in tokens[1:] if tok.startswith("arrival=")]
+    if len(arrival_specs) > 1:
+        raise ParameterError(f"repeated key 'arrival' in grid line {line!r}")
+    point_arrival = parse_arrival(arrival_specs[0], arrival.lam) if arrival_specs else arrival
+    service_tokens = [tok for tok in tokens[1:] if not tok.startswith("arrival=")]
     service = parse_service(" ".join(service_tokens), mu)
     return discipline, service, point_arrival
 

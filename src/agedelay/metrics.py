@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats as spstats
+from scipy.special import stdtrit
 
 from .errors import DegenerateSampleError, ParameterError
 
@@ -88,7 +88,7 @@ def t_halfwidth(values) -> float:
     n = values.shape[0]
     if n < 2:
         return math.nan
-    crit = spstats.t.ppf(0.975, n - 1)
+    crit = stdtrit(n - 1, 0.975)
     return float(crit * values.std(ddof=1) / math.sqrt(n))
 
 

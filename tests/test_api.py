@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import agedelay
 
 PUBLIC_NAMES = [
@@ -42,3 +47,10 @@ def test_public_api_is_exactly_the_expected_names():
     assert sorted(agedelay.__all__) == PUBLIC_NAMES
     for name in agedelay.__all__:
         assert getattr(agedelay, name) is not None
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone takes most of a second to import; the package needs only scipy.special
+    code = "import sys, agedelay; assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'"
+    env = {**os.environ, "PYTHONPATH": str(Path(agedelay.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from agedelay.cli import main
 from agedelay.experiments import CSV_COLUMNS
 
@@ -112,7 +114,7 @@ def test_missing_config_errors(tmp_path, capsys):
 def test_oracle_a_min(capsys):
     code, out, _ = run_cli(capsys, "oracle", "a-min", "--arrival", "det", "--lam", "0.5")
     assert code == 0
-    assert out.splitlines()[1] == "det,0.5,1"
+    assert out == "arrival,lambda,a_min\ndet,0.5,1\n"
 
 
 def test_oracle_pk_delay(capsys):
@@ -124,13 +126,14 @@ def test_oracle_pk_delay(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "pk-delay", "--service", "pareto alpha=2", "--mu", "0.8", "--lam", "0.5"
     )
-    assert out.splitlines()[1].endswith("inf")
+    assert code == 0
+    assert out == "service,lambda,mu,pk_delay\npareto alpha=2,0.5,0.8,inf\n"
 
 
 def test_oracle_dd1_age(capsys):
     code, out, _ = run_cli(capsys, "oracle", "dd1-age", "--lam", "0.5", "--mu", "0.8")
     assert code == 0
-    assert out.splitlines()[1] == "0.5,0.8,2.25"
+    assert out == "lambda,mu,dd1_age\n0.5,0.8,2.25\n"
 
 
 def test_oracle_gginf(capsys):
@@ -142,8 +145,7 @@ def test_oracle_gginf(capsys):
         "--n-samples", "1000", "--seed", "1",
     )
     assert code == 0
-    cells = out.splitlines()[1].split(",")
-    assert float(cells[-2]) == 2.25
+    assert out == "arrival,service,lambda,mu,n_samples,seed,gginf_age,stderr\ndet,det,0.5,0.8,1000,1,2.25,0\n"
 
 
 def test_oracle_tail_table(capsys):
@@ -158,6 +160,24 @@ def test_oracle_tail_table(capsys):
     assert lines[0] == "family,shape,x,tail_prob,truncated_mean"
     assert len(lines) == 5
     assert "columns_decreasing" in err
+    code, out, _ = run_cli(
+        capsys, "oracle", "tail-table", "--family", "exp", "--xs", "2", "--mu", "0.8", "--lam", "0.5"
+    )
+    assert code == 0
+    # exp(-1.6) and (1 - exp(-1.6)) / 0.8 - 2 exp(-1.6), to 12 significant digits
+    assert out == "family,shape,x,tail_prob,truncated_mean\nexp,,2,0.201896517995,0.593836316517\n"
+
+
+def test_oracle_tail_table_weibull_large_k(capsys):
+    # (x / beta)^k overflows at k = 700: the tail and truncated mean take their exact limits
+    code, out, _ = run_cli(
+        capsys,
+        "oracle", "tail-table", "--family", "weibull", "--shapes", "700,1",
+        "--xs", "4", "--mu", "0.8", "--lam", "0.5",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "weibull,700,4,0,1.25"
+    assert all(math.isfinite(float(cell)) for line in out.splitlines()[1:] for cell in line.split(",")[1:])
 
 
 def test_oracle_moment_table(capsys):
@@ -189,6 +209,50 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "k=0.004" in err
+    # sigma^2 overflows at sigma = 1e200
+    code, out, err = run_cli(
+        capsys,
+        "oracle", "tail-table", "--family", "lognormal", "--shapes", "1,1e10,1e200",
+        "--xs", "2", "--mu", "0.8", "--lam", "0.5",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "sigma=1e+200" in err
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (("simulate", "--lam", "1e-300", "--mu", "0.8", "--service", "exp", "--serial"), "lambda=1e-300"),
+        (("oracle", "a-min", "--lam", "1e-160"), "lambda=1e-160"),
+        (("oracle", "pk-delay", "--service", "exp", "--mu", "1e-160", "--lam", "1e-170"), "mu=1e-160"),
+        (
+            ("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "pareto alpha=1.5 alpha=2", "--serial"),
+            "repeated key 'alpha'",
+        ),
+    ],
+    ids=["tiny-lambda-simulate", "tiny-lambda-a-min", "tiny-mu", "repeated-service-key"],
+)
+def test_bad_input_exits_with_one_line(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and fragment in err
+
+
+def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(
+        "[arrival]\nfamily = exp\nrate = 0.5\n"
+        "[service]\nrate = 0.8\n"
+        "[run]\nn_arrivals = 1000\nn_reps = 1\nbase_seed = 4\nwarmup_fraction = 0.1\n"
+        "[grid]\npoints =\n    fcfs det arrival=det arrival=exp\n"
+        "[scalarization]\nnu_grid = 0\n"
+    )
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path), "--serial")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "repeated key 'arrival'" in err
 
 
 def test_oracle_rejects_bad_domain(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from agedelay import ParameterError, ServiceDistribution, ArrivalProcess, parse_arrival, parse_service
@@ -41,6 +43,8 @@ def test_pareto_scale_pins_mean():
         d = ServiceDistribution("pareto", MU, alpha)
         th = d.pareto_scale
         assert alpha * th / (alpha - 1.0) == pytest.approx(1.0 / MU, rel=1e-15)
+    # mu * alpha overflows; theta = 1/(2 mu) all the same
+    assert ServiceDistribution("pareto", 1e308, 2.0).pareto_scale == pytest.approx(0.5e-308, rel=1e-12)
 
 
 def test_second_moments_closed_form():
@@ -73,6 +77,12 @@ def test_second_moments_near_heavy_tail_limits():
     lognormal = parse_service("lognormal sigma=30", MU)
     assert math.isinf(lognormal.second_moment())
     assert math.isinf(lognormal.variance())
+    # alpha * theta^2 overflows in both, though E[S^2] = theta^2 alpha/(alpha - 2) does not
+    assert ServiceDistribution("pareto", 1e-6, 1e300).second_moment() == pytest.approx(1e12, rel=1e-12)
+    theta = 0.8 / 1.6e-154
+    assert ServiceDistribution("pareto", 1.6e-154, 5.0).second_moment() == pytest.approx(
+        theta * theta * 5.0 / 3.0, rel=1e-12
+    )
 
 
 @pytest.mark.parametrize(
@@ -171,6 +181,9 @@ def test_expected_min_examples():
     assert e.expected_min_with(1.25) == pytest.approx(1.25 * (1 - math.exp(-1.0)), rel=1e-12)
     det = parse_service("det", MU)
     assert det.expected_min_with(1.0) == 1.0
+    # mu * x is subnormal and loses digits; the result must still not exceed x
+    tiny = 1.1125369292536007e-308
+    assert parse_service("exp", 1e-6).expected_min_with(tiny) <= tiny
     # x -> infinity saturates at the mean; heavy Pareto converges at rate
     # x^(1-alpha), so at x=1e9 and alpha=1.5 the deficit is ~2e-5
     for d in SERVICE_GRID:
@@ -244,6 +257,41 @@ def test_arrival_moments_and_samples():
     assert np.all(s > 0)
 
 
+# ---- whole shape domains ---------------------------------------------------------
+
+# each family's whole admissible shape domain; shapes the constructor rejects are skipped
+DOMAIN_SHAPES = {
+    "det": st.none(),
+    "exp": st.none(),
+    "pareto": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    "lognormal": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "weibull": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DOMAIN_SHAPES))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    # rates whose 1/mu^2 is a normal double, so the bound below is representable
+    mu=st.floats(min_value=1e-150, max_value=1e150),
+    x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_shape_domain_limits(family, data, mu, x):
+    try:
+        d = ServiceDistribution(family, mu, data.draw(DOMAIN_SHAPES[family]))
+    except ParameterError:
+        return
+    assert 0.0 <= d.tail_prob(x) <= 1.0
+    assert 0.0 <= d.expected_min_with(x) <= min(x, 1.0 / mu) * (1.0 + 1e-12)
+    assert d.truncated_mean_below(x) >= 0.0
+    m2 = d.second_moment()
+    assert math.isinf(m2) or m2 >= (1.0 / mu**2) * (1.0 - 1e-12)
+    # >= 0, not > 0: Weibull draws below the smallest subnormal read exactly 0 at small k
+    s = d.sample_n(np.random.default_rng(0), 1000)
+    assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
+
+
 # ---- admissibility and parsing --------------------------------------------------
 
 
@@ -257,6 +305,8 @@ def test_arrival_moments_and_samples():
         ("weibull", MU, 0.004),  # Gamma(1+1/k) overflows
         ("weibull", MU, 1e-320),  # 1/k is infinite
         ("lognormal", MU, 0.0),
+        ("lognormal", MU, 1e200),  # sigma^2 overflows
+        ("exp", 1e-160, None),  # mu^2 underflows
         ("det", 0.0, None),
         ("exp", -1.0, None),
         ("pareto", MU, None),
@@ -274,6 +324,8 @@ def test_arrival_admissibility():
         ArrivalProcess("exp", 0.0)
     with pytest.raises(ParameterError):
         ArrivalProcess("pareto", 0.5)
+    with pytest.raises(ParameterError):
+        ArrivalProcess("exp", 1e-160)  # lambda^2 underflows
 
 
 def test_parse_service_specs():
@@ -283,7 +335,10 @@ def test_parse_service_specs():
     assert parse_service("weibull k=0.5", MU).shape == 0.5
     assert parse_service("deterministic", MU).family == "det"
     assert parse_service("exponential", MU).family == "exp"
-    for bad in ("pareto", "pareto beta=2", "det x=1", "pareto alpha=1.5 k=2", "pareto alpha=abc", ""):
+    for bad in (
+        "pareto", "pareto beta=2", "det x=1", "pareto alpha=1.5 k=2", "pareto alpha=abc", "",
+        "pareto alpha=1.5 alpha=2",
+    ):
         with pytest.raises(ParameterError):
             parse_service(bad, MU)
     with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -294,6 +295,25 @@ def test_csv_12_significant_digits(tmp_path):
     assert row[CSV_COLUMNS.index("mean_delay")] == "0.142857142857"
     assert row[CSV_COLUMNS.index("shape")] == ""
     assert row[CSV_COLUMNS.index("pk_delay")] == ""
+
+
+def test_csv_columns_are_the_published_layout():
+    assert CSV_COLUMNS == (
+        "discipline", "family", "shape", "lambda", "mu", "n_arrivals", "n_reps", "seed",
+        "avg_age", "avg_age_ci", "mean_delay", "mean_delay_ci", "delay_var", "informative_frac",
+        "a_min", "pk_delay", "gginf_age",
+    )
+
+
+def test_json_record_has_no_nan(tmp_path):
+    pt = dataclasses.replace(fp(2.0, 1.0), avg_age_ci=math.nan, gginf_age=math.inf)
+    record = pt.to_json_dict()
+    assert record["avg_age_ci"] is None and record["gginf_age"] == "inf"
+    assert record["lambda"] == 0.5 and record["arrival"] == "exp"
+    paths = emit_outputs([pt], [pt], tmp_path)
+    text = paths[1].read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text)["points"][0]["avg_age_ci"] is None
 
 
 def test_csv_infinite_pk_delay(tmp_path):

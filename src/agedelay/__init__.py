@@ -33,7 +33,6 @@ from .metrics import (
     summarize,
 )
 from .oracles import (
-    LimitTable,
     dd1_age,
     gginf_age_estimate,
     min_average_age,
@@ -50,7 +49,6 @@ __all__ = [
     "Discipline",
     "ExperimentPoint",
     "FrontierPoint",
-    "LimitTable",
     "MetricsReport",
     "ParameterError",
     "ServiceDistribution",

@@ -85,27 +85,22 @@ def _cmd_oracle(args) -> int:
         header = "arrival,service,lambda,mu,n_samples,seed,gginf_age,stderr"
         rows = [(arrival.family, service.label(), args.lam, args.mu, args.n_samples, args.seed, est, se)]
     elif kind == "tail-table":
-        table = oracles.tail_decay_table(
-            args.family, _parse_floats(args.shapes) if args.shapes else (),
-            _parse_floats(args.xs), args.mu, args.lam
-        )
+        shapes = _parse_floats(args.shapes) if args.shapes else []
+        xs = _parse_floats(args.xs)
+        tail, trunc, decreasing = oracles.tail_decay_table(args.family, shapes, xs, args.mu, args.lam)
         header = "family,shape,x,tail_prob,truncated_mean"
         rows = [
-            (table.family, shape, x, table.tail[i, j], table.truncated_mean[i, j])
-            for i, shape in enumerate(table.shapes)
-            for j, x in enumerate(table.xs)
+            (args.family, shape, x, tail[i, j], trunc[i, j])
+            for i, shape in enumerate(shapes or [None])
+            for j, x in enumerate(xs)
         ]
-        note = f"# columns_decreasing={table.columns_decreasing}"
+        note = f"# columns_decreasing={decreasing}"
     else:  # moment-table
-        table = oracles.second_moment_table(
-            args.family,
-            _parse_floats(args.shapes) if args.shapes else (),
-            args.mu,
-            args.threshold,
-        )
+        shapes = _parse_floats(args.shapes) if args.shapes else []
+        m2, diverging = oracles.second_moment_table(args.family, shapes, args.mu)
         header = "family,shape,second_moment"
-        rows = [(table.family, shape, table.second_moment[i]) for i, shape in enumerate(table.shapes)]
-        note = f"# second_moment_diverging={table.second_moment_diverging}"
+        rows = [(args.family, shape, m2[i]) for i, shape in enumerate(shapes or [None])]
+        note = f"# second_moment_diverging={diverging}"
     print(header)
     for row in rows:
         print(",".join(experiments.format_cell(cell) for cell in row))
@@ -183,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     mom.add_argument("--family", required=True)
     mom.add_argument("--shapes", default="")
     mom.add_argument("--mu", type=float, required=True)
-    mom.add_argument("--threshold", type=float, default=None)
 
     oracle.set_defaults(func=_cmd_oracle)
     return parser

@@ -60,6 +60,10 @@ class ServiceDistribution:
     mu:     service rate (mean service time is 1/mu).
     shape:  sigma for lognormal, alpha for pareto, k for weibull;
             must be None for det/exp.
+
+    Draws are finite and >= 0: a zero-length service is admissible.  Weibull
+    draws beta * E^(1/k) underflow to exactly 0 at small admissible k (about
+    half of them at k=0.006), and the engine serves such a packet in no time.
     """
 
     family: str
@@ -162,8 +166,8 @@ class ServiceDistribution:
 
     def tail_prob(self, x: float) -> float:
         """P(S > x), exact closed form."""
-        if not x > 0:
-            raise ParameterError(f"threshold x must be positive, got {x}")
+        if not 0 < x < math.inf:
+            raise ParameterError(f"threshold x must be positive and finite, got {x}")
         if self.family == "det":
             return 1.0 if x < 1.0 / self.mu else 0.0
         if self.family == "exp":
@@ -180,8 +184,8 @@ class ServiceDistribution:
 
     def expected_min_with(self, x: float) -> float:
         """E[min(S, x)] = integral of P(S > t) over (0, x), in closed form."""
-        if not x > 0:
-            raise ParameterError(f"threshold x must be positive, got {x}")
+        if not 0 < x < math.inf:
+            raise ParameterError(f"threshold x must be positive and finite, got {x}")
         mu = self.mu
         if self.family == "det":
             return min(x, 1.0 / mu)

@@ -27,10 +27,15 @@ N_BATCHES = 32
 
 
 def _default_window(trace: "SimulationTrace") -> tuple[float, float]:
-    """Post-warmup window: from the first kept packet's generation to the horizon."""
+    """Post-warmup age window: from the first kept packet's generation to the last generation.
+
+    The age path up to the last generation is that of an endless run; after
+    it, the drain delivers only what is already queued, and under lcfs-p
+    only stale packets, so the age would grow for the whole drain.
+    """
     k = int(trace.point.warmup_fraction * trace.n_generated)
     k = min(k, trace.n_generated - 1)
-    return float(trace.gen_times[k]), trace.horizon
+    return float(trace.gen_times[k]), float(trace.gen_times[-1])
 
 
 def age_at(trace: "SimulationTrace", t) -> np.ndarray | float:
@@ -109,23 +114,23 @@ class MetricsReport:
 def summarize(trace: "SimulationTrace") -> MetricsReport:
     """Post-warmup metrics with batch-means confidence halfwidths.
 
-    The window splits into N_BATCHES equal-length sub-windows for the age
-    CI; delays split into N_BATCHES contiguous batches by generation order.
-    Delays count every packet generated in the window, which ends at the
-    horizon and so after every generation.
+    The age window runs from the first post-warmup generation to the last
+    generation and splits into N_BATCHES equal-length sub-windows for the
+    age CI.  Delays count every packet generated in that window, however
+    late the drain delivers it, and split into N_BATCHES contiguous batches
+    by generation order.
     """
-    window = _default_window(trace)
-    _check_window(trace, window)
-    t_a, t_b = window
+    t_a, t_b = _default_window(trace)
+    lo = int(np.searchsorted(trace.gen_times, t_a, side="left"))
+    delays = trace.recv_times[lo:] - trace.gen_times[lo:]
+    if delays.shape[0] < 2:
+        raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
+    _check_window(trace, (t_a, t_b))
     edges = np.linspace(t_a, t_b, N_BATCHES + 1)
     area = _age_area_at(trace, edges)
     avg_age = float(area[-1] - area[0]) / (t_b - t_a)
     ci_age = t_halfwidth(np.diff(area) / np.diff(edges))
 
-    lo = int(np.searchsorted(trace.gen_times, t_a, side="left"))
-    delays = trace.recv_times[lo:] - trace.gen_times[lo:]
-    if delays.shape[0] < 2:
-        raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
     mean_delay = float(delays.mean())
     delay_var = float(delays.var(ddof=1))
     if delays.shape[0] >= 2 * N_BATCHES:

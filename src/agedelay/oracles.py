@@ -8,21 +8,17 @@ the station-independent quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import ArrivalProcess, ServiceDistribution
+from .distributions import _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate
 from .errors import ParameterError, StabilityError
 
-# Heavy-tail limit direction per family: the sweep that drives the age
-# floor while blowing up the second moment.
-HEAVY_TAIL_LIMITS = {
-    "pareto": "alpha -> 1+",
-    "lognormal": "sigma -> +inf",
-    "weibull": "k -> 0+",
-}
+# The shape each family's heavy-tail sweep moves toward (alpha -> 1+,
+# sigma -> +inf, k -> 0+): the sweep that drives the age toward its floor
+# while blowing up the second moment.
+HEAVY_TAIL_LIMITS = {"pareto": 1.0, "lognormal": math.inf, "weibull": 0.0}
 
 
 def min_average_age(arrival: ArrivalProcess) -> float:
@@ -41,8 +37,7 @@ def pk_delay(lam: float, service: ServiceDistribution) -> float:
     D = (lam/2) E[S^2] / (1 - rho) + E[S] with rho = lam/mu, for Poisson
     arrivals.  Returns math.inf when E[S^2] diverges.
     """
-    if not lam > 0:
-        raise ParameterError(f"lambda must be positive, got {lam}")
+    _check_rate("arrival rate lambda", lam)
     rho = lam / service.mu
     if rho >= 1.0:
         raise StabilityError(f"pk_delay needs rho < 1, got rho={rho}")
@@ -58,8 +53,8 @@ def dd1_age(lam: float, mu: float) -> float:
     The sawtooth drops to 1/mu every 1/lam, so the time average is
     1/mu + 1/(2 lam).
     """
-    if not (lam > 0 and mu > 0):
-        raise ParameterError(f"rates must be positive, got lam={lam} mu={mu}")
+    _check_rate("arrival rate lambda", lam)
+    _check_rate("service rate mu", mu)
     if not lam < mu:
         raise StabilityError(f"dd1_age needs lambda < mu, got lambda={lam} mu={mu}")
     return 1.0 / mu + 0.5 / lam
@@ -112,48 +107,15 @@ def gginf_age_estimate(
     return min_average_age(arrival) + float(z.mean()), stderr
 
 
-@dataclass(frozen=True)
-class LimitTable:
-    """Tail/moment columns tabulated along a heavy-tail parameter sweep.
-
-    shapes are ordered toward the family's limit (see HEAVY_TAIL_LIMITS);
-    a None shape means the family has no parameter to sweep.  tail and
-    truncated_mean have one row per shape and one column per threshold x;
-    second_moment has one entry per shape (math.inf on the divergent
-    branch).  Flags are None for the columns the table does not carry.
-    """
-
-    family: str
-    shapes: tuple
-    xs: tuple
-    limit: str | None
-    tail: np.ndarray | None = None
-    truncated_mean: np.ndarray | None = None
-    second_moment: np.ndarray | None = None
-    columns_decreasing: bool | None = None
-    second_moment_diverging: bool | None = None
-
-
-def _sweep_distributions(family: str, shapes, mu: float):
-    """Validate sweep direction and instantiate one distribution per shape."""
-    if family in ("det", "exp"):
-        if shapes:
-            raise ParameterError(f"{family} has no shape parameter to sweep")
-        return [ServiceDistribution(family, mu)], (None,)
-    if family not in HEAVY_TAIL_LIMITS:
-        raise ParameterError(f"unknown family {family!r}")
-    shapes = tuple(float(s) for s in shapes)
-    if not shapes:
-        raise ParameterError("shape grid must be nonempty")
-    diffs = [b - a for a, b in zip(shapes, shapes[1:])]
-    if family == "lognormal":
-        if any(d <= 0 for d in diffs):
-            raise ParameterError("lognormal sweep must increase sigma toward +inf")
-    else:
-        if any(d >= 0 for d in diffs):
-            limit = HEAVY_TAIL_LIMITS[family]
-            raise ParameterError(f"{family} sweep must decrease toward its limit ({limit})")
-    return [ServiceDistribution(family, mu, s) for s in shapes], shapes
+def _sweep_distributions(family: str, shapes: Sequence[float], mu: float) -> list[ServiceDistribution]:
+    """One law per shape, each nearer the family's limit; an empty grid is the family's single law."""
+    shapes = [float(s) for s in shapes]
+    dists = [ServiceDistribution(family, mu, s) for s in shapes] or [ServiceDistribution(family, mu)]
+    limit = HEAVY_TAIL_LIMITS.get(family)
+    # with an infinite limit, b == a gives nan, which fails the test as it should
+    if limit is not None and not all((b - a) * (limit - a) > 0 for a, b in zip(shapes, shapes[1:])):
+        raise ParameterError(f"{family} sweep must move {_SHAPE_KEY[family]} toward {limit:g}")
+    return dists
 
 
 def tail_decay_table(
@@ -162,68 +124,40 @@ def tail_decay_table(
     xs: Sequence[float],
     mu: float,
     lam: float,
-) -> LimitTable:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """P(S > x) and E[S 1{S<x}] along the heavy-tail sweep, x >= 1/lam.
 
     Both quantities must vanish in the limit for the age floor to be
-    approachable; the table flags whether every column is strictly
-    decreasing along the sweep.
+    approachable.  Returns (tail, truncated_mean, columns_decreasing): one
+    row per shape and one column per threshold x, and whether every column
+    strictly decreases along a sweep of two or more shapes.
     """
-    if not lam > 0:
-        raise ParameterError(f"lambda must be positive, got {lam}")
-    xs = tuple(float(x) for x in xs)
+    _check_rate("arrival rate lambda", lam)
+    xs = [float(x) for x in xs]
     if not xs:
         raise ParameterError("x grid must be nonempty")
     bad = [x for x in xs if x < 1.0 / lam - 1e-12]
     if bad:
         raise ParameterError(f"x grid values must be >= 1/lambda = {1.0 / lam}, got {bad}")
-    dists, shape_out = _sweep_distributions(family, shapes, mu)
+    dists = _sweep_distributions(family, shapes, mu)
     tail = np.array([[d.tail_prob(x) for x in xs] for d in dists])
     trunc = np.array([[d.truncated_mean_below(x) for x in xs] for d in dists])
-    if len(dists) >= 2:
-        decreasing = bool(
-            np.all(np.diff(tail, axis=0) < 0) and np.all(np.diff(trunc, axis=0) < 0)
-        )
-    else:
-        decreasing = False
-    return LimitTable(
-        family=family,
-        shapes=shape_out,
-        xs=xs,
-        limit=HEAVY_TAIL_LIMITS.get(family),
-        tail=tail,
-        truncated_mean=trunc,
-        columns_decreasing=decreasing,
+    decreasing = len(dists) >= 2 and bool(
+        np.all(np.diff(tail, axis=0) < 0) and np.all(np.diff(trunc, axis=0) < 0)
     )
+    return tail, trunc, decreasing
 
 
-def second_moment_table(
-    family: str,
-    shapes: Sequence[float],
-    mu: float,
-    divergence_threshold: float | None = None,
-) -> LimitTable:
+def second_moment_table(family: str, shapes: Sequence[float], mu: float) -> tuple[np.ndarray, bool]:
     """E[S^2] along the heavy-tail sweep, flagging divergence.
 
-    The flag is True when some entry hits the infinite branch, or when the
-    column is strictly increasing and its last finite value reaches the
-    threshold (default 1e6 times the squared mean service time).
+    Returns (second_moment, diverging), one entry per shape.  The flag is
+    True when some entry is infinite, or when the column strictly increases
+    and its last value reaches 1e6 times the squared mean service time.
     """
-    dists, shape_out = _sweep_distributions(family, shapes, mu)
-    if divergence_threshold is None:
-        divergence_threshold = 1e6 / (mu * mu)
+    dists = _sweep_distributions(family, shapes, mu)
     m2 = np.array([d.second_moment() for d in dists])
-    if np.isinf(m2).any():
-        diverging = True
-    elif len(dists) >= 2:
-        diverging = bool(np.all(np.diff(m2) > 0) and m2[-1] >= divergence_threshold)
-    else:
-        diverging = False
-    return LimitTable(
-        family=family,
-        shapes=shape_out,
-        xs=(),
-        limit=HEAVY_TAIL_LIMITS.get(family),
-        second_moment=m2,
-        second_moment_diverging=diverging,
+    diverging = bool(np.isinf(m2).any()) or (
+        len(dists) >= 2 and bool(np.all(np.diff(m2) > 0) and m2[-1] >= 1e6 / (mu * mu))
     )
+    return m2, diverging

@@ -172,14 +172,13 @@ def test_criterion_06_strong_tradeoff(tradeoff_points, figure1_points):
     ok_age_ci = hi.avg_age + hi.avg_age_ci < lo.avg_age - lo.avg_age_ci
     ok_var_ci = lo.delay_var + lo.delay_var_ci < hi.delay_var - hi.delay_var_ci
 
-    table = ad.second_moment_table("pareto", [3.0, 2.5, 2.0, 1.7, 1.5], MU)
-    m2 = table.second_moment
+    m2, m2_diverging = ad.second_moment_table("pareto", [3.0, 2.5, 2.0, 1.7, 1.5], MU)
     ok_m2 = (
         m2[0] == pytest.approx(2.0833333333, rel=1e-9)
         and m2[1] == pytest.approx(2.8125, rel=1e-9)
         and m2[1] > m2[0]
         and all(math.isinf(v) for v in m2[2:])
-        and table.second_moment_diverging is True
+        and m2_diverging is True
     )
 
     # delay divergence along the same service sweep where P-K applies
@@ -201,6 +200,7 @@ def test_criterion_06_strong_tradeoff(tradeoff_points, figure1_points):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="M/G/1 LCFS preempt-resume mean sojourn is E[S]/(1-rho) for every "
     "service law with the same mean (busy-period argument), so the mean delay "
     "cannot strictly increase along the sweep; the blow-up lives in the "
@@ -225,16 +225,16 @@ def test_criterion_07_tail_table():
     thresholds before the shrinking scale wins.
     """
     shapes = [2.0, 1.5, 1.2, 1.05]
-    table = ad.tail_decay_table("pareto", shapes, [2.0, 4.0], MU, LAM)
+    tail, trunc, _ = ad.tail_decay_table("pareto", shapes, [2.0, 4.0], MU, LAM)
     ok_identity = True
     for alpha in shapes:
         d = ad.parse_service(f"pareto alpha={alpha}", MU)
         for x in (2.0, 4.0):
             gap = abs(d.expected_min_with(x) - d.truncated_mean_below(x) - x * d.tail_prob(x))
             ok_identity &= gap <= 1e-9
-    tail_x2 = table.tail[:, 0]
-    trunc_x2 = table.truncated_mean[:, 0]
-    trunc_x4 = table.truncated_mean[:, 1]
+    tail_x2 = tail[:, 0]
+    trunc_x2 = trunc[:, 0]
+    trunc_x4 = trunc[:, 1]
     ok_dec = (
         bool(np.all(np.diff(tail_x2) < 0))
         and bool(np.all(np.diff(trunc_x2) < 0))
@@ -252,6 +252,7 @@ def test_criterion_07_tail_table():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="P(S>4) along alpha {2, 1.5, 1.2, 1.05} is {0.0244, 0.0336, 0.0288, "
     "0.0121}: it rises before falling. Only the limit alpha->1 vanishes; "
     "monotone decrease at x=4 is not a property of the parameterization.",
@@ -259,8 +260,8 @@ def test_criterion_07_tail_table():
 def test_criterion_07_tail_monotone_at_x4_clause():
     """Unattainable clause, asserted verbatim: P(S>x) strictly decreasing
     along the sweep at x=4."""
-    table = ad.tail_decay_table("pareto", [2.0, 1.5, 1.2, 1.05], [4.0], MU, LAM)
-    assert bool(np.all(np.diff(table.tail[:, 0]) < 0))
+    tail, _, _ = ad.tail_decay_table("pareto", [2.0, 1.5, 1.2, 1.05], [4.0], MU, LAM)
+    assert bool(np.all(np.diff(tail[:, 0]) < 0))
 
 
 def test_criterion_08_memoryless_no_tradeoff(figure1_points):

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "Discipline",
     "ExperimentPoint",
     "FrontierPoint",
-    "LimitTable",
     "MetricsReport",
     "ParameterError",
     "ServiceDistribution",

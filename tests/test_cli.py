@@ -230,8 +230,26 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             ("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "pareto alpha=1.5 alpha=2", "--serial"),
             "repeated key 'alpha'",
         ),
+        # 1e-320 is subnormal and prints as 9.99989e-321
+        (("oracle", "dd1-age", "--lam", "1e-320", "--mu", "0.8"), "lambda=9.99989e-321 is too small"),
+        (
+            ("oracle", "pk-delay", "--service", "exp", "--lam", "1e-320", "--mu", "0.8"),
+            "lambda=9.99989e-321 is too small",
+        ),
+        (
+            ("oracle", "tail-table", "--family", "exp", "--xs", "4,inf", "--mu", "0.8", "--lam", "0.5"),
+            "got inf",
+        ),
     ],
-    ids=["tiny-lambda-simulate", "tiny-lambda-a-min", "tiny-mu", "repeated-service-key"],
+    ids=[
+        "tiny-lambda-simulate",
+        "tiny-lambda-a-min",
+        "tiny-mu",
+        "repeated-service-key",
+        "tiny-lambda-dd1-age",
+        "tiny-lambda-pk-delay",
+        "infinite-threshold",
+    ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from agedelay import (
     DegenerateSampleError,
@@ -221,8 +222,8 @@ def test_infinite_server_delay_variance_equals_service_variance():
 def test_summarize_fields_and_window():
     tr = run_simulation(ARR, SVC, Discipline.FCFS, 50_000, 0.1, 3)
     rep = summarize(tr)
-    # the window runs from the first post-warmup generation to the horizon
-    assert rep.avg_age == compute_average_age(tr, (tr.gen_times[5000], tr.horizon))
+    # the age window runs from the first post-warmup generation to the last generation
+    assert rep.avg_age == compute_average_age(tr, (tr.gen_times[5000], tr.gen_times[-1]))
     assert rep.avg_age == compute_average_age(tr)
     assert rep.n_counted == 45_000
     assert rep.informative_fraction == 1.0
@@ -230,6 +231,39 @@ def test_summarize_fields_and_window():
     assert rep.ci_halfwidth_age > 0 and rep.ci_halfwidth_delay > 0
     assert rep.mean_delay >= tr.service_reqs.min()
     assert rep.seed == 3
+
+
+def test_drain_after_last_generation_leaves_age_unchanged():
+    # a huge service on the last packet only lengthens the drain; the age up
+    # to the last generation, as in an endless run, does not depend on it
+    gen = [1.0, 2.0, 3.0, 4.0]
+    quick = summarize(make_trace(gen, [1.5, 2.5, 3.5, 4.5], svc=[0.5] * 4))
+    drained = summarize(make_trace(gen, [1.5, 2.5, 3.5, 1004.0], svc=[0.5, 0.5, 0.5, 1000.0]))
+    assert drained.avg_age == quick.avg_age
+    assert drained.ci_halfwidth_age == quick.ci_halfwidth_age
+    assert drained.mean_delay > quick.mean_delay  # the drained packet still counts as a delay
+
+
+@pytest.mark.parametrize("spec", ["exp", "pareto alpha=1.5"])
+def test_lcfs_preemptive_age_matches_closed_form(spec):
+    """Poisson lcfs-p age is 1 / (lambda E[exp(-lambda S)]) (Najm-Telatar, ISIT 2018).
+
+    E[exp(-lambda S)] = 1 - lambda * integral of exp(-lambda x) P(S > x) dx:
+    3.25 for exp, 3.0843 for pareto alpha=1.5.  Under Pareto the backlog
+    left at the last generation has infinite mean, so an age window running
+    on through the drain read 3.4390 on these seeds.
+    """
+    lam = ARR.lam
+    svc = parse_service(spec, 0.8)
+    integral, _ = quad(lambda x: math.exp(-lam * x) * svc.tail_prob(x), 0.0, math.inf)
+    exact = 1.0 / (lam * (1.0 - lam * integral))
+    ages = np.array([
+        summarize(run_simulation(ARR, svc, Discipline.LCFS_PREEMPTIVE, 1_000_000, 0.1, seed)).avg_age
+        for seed in range(9000, 9008)
+    ])
+    stderr = ages.std(ddof=1) / math.sqrt(ages.size)
+    assert abs(ages.mean() - exact) <= 3 * stderr
+    assert np.all(np.abs(ages / exact - 1.0) <= 0.01)
 
 
 def test_ci_shrinks_with_run_length():

@@ -55,6 +55,8 @@ def test_pk_delay_errors():
         pk_delay(1.0, parse_service("exp", MU))
     with pytest.raises(ParameterError):
         pk_delay(-0.5, parse_service("exp", MU))
+    with pytest.raises(ParameterError, match="lambda=9.99989e-321 is too small"):
+        pk_delay(1e-320, parse_service("exp", MU))  # 1/lambda is past the double range
 
 
 def test_pk_delay_matches_fcfs_simulation():
@@ -82,6 +84,10 @@ def test_dd1_age_values():
         dd1_age(0.8, 0.8)
     with pytest.raises(ParameterError):
         dd1_age(0.0, 0.8)
+    with pytest.raises(ParameterError, match="lambda=9.99989e-321 is too small"):
+        dd1_age(1e-320, 0.8)  # 0.5 / lambda overflows to inf
+    with pytest.raises(ParameterError, match="mu=9.99989e-321 is too small"):
+        dd1_age(0.5, 1e-320)
 
 
 def test_dd1_age_beats_simulated_mm1_fcfs():
@@ -168,28 +174,27 @@ def test_gginf_consistent_with_infinite_server_simulation():
 
 
 def test_tail_decay_table_pareto_values_and_flag():
-    table = tail_decay_table("pareto", [2.0, 1.5, 1.2, 1.05], [2.0, 4.0], MU, 0.5)
-    assert table.limit == "alpha -> 1+"
+    shapes, xs = [2.0, 1.5, 1.2, 1.05], [2.0, 4.0]
+    tail, trunc, decreasing = tail_decay_table("pareto", shapes, xs, MU, 0.5)
+    assert tail.shape == trunc.shape == (4, 2)
     # frozen closed forms: tail (theta/x)^alpha, truncated (1/mu)(1-(theta/x)^(alpha-1))
-    for i, alpha in enumerate(table.shapes):
+    for i, alpha in enumerate(shapes):
         theta = (alpha - 1.0) / (MU * alpha)
-        for j, x in enumerate(table.xs):
-            assert table.tail[i, j] == pytest.approx((theta / x) ** alpha, rel=1e-12)
-            assert table.truncated_mean[i, j] == pytest.approx(
-                1.25 * (1.0 - (theta / x) ** (alpha - 1.0)), rel=1e-12
-            )
+        for j, x in enumerate(xs):
+            assert tail[i, j] == pytest.approx((theta / x) ** alpha, rel=1e-12)
+            assert trunc[i, j] == pytest.approx(1.25 * (1.0 - (theta / x) ** (alpha - 1.0)), rel=1e-12)
     # the tail column at x=4 rises from alpha=2 to 1.5 (0.0244 -> 0.0336):
     # a heavier tail puts more mass above large thresholds before the
     # shrinking scale wins, so the joint monotone flag is False here
-    assert table.columns_decreasing is False
-    assert tail_decay_table("pareto", [2.0, 1.5, 1.2, 1.05], [2.0], MU, 0.5).columns_decreasing is True
-    assert np.all((table.tail >= 0) & (table.tail <= 1))
+    assert decreasing is False
+    assert tail_decay_table("pareto", shapes, [2.0], MU, 0.5)[2] is True
+    assert np.all((tail >= 0) & (tail <= 1))
     # spot values from the closed form at alpha=1.5 and alpha=1.1, x=2
-    spot = tail_decay_table("pareto", [1.5, 1.1], [2.0], MU, 0.5)
-    assert spot.tail[0, 0] == pytest.approx(0.09509072178909, abs=1e-12)
-    assert spot.truncated_mean[0, 0] == pytest.approx(0.67945566926545, abs=1e-12)
-    assert spot.tail[1, 0] == pytest.approx(0.04265167245854, abs=1e-12)
-    assert spot.truncated_mean[1, 0] == pytest.approx(0.31166320591218, abs=1e-12)
+    spot_tail, spot_trunc, _ = tail_decay_table("pareto", [1.5, 1.1], [2.0], MU, 0.5)
+    assert spot_tail[0, 0] == pytest.approx(0.09509072178909, abs=1e-12)
+    assert spot_trunc[0, 0] == pytest.approx(0.67945566926545, abs=1e-12)
+    assert spot_tail[1, 0] == pytest.approx(0.04265167245854, abs=1e-12)
+    assert spot_trunc[1, 0] == pytest.approx(0.31166320591218, abs=1e-12)
 
 
 def test_tail_decay_table_domain_checks():
@@ -198,58 +203,71 @@ def test_tail_decay_table_domain_checks():
     with pytest.raises(ParameterError):
         tail_decay_table("pareto", [1.5, 2.0], [2.0], MU, 0.5)  # wrong direction
     with pytest.raises(ParameterError):
+        tail_decay_table("pareto", [1.5, 1.5], [2.0], MU, 0.5)  # must move strictly
+    with pytest.raises(ParameterError):
         tail_decay_table("lognormal", [2.0, 1.0], [2.0], MU, 0.5)  # sigma must increase
     with pytest.raises(ParameterError):
-        tail_decay_table("pareto", [], [2.0], MU, 0.5)
+        tail_decay_table("lognormal", [2.0, 2.0], [2.0], MU, 0.5)
+    with pytest.raises(ParameterError):
+        tail_decay_table("pareto", [], [2.0], MU, 0.5)  # the single law needs a shape
+    with pytest.raises(ParameterError):
+        tail_decay_table("nosuch", [], [2.0], MU, 0.5)
+    with pytest.raises(ParameterError):
+        tail_decay_table("pareto", [2.0, 1.5], [2.0, math.inf], MU, 0.5)
+    with pytest.raises(ParameterError, match="lambda=9.99989e-321 is too small"):
+        tail_decay_table("exp", [], [2.0], MU, 1e-320)
 
 
 def test_tail_decay_table_deterministic_family():
-    table = tail_decay_table("det", (), [2.0, 4.0], MU, 0.5)
-    assert table.shapes == (None,)
-    assert table.columns_decreasing is False
-    assert np.allclose(table.tail, 0.0)  # point mass at 1.25 < 2
-    assert np.allclose(table.truncated_mean, 1.25)
+    tail, trunc, decreasing = tail_decay_table("det", (), [2.0, 4.0], MU, 0.5)
+    assert tail.shape == (1, 2)
+    assert decreasing is False
+    assert np.allclose(tail, 0.0)  # point mass at 1.25 < 2
+    assert np.allclose(trunc, 1.25)
     with pytest.raises(ParameterError):
         tail_decay_table("det", [1.0], [2.0], MU, 0.5)
 
 
 def test_tail_decay_table_weibull_k1_equals_exponential():
-    w = tail_decay_table("weibull", [1.0], [2.0, 4.0], MU, 0.5)
-    e = tail_decay_table("exp", (), [2.0, 4.0], MU, 0.5)
-    assert np.allclose(w.tail, e.tail, atol=1e-12)
-    assert np.allclose(w.truncated_mean, e.truncated_mean, atol=1e-12)
+    w_tail, w_trunc, _ = tail_decay_table("weibull", [1.0], [2.0, 4.0], MU, 0.5)
+    e_tail, e_trunc, _ = tail_decay_table("exp", (), [2.0, 4.0], MU, 0.5)
+    assert np.allclose(w_tail, e_tail, atol=1e-12)
+    assert np.allclose(w_trunc, e_trunc, atol=1e-12)
 
 
 def test_second_moment_table_pareto_hits_infinite_branch():
-    table = second_moment_table("pareto", [3.0, 2.5, 2.1, 2.0], MU)
+    m2, diverging = second_moment_table("pareto", [3.0, 2.5, 2.1, 2.0], MU)
     # alpha*theta(alpha)^2/(alpha-2) with theta = (alpha-1)/(mu*alpha)
-    assert table.second_moment[0] == pytest.approx(2.0833333333, rel=1e-9)
-    assert table.second_moment[1] == pytest.approx(2.8125, rel=1e-9)
-    assert table.second_moment[2] == pytest.approx(9.0029761905, rel=1e-9)
-    assert math.isinf(table.second_moment[3])
-    assert table.second_moment_diverging is True
+    assert m2[0] == pytest.approx(2.0833333333, rel=1e-9)
+    assert m2[1] == pytest.approx(2.8125, rel=1e-9)
+    assert m2[2] == pytest.approx(9.0029761905, rel=1e-9)
+    assert math.isinf(m2[3])
+    assert diverging is True
 
 
 def test_second_moment_table_lognormal_trend():
-    table = second_moment_table("lognormal", [1.0, 2.0], MU)
-    assert table.second_moment[0] == pytest.approx(math.e / 0.64, rel=1e-12)
-    assert table.second_moment[1] == pytest.approx(math.exp(4.0) / 0.64, rel=1e-12)
-    # increasing but far below the default divergence threshold
-    assert table.second_moment_diverging is False
-    # a configurable threshold can declare the trend divergent
-    low = second_moment_table("lognormal", [1.0, 2.0], MU, divergence_threshold=10.0)
-    assert low.second_moment_diverging is True
+    m2, diverging = second_moment_table("lognormal", [1.0, 2.0], MU)
+    assert m2[0] == pytest.approx(math.e / 0.64, rel=1e-12)
+    assert m2[1] == pytest.approx(math.exp(4.0) / 0.64, rel=1e-12)
+    # increasing but far below the divergence threshold 1e6 / mu^2
+    assert diverging is False
+    # exp(sigma^2) crosses 1e6 between sigma = 3.71 and 3.72: a finite,
+    # increasing column is divergent once its last value reaches the threshold
+    assert second_moment_table("lognormal", [1.0, 3.71], MU)[1] is False
+    assert second_moment_table("lognormal", [1.0, 3.72], MU)[1] is True
+    # a single law reaching the threshold is no trend
+    assert second_moment_table("lognormal", [3.72], MU)[1] is False
 
 
 def test_second_moment_past_double_range_is_divergent():
-    table = second_moment_table("lognormal", [1.0, 30.0], MU)
-    assert math.isfinite(table.second_moment[0])
-    assert math.isinf(table.second_moment[1])
-    assert table.second_moment_diverging is True
+    m2, diverging = second_moment_table("lognormal", [1.0, 30.0], MU)
+    assert math.isfinite(m2[0])
+    assert math.isinf(m2[1])
+    assert diverging is True
     assert math.isinf(pk_delay(0.5, parse_service("lognormal sigma=30", MU)))
 
 
 def test_second_moment_table_deterministic_constant():
-    table = second_moment_table("det", (), MU)
-    assert table.second_moment[0] == pytest.approx(1.5625)
-    assert table.second_moment_diverging is False
+    m2, diverging = second_moment_table("det", (), MU)
+    assert m2.tolist() == [pytest.approx(1.5625)]
+    assert diverging is False

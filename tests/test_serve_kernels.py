@@ -57,9 +57,9 @@ def sampled_paths(draw, family):
 
 @st.composite
 def integer_paths(draw):
-    """Small integers: simultaneous arrivals and departure/arrival ties are common."""
+    """Small integers: simultaneous arrivals, departure/arrival ties and zero-length services are common."""
     gaps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=60))
-    svc = draw(st.lists(st.integers(1, 4), min_size=len(gaps), max_size=len(gaps)))
+    svc = draw(st.lists(st.integers(0, 4), min_size=len(gaps), max_size=len(gaps)))
     return np.cumsum(np.array(gaps, dtype=float)), np.array(svc, dtype=float)
 
 

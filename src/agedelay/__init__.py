@@ -29,7 +29,6 @@ from .experiments import (
 from .metrics import (
     MetricsReport,
     age_at,
-    compute_average_age,
     summarize,
 )
 from .oracles import (
@@ -57,7 +56,6 @@ __all__ = [
     "SweepConfig",
     "age_at",
     "busy_periods",
-    "compute_average_age",
     "dd1_age",
     "emit_outputs",
     "gginf_age_estimate",

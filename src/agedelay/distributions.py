@@ -44,6 +44,12 @@ def _or_inf(fn, *args: float) -> float:
         return math.inf
 
 
+def format_shape(shape: float) -> str:
+    """A shape as written in labels: :g where that reads back as the same float, else repr."""
+    text = f"{shape:g}"
+    return text if float(text) == shape else repr(shape)
+
+
 def _check_rate(name: str, rate: float) -> None:
     """A rate must be positive and finite, and its square a normal double: moments divide by it."""
     if not (rate > 0 and math.isfinite(rate)):
@@ -141,27 +147,6 @@ class ServiceDistribution:
         # Gamma(1+2/k) overflows for k below about 0.0117; its ratio to Gamma(1+1/k)^2 does not
         return math.exp(math.lgamma(1.0 + 2.0 / k) - 2.0 * math.lgamma(1.0 + 1.0 / k)) / (mu * mu)
 
-    def moments(self) -> tuple[float, float]:
-        """(E[S], E[S^2]), the second possibly math.inf."""
-        return self.mean(), self.second_moment()
-
-    def variance(self) -> float:
-        m2 = self.second_moment()
-        if math.isinf(m2):
-            return math.inf
-        return m2 - 1.0 / (self.mu * self.mu)
-
-    def median(self) -> float:
-        if self.family == "det":
-            return 1.0 / self.mu
-        if self.family == "exp":
-            return math.log(2.0) / self.mu
-        if self.family == "lognormal":
-            return math.exp(self.lognormal_location)
-        if self.family == "pareto":
-            return self.pareto_scale * 2.0 ** (1.0 / self.shape)
-        return self.weibull_scale * math.log(2.0) ** (1.0 / self.shape)
-
     # ---- tail and truncated moments ------------------------------------------
 
     def tail_prob(self, x: float) -> float:
@@ -230,7 +215,7 @@ class ServiceDistribution:
     def label(self) -> str:
         if self.shape is None:
             return self.family
-        return f"{self.family} {_SHAPE_KEY[self.family]}={self.shape:g}"
+        return f"{self.family} {_SHAPE_KEY[self.family]}={format_shape(self.shape)}"
 
 
 @dataclass(frozen=True)
@@ -252,9 +237,6 @@ class ArrivalProcess:
         if self.family == "det":
             return 1.0 / (self.lam * self.lam)
         return 2.0 / (self.lam * self.lam)
-
-    def moments(self) -> tuple[float, float]:
-        return self.mean(), self.second_moment()
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == "det":

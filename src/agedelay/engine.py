@@ -51,7 +51,6 @@ class SimulationTrace:
     informative: np.ndarray
     breakpoint_times: np.ndarray
     breakpoint_ages: np.ndarray
-    horizon: float
     n_generated: int
     seed: int
     point: ExperimentPoint = field(repr=False)
@@ -87,13 +86,14 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     return informative, times, ages
 
 
-def _serve_fcfs(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
-    """FCFS completion instants from the Lindley recursion in closed form.
+def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FCFS completion instants, and which packets find the server idle.
 
-    c_i = max(c_{i-1}, g_i) + s_i unrolls to
-    c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  A packet that
-    finds the server idle (a departure at its arrival instant leaves first)
-    is given exactly g_i + s_i, as a sequential run would.
+    The Lindley recursion c_i = max(c_{i-1}, g_i) + s_i unrolls to
+    c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  Packet i finds
+    the server idle iff g_i >= c_{i-1} (a departure at its arrival instant
+    leaves first), and starts a busy period; it is given exactly g_i + s_i,
+    as a sequential run would.
     """
     cs = np.cumsum(svc)
     c = cs + np.maximum.accumulate(gen - (cs - svc))
@@ -101,7 +101,7 @@ def _serve_fcfs(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
     idle[0] = True
     np.greater_equal(gen[1:], c[:-1], out=idle[1:])
     c[idle] = gen[idle] + svc[idle]
-    return c
+    return c, idle
 
 
 def _next_not_above(w: np.ndarray) -> np.ndarray:
@@ -133,7 +133,7 @@ def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
     (g_i + s_i) + (c_{k-1} - c_i), a packet never preempted gets exactly
     g_i + s_i.
     """
-    c = _serve_fcfs(gen, svc)
+    c = _fcfs(gen, svc)[0]
     w = np.empty_like(c)
     w[0] = 0.0
     np.maximum(c[:-1] - gen[1:], 0.0, out=w[1:])
@@ -176,7 +176,7 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarr
     if discipline is Discipline.INFINITE_SERVER:
         return gen + svc
     if discipline is Discipline.FCFS:
-        return _serve_fcfs(gen, svc)
+        return _fcfs(gen, svc)[0]
     if discipline is Discipline.LCFS_PREEMPTIVE:
         return _serve_lcfs_preemptive(gen, svc)
     return _serve_lcfs_nonpreemptive(gen, svc)
@@ -201,6 +201,8 @@ def run_simulation(
         raise ParameterError(f"n_arrivals must be >= 1, got {n_arrivals}")
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if discipline.single_server and not arrival.lam < service.mu:
         raise StabilityError(
             f"single-server run needs lambda < mu, got lambda={arrival.lam} mu={service.mu}"
@@ -224,7 +226,6 @@ def run_simulation(
         informative=informative,
         breakpoint_times=bp_times,
         breakpoint_ages=bp_ages,
-        horizon=float(recv.max()),
         n_generated=n_arrivals,
         seed=seed,
         point=ExperimentPoint(arrival, service, discipline, n_arrivals, warmup_fraction),
@@ -236,17 +237,11 @@ def busy_periods(gen: np.ndarray, svc: np.ndarray) -> list[tuple[float, float]]:
 
     Depends only on the workload sample path, so this is a discipline-free
     oracle: any non-idling single-server policy finishes each busy period's
-    work exactly at its end.
+    work exactly at its end.  A period starts at each packet that finds the
+    FCFS server idle, with the engine's tie rule: a packet arriving just as
+    the server empties starts a new period.
     """
-    periods: list[tuple[float, float]] = []
-    start = gen[0]
-    end = gen[0] + svc[0]
-    for g, s in zip(gen[1:].tolist(), svc[1:].tolist()):
-        if g > end:
-            periods.append((start, end))
-            start = g
-            end = g + s
-        else:
-            end += s
-    periods.append((start, end))
-    return periods
+    c, idle = _fcfs(gen, svc)
+    starts = np.flatnonzero(idle)
+    ends = np.append(starts[1:], gen.shape[0]) - 1
+    return list(zip(gen[starts].tolist(), c[ends].tolist()))

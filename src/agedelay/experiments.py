@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .disciplines import Discipline
-from .distributions import ArrivalProcess, ServiceDistribution, parse_arrival, parse_service
+from .distributions import ArrivalProcess, ServiceDistribution, format_shape, parse_arrival, parse_service
 from . import engine
 from .engine import ExperimentPoint
 from .errors import ParameterError, StabilityError
@@ -97,7 +97,7 @@ class FrontierPoint:
     slow_convergence: bool
 
     def label(self) -> str:
-        shape = "" if self.shape is None else f" {self.shape:g}"
+        shape = "" if self.shape is None else f" {format_shape(self.shape)}"
         tag = "" if self.arrival_family == "exp" else f" arrival={self.arrival_family}"
         return f"{self.discipline} {self.family}{shape}{tag}"
 

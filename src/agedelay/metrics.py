@@ -47,14 +47,6 @@ def age_at(trace: "SimulationTrace", t) -> np.ndarray | float:
     return float(out) if np.isscalar(t) else out
 
 
-def _check_window(trace: "SimulationTrace", window: tuple[float, float]) -> None:
-    t_a, t_b = window
-    if not t_a < t_b:
-        raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
-    if t_a < 0 or t_b > trace.horizon + 1e-9:
-        raise ParameterError(f"window [{t_a}, {t_b}] outside trace horizon {trace.horizon}")
-
-
 def _age_area_at(trace: "SimulationTrace", ts: np.ndarray) -> np.ndarray:
     """Exact age area from the segment holding ts[0] up to each time in ts.
 
@@ -72,19 +64,6 @@ def _age_area_at(trace: "SimulationTrace", ts: np.ndarray) -> np.ndarray:
     j = idx - lo
     dt = ts - times[j]
     return cum[j] + ages[j] * dt + 0.5 * dt * dt
-
-
-def compute_average_age(trace: "SimulationTrace", window: tuple[float, float] | None = None) -> float:
-    """Exact time-average of the age process over the window.
-
-    Between consecutive breakpoints the age starts at a and runs for d, so
-    the area contribution is a*d + d^2/2; partial segments at the window
-    edges are clipped exactly.
-    """
-    t_a, t_b = window if window is not None else _default_window(trace)
-    _check_window(trace, (t_a, t_b))
-    area_a, area_b = _age_area_at(trace, np.array([t_a, t_b], dtype=float))
-    return float(area_b - area_a) / (t_b - t_a)
 
 
 def t_halfwidth(values) -> float:
@@ -125,7 +104,8 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
     delays = trace.recv_times[lo:] - trace.gen_times[lo:]
     if delays.shape[0] < 2:
         raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
-    _check_window(trace, (t_a, t_b))
+    if not t_a < t_b:
+        raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
     edges = np.linspace(t_a, t_b, N_BATCHES + 1)
     area = _age_area_at(trace, edges)
     avg_age = float(area[-1] - area[0]) / (t_b - t_a)

@@ -27,8 +27,7 @@ def min_average_age(arrival: ArrivalProcess) -> float:
     Equals E[X^2] / (2 E[X]): the average of the sawtooth obtained when
     every packet is delivered the instant it is generated.
     """
-    m1, m2 = arrival.moments()
-    return m2 / (2.0 * m1)
+    return arrival.second_moment() / (2.0 * arrival.mean())
 
 
 def pk_delay(lam: float, service: ServiceDistribution) -> float:
@@ -41,10 +40,10 @@ def pk_delay(lam: float, service: ServiceDistribution) -> float:
     rho = lam / service.mu
     if rho >= 1.0:
         raise StabilityError(f"pk_delay needs rho < 1, got rho={rho}")
-    m1, m2 = service.moments()
+    m2 = service.second_moment()
     if math.isinf(m2):
         return math.inf
-    return 0.5 * lam * m2 / (1.0 - rho) + m1
+    return 0.5 * lam * m2 / (1.0 - rho) + service.mean()
 
 
 def dd1_age(lam: float, mu: float) -> float:
@@ -96,6 +95,8 @@ def gginf_age_estimate(
     """
     if n_samples < 1000:
         raise ParameterError(f"n_samples must be >= 1000, got {n_samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     next_x = lambda live: arrival.sample_n(rng, live.size)  # noqa: E731
     next_s = lambda live: service.sample_n(rng, live.size)  # noqa: E731

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "SweepConfig",
     "age_at",
     "busy_periods",
-    "compute_average_age",
     "dd1_age",
     "emit_outputs",
     "gginf_age_estimate",
@@ -49,7 +48,9 @@ def test_public_api_is_exactly_the_expected_names():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone takes most of a second to import; the package needs only scipy.special
-    code = "import sys, agedelay; assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'"
+    # scipy.stats alone takes most of a second to import, and scipy.integrate about 0.4 s and
+    # 25 MB (2-vCPU VM); the package needs only scipy.special
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+    code = f"import sys, agedelay; loaded = [m for m in {heavy!r} if m in sys.modules]; assert not loaded, loaded"
     env = {**os.environ, "PYTHONPATH": str(Path(agedelay.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -240,6 +240,9 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             ("oracle", "tail-table", "--family", "exp", "--xs", "4,inf", "--mu", "0.8", "--lam", "0.5"),
             "got inf",
         ),
+        (("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "exp", "--base-seed", "-1", "--serial"), "seed"),
+        (("figure1", "--set", "run.base_seed=-5", "--set", "run.n_arrivals=1000", "--serial"), "seed"),
+        (("oracle", "gginf", "--lam", "0.5", "--mu", "0.8", "--service", "exp", "--seed", "-1"), "seed"),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -249,6 +252,9 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "tiny-lambda-dd1-age",
         "tiny-lambda-pk-delay",
         "infinite-threshold",
+        "negative-simulate-seed",
+        "negative-config-seed",
+        "negative-gginf-seed",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):

@@ -48,7 +48,8 @@ def test_pareto_scale_pins_mean():
 
 
 def test_second_moments_closed_form():
-    assert parse_service("det", MU).moments() == (1.25, pytest.approx(1.5625))
+    det = parse_service("det", MU)
+    assert (det.mean(), det.second_moment()) == (1.25, pytest.approx(1.5625))
     assert parse_service("exp", MU).second_moment() == pytest.approx(2.0 / MU**2)
     # lognormal: e^{sigma^2}/mu^2
     assert parse_service("lognormal sigma=1", MU).second_moment() == pytest.approx(
@@ -76,7 +77,6 @@ def test_second_moments_near_heavy_tail_limits():
     # e^{sigma^2} exceeds the double range at sigma = 30
     lognormal = parse_service("lognormal sigma=30", MU)
     assert math.isinf(lognormal.second_moment())
-    assert math.isinf(lognormal.variance())
     # alpha * theta^2 overflows in both, though E[S^2] = theta^2 alpha/(alpha - 2) does not
     assert ServiceDistribution("pareto", 1e-6, 1e300).second_moment() == pytest.approx(1e12, rel=1e-12)
     theta = 0.8 / 1.6e-154
@@ -136,13 +136,13 @@ def test_weibull_k1_draws_equal_exponential_draws():
 
 @pytest.mark.parametrize(
     "dist",
-    [d for d in SERVICE_GRID if not math.isinf(d.variance())],
-    ids=_ids([d for d in SERVICE_GRID if not math.isinf(d.variance())]),
+    [d for d in SERVICE_GRID if not math.isinf(d.second_moment())],
+    ids=_ids([d for d in SERVICE_GRID if not math.isinf(d.second_moment())]),
 )
 def test_monte_carlo_mean_within_4_stderr(dist):
     n = 1_000_000
     s = dist.sample_n(np.random.default_rng(1234), n)
-    var = dist.variance()
+    var = dist.second_moment() - 1.0 / MU**2
     if var == 0.0:
         assert s.mean() == pytest.approx(1.0 / MU, rel=1e-12)
     else:
@@ -155,7 +155,8 @@ def test_heavy_pareto_median_within_1pct(spec):
     # infinite variance: calibrate on the median instead of the mean
     d = parse_service(spec, MU)
     s = d.sample_n(np.random.default_rng(77), 1_000_000)
-    assert np.median(s) == pytest.approx(d.median(), rel=0.01)
+    # P(S > m) = (theta/m)^alpha = 1/2
+    assert np.median(s) == pytest.approx(d.pareto_scale * 2.0 ** (1.0 / d.shape), rel=0.01)
 
 
 # ---- tails and truncated moments ----------------------------------------------
@@ -247,11 +248,11 @@ def test_tail_monotone_and_min_concave(dist):
 
 def test_arrival_moments_and_samples():
     det = parse_arrival("det", 0.5)
-    assert det.moments() == (2.0, 4.0)
+    assert (det.mean(), det.second_moment()) == (2.0, 4.0)
     rng = np.random.default_rng(0)
     assert np.all(det.sample_n(rng, 10) == 2.0)
     exp = parse_arrival("exp", 0.5)
-    assert exp.moments() == (2.0, 8.0)
+    assert (exp.mean(), exp.second_moment()) == (2.0, 8.0)
     s = exp.sample_n(np.random.default_rng(3), 1_000_000)
     assert s.mean() == pytest.approx(2.0, abs=4 * 2.0 / 1000.0)
     assert np.all(s > 0)
@@ -287,6 +288,15 @@ def test_shape_domain_limits(family, data, mu, x):
     assert d.truncated_mean_below(x) >= 0.0
     m2 = d.second_moment()
     assert math.isinf(m2) or m2 >= (1.0 / mu**2) * (1.0 - 1e-12)
+    # the mean 1/mu, checked analytically: sampling cannot reach it near alpha -> 1+ or sigma -> inf
+    em = d.expected_min_with(x)
+    if math.isinf(m2):
+        y = data.draw(st.floats(min_value=x, allow_infinity=False))
+        assert d.expected_min_with(y) >= em * (1.0 - 1e-12)
+    else:
+        # 1/mu - E[min(S, x)] = E[(S - x)+] <= E[S^2]/(4x), as (s - x)+ <= s^2/(4x); slack for rounding
+        slack = 1e-12 / mu
+        assert -slack <= 1.0 / mu - em <= m2 / (4.0 * x) + slack
     # >= 0, not > 0: Weibull draws below the smallest subnormal read exactly 0 at small k
     s = d.sample_n(np.random.default_rng(0), 1000)
     assert np.all(np.isfinite(s)) and np.all(s >= 0.0)

@@ -442,6 +442,13 @@ def test_presets_ship_and_parse():
         preset_path("nope")
 
 
+def test_near_equal_shapes_get_distinct_labels():
+    cfg = small_config(points=("fcfs pareto alpha=1.5", "fcfs pareto alpha=1.5000001"), n=1000, reps=1)
+    assert cfg.echo()["grid"] == ["fcfs pareto alpha=1.5", "fcfs pareto alpha=1.5000001"]
+    points = run_suite(cfg, parallel=False)
+    assert [p.label() for p in points] == ["fcfs pareto 1.5", "fcfs pareto 1.5000001"]
+
+
 def test_preset_override_scales_down():
     cfg = load_preset("figure1", ["run.n_arrivals=100", "run.n_reps=1"])
     assert cfg.n_arrivals == 100 and cfg.n_reps == 1

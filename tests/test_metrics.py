@@ -10,14 +10,13 @@ from agedelay import (
     ExperimentPoint,
     ParameterError,
     SimulationTrace,
-    compute_average_age,
     parse_arrival,
     parse_service,
     run_simulation,
     summarize,
 )
 from agedelay.engine import _mark_informative
-from agedelay.metrics import age_at
+from agedelay.metrics import _age_area_at, _default_window, age_at
 from reference_loop import AgeTracker
 
 ARR = parse_arrival("exp", 0.5)
@@ -42,7 +41,6 @@ def make_trace(gen, recv, svc=None, warmup=0.0):
         informative=informative,
         breakpoint_times=np.asarray(tracker.times),
         breakpoint_ages=np.asarray(tracker.ages),
-        horizon=float(recv.max()),
         n_generated=gen.shape[0],
         seed=0,
         point=point,
@@ -115,18 +113,25 @@ def test_engine_vectorized_marking_matches_tracker():
 # ---- average age ----------------------------------------------------------------
 
 
+def average_age(trace, window=None):
+    """Time-average age over the window (default: summarize's), from the exact area integral."""
+    t_a, t_b = window if window is not None else _default_window(trace)
+    area_a, area_b = _age_area_at(trace, np.array([t_a, t_b], dtype=float))
+    return float(area_b - area_a) / (t_b - t_a)
+
+
 def test_single_segment_trapezoid():
     tr = make_trace([1.0], [2.0])  # age: t on [0,2), then 1 + (t-2)
-    assert compute_average_age(tr, (0.0, 2.0)) == pytest.approx(1.0)
+    assert average_age(tr, (0.0, 2.0)) == pytest.approx(1.0)
     # one linear piece starting at age a over width d averages a + d/2
-    assert compute_average_age(tr, (0.5, 1.5)) == pytest.approx(1.0)
+    assert average_age(tr, (0.5, 1.5)) == pytest.approx(1.0)
 
 
 def test_zero_delay_fiction_periodic():
     # every packet delivered the instant it is generated: sawtooth 0 -> 2
     gen = np.arange(1, 101) * 2.0
     tr = make_trace(gen, gen)
-    assert compute_average_age(tr, (2.0, 200.0)) == pytest.approx(1.0, rel=1e-12)
+    assert average_age(tr, (2.0, 200.0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dd1_steady_sawtooth_average():
@@ -135,17 +140,17 @@ def test_dd1_steady_sawtooth_average():
     )
     # whole cycles between receptions: exactly 1/mu + 1/(2 lambda)
     lo, hi = tr.recv_times[10], tr.recv_times[1990]
-    assert compute_average_age(tr, (lo, hi)) == pytest.approx(2.25, rel=1e-12)
-    assert compute_average_age(tr) == pytest.approx(2.25, rel=0.01)
+    assert average_age(tr, (lo, hi)) == pytest.approx(2.25, rel=1e-12)
+    assert average_age(tr) == pytest.approx(2.25, rel=0.01)
 
 
 def test_average_age_additive_over_partition():
     tr = run_simulation(ARR, SVC, Discipline.LCFS_PREEMPTIVE, 4000, 0.0, 5)
-    a, b = 100.0, tr.horizon - 50.0
+    a, b = 100.0, tr.recv_times.max() - 50.0
     edges = np.linspace(a, b, 8)
-    whole = compute_average_age(tr, (a, b)) * (b - a)
+    whole = average_age(tr, (a, b)) * (b - a)
     parts = sum(
-        compute_average_age(tr, (u, v)) * (v - u) for u, v in zip(edges[:-1], edges[1:])
+        average_age(tr, (u, v)) * (v - u) for u, v in zip(edges[:-1], edges[1:])
     )
     assert whole == pytest.approx(parts, rel=1e-12)
 
@@ -159,13 +164,10 @@ def test_age_at_reception_equals_brute_force_minimum():
 
 
 def test_age_window_validation():
-    tr = make_trace([1.0], [2.0])
-    with pytest.raises(ParameterError):
-        compute_average_age(tr, (1.5, 1.5))
-    with pytest.raises(ParameterError):
-        compute_average_age(tr, (1.5, 0.5))
-    with pytest.raises(ParameterError):
-        compute_average_age(tr, (0.0, 100.0))
+    # three packets generated at one instant: two delays to count, but no time to average over
+    tr = make_trace([1.0, 1.0, 1.0], [2.0, 2.5, 3.0])
+    with pytest.raises(ParameterError, match="empty metrics window"):
+        summarize(tr)
 
 
 # ---- delay statistics --------------------------------------------------------------
@@ -213,7 +215,7 @@ def test_infinite_server_delay_variance_equals_service_variance():
     # delays are exactly the service draws here
     assert var == pytest.approx(float(tr.service_reqs.var(ddof=1)), rel=1e-12)
     # and agree with the population value within a generous MC band
-    assert var == pytest.approx(svc.variance(), rel=0.1)
+    assert var == pytest.approx(svc.second_moment() - svc.mean() ** 2, rel=0.1)
 
 
 # ---- summaries --------------------------------------------------------------------
@@ -223,8 +225,8 @@ def test_summarize_fields_and_window():
     tr = run_simulation(ARR, SVC, Discipline.FCFS, 50_000, 0.1, 3)
     rep = summarize(tr)
     # the age window runs from the first post-warmup generation to the last generation
-    assert rep.avg_age == compute_average_age(tr, (tr.gen_times[5000], tr.gen_times[-1]))
-    assert rep.avg_age == compute_average_age(tr)
+    assert rep.avg_age == average_age(tr, (tr.gen_times[5000], tr.gen_times[-1]))
+    assert rep.avg_age == average_age(tr)
     assert rep.n_counted == 45_000
     assert rep.informative_fraction == 1.0
     assert rep.avg_age > 0 and rep.delay_variance > 0
@@ -275,7 +277,7 @@ def test_ci_shrinks_with_run_length():
 
 def test_age_at_scalar_and_vector_agree():
     tr = run_simulation(ARR, SVC, Discipline.FCFS, 100, 0.0, 4)
-    ts = np.linspace(0.1, tr.horizon, 17)
+    ts = np.linspace(0.1, tr.recv_times.max(), 17)
     vec = age_at(tr, ts)
     for t, v in zip(ts, vec):
         assert age_at(tr, float(t)) == pytest.approx(v, abs=0)

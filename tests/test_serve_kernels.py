@@ -11,11 +11,11 @@ moves an age breakpoint across a coupled path's breakpoint.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agedelay import ArrivalProcess, Discipline, ServiceDistribution
-from agedelay.engine import _serve
+from agedelay.engine import _serve, busy_periods
 from reference_loop import serve as reference_serve
 
 REL_TOL = 1e-13
@@ -76,6 +76,21 @@ def test_kernel_matches_reference_loop(discipline, family, data):
 @given(path=integer_paths())
 def test_kernel_matches_reference_loop_with_ties(discipline, path):
     assert_matches_reference(*path, discipline)
+
+
+@PROPERTY
+@given(path=integer_paths())
+@example(path=(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 0.25])))  # two periods, not one
+def test_busy_periods_start_where_reference_server_is_idle(path):
+    # a packet arriving at the instant the server empties finds it idle (departures go first)
+    gen, svc = path
+    ref = reference_serve(gen, svc, Discipline.FCFS)
+    idle = np.concatenate(([True], gen[1:] >= ref[:-1]))
+    periods = busy_periods(gen, svc)
+    assert [start for start, _ in periods] == gen[idle].tolist()
+    # each period ends when its last packet leaves
+    last = np.append(np.flatnonzero(idle)[1:], gen.shape[0]) - 1
+    assert [end for _, end in periods] == ref[last].tolist()
 
 
 def test_lcfs_preemptive_heavy_tail_stress():

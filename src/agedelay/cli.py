@@ -33,8 +33,6 @@ def _cmd_simulate(args) -> int:
     service = parse_service(args.service, args.mu)
     discipline = Discipline(args.discipline)
     cfg = experiments.SweepConfig(
-        arrival=arrival,
-        mu=args.mu,
         grid=((discipline, service, arrival),),
         n_arrivals=args.n_arrivals,
         n_reps=args.n_reps,
@@ -46,7 +44,7 @@ def _cmd_simulate(args) -> int:
     if args.json:
         import json
 
-        print(json.dumps(point.to_json_dict(), indent=2))
+        print(json.dumps(point.to_json_dict(), indent=2, allow_nan=False))
     else:
         print(experiments.csv_text([point]), end="")
     return 0

@@ -45,7 +45,7 @@ def _or_inf(fn, *args: float) -> float:
 
 
 def format_shape(shape: float) -> str:
-    """A shape as written in labels: :g where that reads back as the same float, else repr."""
+    """A number as written in names: :g where that reads back as the same float, else repr."""
     text = f"{shape:g}"
     return text if float(text) == shape else repr(shape)
 
@@ -242,9 +242,6 @@ class ArrivalProcess:
         if self.family == "det":
             return np.full(n, 1.0 / self.lam)
         return rng.standard_exponential(n) / self.lam
-
-    def label(self) -> str:
-        return self.family
 
 
 _SHAPE_KEY = {"lognormal": "sigma", "pareto": "alpha", "weibull": "k"}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -39,8 +40,6 @@ GGINF_SAMPLES = 200_000
 
 @dataclass(frozen=True)
 class SweepConfig:
-    arrival: ArrivalProcess
-    mu: float
     grid: tuple[tuple[Discipline, ServiceDistribution, ArrivalProcess], ...]
     n_arrivals: int
     n_reps: int
@@ -53,21 +52,23 @@ class SweepConfig:
 
     def echo(self) -> dict:
         return {
-            "arrival": self.arrival.label(),
-            "lambda": self.arrival.lam,
-            "mu": self.mu,
             "n_arrivals": self.n_arrivals,
             "n_reps": self.n_reps,
             "base_seed": self.base_seed,
             "warmup_fraction": self.warmup_fraction,
             "nu_grid": list(self.nu_grid),
-            "grid": [_entry_label(d, s, a) for d, s, a in self.grid],
+            "grid": [_grid_line(d.value, s, a.family) for d, s, a in self.grid],
         }
 
 
-def _entry_label(discipline: Discipline, service: ServiceDistribution, arrival: ArrivalProcess) -> str:
-    label = f"{discipline.value} {service.label()}"
-    return f"{label} arrival={arrival.family}" if arrival.family != "exp" else label
+def _grid_line(discipline: str, service: ServiceDistribution, arrival_family: str) -> str:
+    """A point's name: the grid line that _parse_grid_line reads back as it.
+
+    The arrival tag is left out only for Poisson arrivals, so the line
+    names the same point whatever the suite's own arrival family.
+    """
+    line = f"{discipline} {service.label()}"
+    return line if arrival_family == "exp" else f"{line} arrival={arrival_family}"
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,8 @@ class FrontierPoint:
     slow_convergence: bool
 
     def label(self) -> str:
-        shape = "" if self.shape is None else f" {format_shape(self.shape)}"
-        tag = "" if self.arrival_family == "exp" else f" arrival={self.arrival_family}"
-        return f"{self.discipline} {self.family}{shape}{tag}"
+        service = ServiceDistribution(self.family, self.mu, self.shape)
+        return _grid_line(self.discipline, service, self.arrival_family)
 
     def to_json_dict(self) -> dict:
         """The point's fields under their published names; no NaN or infinity, which JSON lacks."""
@@ -144,7 +144,7 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     for idx, (discipline, service, arrival) in enumerate(cfg.grid):
         if discipline.single_server and not arrival.lam < service.mu:
             raise StabilityError(
-                f"grid point {idx} ({_entry_label(discipline, service, arrival)}): "
+                f"grid point {idx} ({_grid_line(discipline.value, service, arrival.family)}): "
                 f"lambda={arrival.lam} >= mu={service.mu}"
             )
 
@@ -252,8 +252,8 @@ def scalarized_pick(points: Sequence[FrontierPoint], nu: float, objective: str =
     """Point minimizing objective + nu * avg_age; ties go to lower age, then label."""
     if not points:
         raise ParameterError("scalarized_pick needs a nonempty point list")
-    if not nu >= 0:
-        raise ParameterError(f"nu must be nonnegative, got {nu}")
+    if not 0 <= nu < math.inf:
+        raise ParameterError(f"nu must be finite and nonnegative, got {nu}")
     return min(
         points,
         key=lambda p: (_objective_value(p, objective) + nu * p.avg_age, p.avg_age, p.label()),
@@ -330,10 +330,11 @@ def emit_outputs(
             "points": [p.to_json_dict() for p in points],
             "frontier": [p.label() for p in frontier],
             "scalarized_picks": (
-                {format_cell(nu): p.label() for nu, p in scalarized.items()} if scalarized else None
+                {format_shape(nu): p.label() for nu, p in scalarized.items()} if scalarized else None
             ),
         }
-        json_path.write_text(json.dumps(doc, indent=2) + "\n")
+        # allow_nan=False: a non-finite value that got past _json_float raises, not writes bad JSON
+        json_path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         plot_path.write_text(_plot_script(points, csv_name))
     except OSError as exc:
         raise OSError(f"cannot write results under {out_dir}: {exc}") from exc
@@ -358,6 +359,18 @@ def run_and_emit(cfg: SweepConfig, out_dir: Path, parallel: bool = True) -> list
 
 
 # ---- configuration files ----------------------------------------------------
+
+# Every key a config may set, by section.
+_SCHEMA = {
+    "arrival": ("family", "rate"),
+    "service": ("rate",),
+    "run": ("n_arrivals", "n_reps", "base_seed", "warmup_fraction"),
+    "grid": ("points",),
+    "scalarization": ("nu_grid",),
+    "output": ("csv", "json", "plot"),
+}
+# A key dropped from the schema that older configs still set: ignored with a note.
+_RETIRED = {"run.gginf_samples": f"the gginf_age column always uses {GGINF_SAMPLES} draws"}
 
 
 def _parse_grid_line(line: str, mu: float, arrival: ArrivalProcess):
@@ -404,6 +417,18 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
             cp.set(section, option, value)
     except (configparser.Error, ValueError) as exc:
         raise ParameterError(f"bad config: {exc}") from exc
+    defaults = cp.defaults()  # a [DEFAULT] key shows in every section; name it once
+    outside = [f"{cp.default_section}.{option}" for option in defaults] + [
+        f"{section}.{option}"
+        for section in cp.sections()
+        for option in cp.options(section)
+        if option not in defaults and option not in _SCHEMA.get(section, ())
+    ]
+    unknown = [name for name in outside if name not in _RETIRED]
+    if unknown:
+        raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
+    for name in outside:
+        print(f"note: {name} is ignored: {_RETIRED[name]}", file=sys.stderr)
 
     try:
         arrival = parse_arrival(cp.get("arrival", "family"), cp.getfloat("arrival", "rate"))
@@ -416,21 +441,26 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
         nu_grid = tuple(float(v) for v in cp.get("scalarization", "nu_grid").split())
     except (configparser.Error, ValueError) as exc:
         raise ParameterError(f"bad config: {exc}") from exc
-    if not nu_grid or not all(nu >= 0 for nu in nu_grid):
-        raise ParameterError(f"nu_grid must be nonempty and nonnegative, got {list(nu_grid)}")
+    if not nu_grid or not all(0 <= nu < math.inf for nu in nu_grid):
+        raise ParameterError(f"nu_grid must be nonempty, finite and nonnegative, got {list(nu_grid)}")
+    csv_name, json_name, plot_name = names = (
+        cp.get("output", "csv", fallback="points.csv"),
+        cp.get("output", "json", fallback="points.json"),
+        cp.get("output", "plot", fallback="plot.gp"),
+    )
+    if len({Path(name) for name in names}) < len(names):
+        raise ParameterError(f"[output] file names must differ, got {', '.join(names)}")
     grid = tuple(_parse_grid_line(line, mu, arrival) for line in grid_lines)
     return SweepConfig(
-        arrival=arrival,
-        mu=mu,
         grid=grid,
         n_arrivals=n_arrivals,
         n_reps=n_reps,
         base_seed=base_seed,
         warmup_fraction=warmup,
         nu_grid=nu_grid,
-        csv_name=cp.get("output", "csv", fallback="points.csv"),
-        json_name=cp.get("output", "json", fallback="points.json"),
-        plot_name=cp.get("output", "plot", fallback="plot.gp"),
+        csv_name=csv_name,
+        json_name=json_name,
+        plot_name=plot_name,
     )
 
 

@@ -40,8 +40,6 @@ def by_label(points):
 def one_point_suite(arrival, service, discipline, n_arrivals, n_reps, base_seed):
     """Replications base_seed .. base_seed + n_reps - 1 of one point, aggregated."""
     cfg = ad.SweepConfig(
-        arrival=arrival,
-        mu=service.mu,
         grid=((discipline, service, arrival),),
         n_arrivals=n_arrivals,
         n_reps=n_reps,
@@ -88,7 +86,7 @@ def test_criterion_02_mg1_pareto_closed_form(figure1_points):
     """FCFS Pareto alpha=3: simulated mean delay within 5% of the P-K value 2.638889."""
     pk = ad.pk_delay(LAM, ad.parse_service("pareto alpha=3", MU))
     assert pk == pytest.approx(2.6388888888889, rel=1e-12)
-    pt = by_label(figure1_points)["fcfs pareto 3"]
+    pt = by_label(figure1_points)["fcfs pareto alpha=3"]
     rel = abs(pt.mean_delay - pk) / pk
     report(2, rel <= 0.05, f"pk={pk:.5f} sim={pt.mean_delay:.5f} rel_err={rel:.3%}")
     assert rel <= 0.05
@@ -183,7 +181,7 @@ def test_criterion_06_strong_tradeoff(tradeoff_points, figure1_points):
 
     # delay divergence along the same service sweep where P-K applies
     fig = by_label(figure1_points)
-    fcfs_delays = [fig[f"fcfs pareto {a:g}"].mean_delay for a in (3, 2, 1.5)]
+    fcfs_delays = [fig[f"fcfs pareto alpha={a:g}"].mean_delay for a in (3, 2, 1.5)]
     ok_fcfs = all(b > a for a, b in zip(fcfs_delays, fcfs_delays[1:]))
 
     ok = ok_age and ok_var and ok_age_ci and ok_var_ci and ok_m2 and ok_fcfs
@@ -336,7 +334,7 @@ def test_criterion_12_figure1_qualitative_shape(figure1_points):
     """The scatter places heavy-tail LCFS-P at low age / high delay and the
     deterministic-service FCFS point at the low-delay end."""
     fig = by_label(figure1_points)
-    heavy = [fig["lcfs-p pareto 1.5"], fig["lcfs-p lognormal 2"], fig["lcfs-p weibull 0.5"]]
+    heavy = [fig["lcfs-p pareto alpha=1.5"], fig["lcfs-p lognormal sigma=2"], fig["lcfs-p weibull k=0.5"]]
     fcfs_det = fig["fcfs det"]
     fcfs_exp = fig["fcfs exp"]
     ok_placement = all(

@@ -243,6 +243,10 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         (("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "exp", "--base-seed", "-1", "--serial"), "seed"),
         (("figure1", "--set", "run.base_seed=-5", "--set", "run.n_arrivals=1000", "--serial"), "seed"),
         (("oracle", "gginf", "--lam", "0.5", "--mu", "0.8", "--service", "exp", "--seed", "-1"), "seed"),
+        (("figure1", "--set", "scalarization.nu_grid=0 inf", "--serial"), "nu_grid"),
+        (("figure1", "--set", "run.n_arrivals=1000", "--set", "run.n_arival=100", "--serial"), "run.n_arival"),
+        (("figure1", "--set", "run.n_arrivals=1000", "--set", "rn.n_reps=1", "--serial"), "rn.n_reps"),
+        (("figure1", "--set", "run.n_arrivals=1000", "--set", "output.csv=figure1.json", "--serial"), "must differ"),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -255,6 +259,10 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "negative-simulate-seed",
         "negative-config-seed",
         "negative-gginf-seed",
+        "infinite-weight",
+        "misspelt-key",
+        "misspelt-section",
+        "repeated-output-name",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from agedelay import (
+    ArrivalProcess,
     Discipline,
     FrontierPoint,
     ParameterError,
+    ServiceDistribution,
     StabilityError,
     SweepConfig,
     emit_outputs,
@@ -25,7 +27,7 @@ from agedelay import (
     scalarized_pick,
     summarize,
 )
-from agedelay.experiments import CSV_COLUMNS, PRESETS
+from agedelay.experiments import _RENAMES, CSV_COLUMNS, PRESETS, _parse_grid_line
 
 ARR = parse_arrival("exp", 0.5)
 
@@ -70,8 +72,6 @@ def small_config(points=("fcfs exp", "lcfs-p exp"), n=2000, reps=2, seed=5):
                 svc_tokens.append(t)
         grid.append((disc, parse_service(" ".join(svc_tokens), 0.8), arrival))
     return SweepConfig(
-        arrival=ARR,
-        mu=0.8,
         grid=tuple(grid),
         n_arrivals=n,
         n_reps=reps,
@@ -159,6 +159,8 @@ def test_scalarized_validation():
         scalarized_pick([], 1.0)
     with pytest.raises(ParameterError):
         scalarized_pick([fp(1, 1)], -0.5)
+    with pytest.raises(ParameterError):
+        scalarized_pick([fp(1, 1)], math.inf)
 
 
 # ---- run_suite -------------------------------------------------------------------
@@ -212,8 +214,6 @@ def test_run_suite_flags_slow_convergence():
 
 def test_run_suite_names_unstable_point():
     bad = SweepConfig(
-        arrival=parse_arrival("exp", 0.9),
-        mu=0.8,
         grid=((Discipline.FCFS, parse_service("exp", 0.8), parse_arrival("exp", 0.9)),),
         n_arrivals=10,
         n_reps=1,
@@ -270,10 +270,10 @@ def test_emit_outputs_files_and_determinism(tmp_path):
     assert len(csv_lines) == 1 + len(points)
 
     doc = json.loads(blobs[1])
-    assert doc["config"]["lambda"] == 0.5
+    assert doc["config"]["grid"] == ["fcfs exp", "lcfs-p exp"]
     assert len(doc["points"]) == len(points)
-    assert set(doc["frontier"]) <= {p.label() for p in points}
-    assert doc["scalarized_picks"]["0"] in {p.label() for p in points}
+    assert set(doc["frontier"]) <= set(doc["config"]["grid"])
+    assert doc["scalarized_picks"]["0"] in doc["config"]["grid"]
 
     plot = blobs[2].decode()
     assert "gnuplot" in plot and "average age" in plot
@@ -330,6 +330,38 @@ def test_run_and_emit_round_trip(tmp_path):
     cfg = small_config(n=800, reps=1)
     paths = run_and_emit(cfg, tmp_path, parallel=False)
     assert all(p.exists() for p in paths)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_outputs_name_each_point_by_its_grid_line(tmp_path, name):
+    cfg = load_preset(name, ["run.n_arrivals=2000", "run.n_reps=2"])
+    _, json_path, _ = run_and_emit(cfg, tmp_path, parallel=False)
+    doc = json.loads(json_path.read_text(), parse_constant=_reject_constant)
+    grid = doc["config"]["grid"]
+    field_of = {published: field for field, published in _RENAMES.items()}
+    points = [FrontierPoint(**{field_of.get(k, k): v for k, v in rec.items()}) for rec in doc["points"]]
+    assert [p.label() for p in points] == grid
+    assert set(doc["frontier"]) <= set(grid)
+    assert set(doc["scalarized_picks"].values()) <= set(grid)
+    for p, entry in zip(points, cfg.grid):
+        point = (
+            Discipline(p.discipline),
+            ServiceDistribution(p.family, p.mu, p.shape),
+            ArrivalProcess(p.arrival_family, p.lam),
+        )
+        assert point == entry
+        # the arrival tag is absolute: a label read against Poisson defaults is the same point
+        assert _parse_grid_line(p.label(), p.mu, ArrivalProcess("exp", p.lam)) == point
+
+
+def test_near_equal_weights_get_distinct_pick_keys(tmp_path):
+    cfg = dataclasses.replace(small_config(n=800, reps=1), nu_grid=(1.0, 1.0000000000001))
+    _, json_path, _ = run_and_emit(cfg, tmp_path, parallel=False)
+    assert list(json.loads(json_path.read_text())["scalarized_picks"]) == ["1", "1.0000000000001"]
 
 
 # ---- config files -------------------------------------------------------------------
@@ -422,7 +454,7 @@ def test_nan_scalarization_weight_rejected(tmp_path):
         load_config(cfg)
 
 
-def test_presets_ship_and_parse():
+def test_presets_ship_and_parse(capsys):
     for name in PRESETS:
         assert preset_path(name).exists()
         cfg = load_preset(name)
@@ -431,7 +463,7 @@ def test_presets_ship_and_parse():
         assert cfg.n_reps == 8
     fig = load_preset("figure1")
     assert len(fig.grid) == 18
-    assert fig.arrival.lam == 0.5 and fig.mu == 0.8
+    assert {(arr.lam, svc.mu) for _, svc, arr in fig.grid} == {(0.5, 0.8)}
     disciplines = {d.value for d, _, _ in fig.grid}
     assert disciplines == {"fcfs", "lcfs-p"}
     sweep = load_preset("tradeoff-sweep")
@@ -440,13 +472,21 @@ def test_presets_ship_and_parse():
     assert any(arr.family == "det" for _, _, arr in nt.grid)
     with pytest.raises(ParameterError):
         preset_path("nope")
+    assert capsys.readouterr().err == ""
+
+
+def test_retired_key_is_ignored_with_one_note(capsys):
+    cfg = load_preset("figure1", ["run.gginf_samples=1000"])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("note:") and "run.gginf_samples" in err
+    assert cfg == load_preset("figure1")
 
 
 def test_near_equal_shapes_get_distinct_labels():
     cfg = small_config(points=("fcfs pareto alpha=1.5", "fcfs pareto alpha=1.5000001"), n=1000, reps=1)
     assert cfg.echo()["grid"] == ["fcfs pareto alpha=1.5", "fcfs pareto alpha=1.5000001"]
     points = run_suite(cfg, parallel=False)
-    assert [p.label() for p in points] == ["fcfs pareto 1.5", "fcfs pareto 1.5000001"]
+    assert [p.label() for p in points] == cfg.echo()["grid"]
 
 
 def test_preset_override_scales_down():

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  simulate   one (arrival, service, discipline) point, aggregated over reps
+  simulate   one grid-line point, aggregated over reps
   sweep      run a config-file suite and write CSV/JSON/plot outputs
   figure1    shipped preset: the full age-delay scatter at lambda=0.5, mu=0.8
   oracle     print any analytic baseline as CSV on stdout
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .disciplines import Discipline
 from .distributions import parse_arrival, parse_service
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from . import experiments, oracles
@@ -29,11 +28,8 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_simulate(args) -> int:
-    arrival = parse_arrival(args.arrival, args.lam)
-    service = parse_service(args.service, args.mu)
-    discipline = Discipline(args.discipline)
     cfg = experiments.SweepConfig(
-        grid=((discipline, service, arrival),),
+        grid=(experiments.parse_grid_line(args.point, args.mu, args.lam),),
         n_arrivals=args.n_arrivals,
         n_reps=args.n_reps,
         base_seed=args.base_seed,
@@ -115,15 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one configuration point")
-    sim.add_argument("--arrival", default="exp", help="arrival family: det or exp")
+    sim.add_argument("point", help="grid line, e.g. 'lcfs-p pareto alpha=1.5' or 'fcfs det arrival=det'")
     sim.add_argument("--lam", "--lambda", dest="lam", type=float, required=True, help="generation rate")
-    sim.add_argument("--service", required=True, help="service spec, e.g. 'pareto alpha=1.5'")
     sim.add_argument("--mu", type=float, required=True, help="service rate")
-    sim.add_argument(
-        "--discipline",
-        default="fcfs",
-        choices=[d.value for d in Discipline],
-    )
     sim.add_argument("--n-arrivals", type=int, default=100_000)
     sim.add_argument("--n-reps", type=int, default=4)
     sim.add_argument("--base-seed", type=int, default=0)
@@ -199,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParameterError, StabilityError, DegenerateSampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,9 @@
 """Config-driven experiment suites: sweeps, Pareto frontiers, result files.
 
-A suite is a grid of (discipline, service law) points sharing one arrival
-process (individual points may override the arrival family, which is how
-the periodic-arrival baseline joins a Poisson suite).  Each point runs
-n_reps independent replications; the aggregated point carries its oracle
+A suite is a grid of points, each a discipline, a service law and an
+arrival process named by one grid line (the tag arrival=det is how the
+periodic-arrival baseline joins a Poisson suite).  Each point runs n_reps
+independent replications; the aggregated point carries its oracle
 columns so every result row is self-checking.
 """
 
@@ -62,10 +62,10 @@ class SweepConfig:
 
 
 def _grid_line(discipline: str, service: ServiceDistribution, arrival_family: str) -> str:
-    """A point's name: the grid line that _parse_grid_line reads back as it.
+    """A point's name: the grid line that parse_grid_line reads back as it.
 
-    The arrival tag is left out only for Poisson arrivals, so the line
-    names the same point whatever the suite's own arrival family.
+    The arrival tag is left out only for Poisson arrivals, the family an
+    untagged line reads as.
     """
     line = f"{discipline} {service.label()}"
     return line if arrival_family == "exp" else f"{line} arrival={arrival_family}"
@@ -309,9 +309,9 @@ def emit_outputs(
     out_dir: Path,
     cfg: SweepConfig | None = None,
     scalarized: dict[float, FrontierPoint] | None = None,
-    csv_name: str = "points.csv",
-    json_name: str = "points.json",
-    plot_name: str = "plot.gp",
+    csv_name: str = SweepConfig.csv_name,
+    json_name: str = SweepConfig.json_name,
+    plot_name: str = SweepConfig.plot_name,
 ) -> list[Path]:
     """Write the CSV/JSON/plot-script triple; returns the written paths.
 
@@ -362,7 +362,7 @@ def run_and_emit(cfg: SweepConfig, out_dir: Path, parallel: bool = True) -> list
 
 # Every key a config may set, by section.
 _SCHEMA = {
-    "arrival": ("family", "rate"),
+    "arrival": ("rate",),
     "service": ("rate",),
     "run": ("n_arrivals", "n_reps", "base_seed", "warmup_fraction"),
     "grid": ("points",),
@@ -373,7 +373,8 @@ _SCHEMA = {
 _RETIRED = {"run.gginf_samples": f"the gginf_age column always uses {GGINF_SAMPLES} draws"}
 
 
-def _parse_grid_line(line: str, mu: float, arrival: ArrivalProcess):
+def parse_grid_line(line: str, mu: float, lam: float):
+    """The point '<discipline> <service spec> [arrival=det|exp]' names; untagged means Poisson."""
     tokens = line.split()
     if len(tokens) < 2:
         raise ParameterError(f"grid line needs '<discipline> <service spec>', got {line!r}")
@@ -384,20 +385,20 @@ def _parse_grid_line(line: str, mu: float, arrival: ArrivalProcess):
     arrival_specs = [tok[len("arrival="):] for tok in tokens[1:] if tok.startswith("arrival=")]
     if len(arrival_specs) > 1:
         raise ParameterError(f"repeated key 'arrival' in grid line {line!r}")
-    point_arrival = parse_arrival(arrival_specs[0], arrival.lam) if arrival_specs else arrival
+    arrival = parse_arrival(arrival_specs[0] if arrival_specs else "exp", lam)
     service_tokens = [tok for tok in tokens[1:] if not tok.startswith("arrival=")]
     service = parse_service(" ".join(service_tokens), mu)
-    return discipline, service, point_arrival
+    return discipline, service, arrival
 
 
-def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
-    """Parse a sweep config (INI schema, see README) with optional overrides.
+def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
+    """Read the sweep config file at path (INI schema, see README), with overrides.
 
     Overrides are 'section.key=value' strings applied on top of the file,
     mirroring the CLI --set flag.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    path = Path(text_or_path)
+    path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -431,7 +432,7 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
         print(f"note: {name} is ignored: {_RETIRED[name]}", file=sys.stderr)
 
     try:
-        arrival = parse_arrival(cp.get("arrival", "family"), cp.getfloat("arrival", "rate"))
+        lam = cp.getfloat("arrival", "rate")
         mu = cp.getfloat("service", "rate")
         n_arrivals = cp.getint("run", "n_arrivals")
         n_reps = cp.getint("run", "n_reps")
@@ -443,14 +444,16 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
         raise ParameterError(f"bad config: {exc}") from exc
     if not nu_grid or not all(0 <= nu < math.inf for nu in nu_grid):
         raise ParameterError(f"nu_grid must be nonempty, finite and nonnegative, got {list(nu_grid)}")
-    csv_name, json_name, plot_name = names = (
-        cp.get("output", "csv", fallback="points.csv"),
-        cp.get("output", "json", fallback="points.json"),
-        cp.get("output", "plot", fallback="plot.gp"),
-    )
-    if len({Path(name) for name in names}) < len(names):
-        raise ParameterError(f"[output] file names must differ, got {', '.join(names)}")
-    grid = tuple(_parse_grid_line(line, mu, arrival) for line in grid_lines)
+    repeated = sorted({nu for nu in nu_grid if nu_grid.count(nu) > 1})
+    if repeated:
+        raise ParameterError(f"nu_grid repeats weight {', '.join(map(format_shape, repeated))}")
+    names = {
+        f"{key}_name": cp.get("output", key, fallback=getattr(SweepConfig, f"{key}_name"))
+        for key in _SCHEMA["output"]
+    }
+    if len({Path(name) for name in names.values()}) < len(names):
+        raise ParameterError(f"[output] file names must differ, got {', '.join(names.values())}")
+    grid = tuple(parse_grid_line(line, mu, lam) for line in grid_lines)
     return SweepConfig(
         grid=grid,
         n_arrivals=n_arrivals,
@@ -458,9 +461,7 @@ def load_config(text_or_path, overrides: Sequence[str] = ()) -> SweepConfig:
         base_seed=base_seed,
         warmup_fraction=warmup,
         nu_grid=nu_grid,
-        csv_name=csv_name,
-        json_name=json_name,
-        plot_name=plot_name,
+        **names,
     )
 
 

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from agedelay import engine
 from agedelay.cli import main
-from agedelay.experiments import CSV_COLUMNS
+from agedelay.experiments import CSV_COLUMNS, SweepConfig, csv_text, parse_grid_line, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -17,10 +18,9 @@ def test_simulate_csv_row(capsys):
     code, out, err = run_cli(
         capsys,
         "simulate",
+        "fcfs exp",
         "--lam", "0.5",
-        "--service", "exp",
         "--mu", "0.8",
-        "--discipline", "fcfs",
         "--n-arrivals", "2000",
         "--n-reps", "2",
         "--base-seed", "3",
@@ -38,10 +38,9 @@ def test_simulate_json(capsys):
     code, out, _ = run_cli(
         capsys,
         "simulate",
+        "lcfs-p pareto alpha=2",
         "--lam", "0.5",
-        "--service", "pareto alpha=2",
         "--mu", "0.8",
-        "--discipline", "lcfs-p",
         "--n-arrivals", "1000",
         "--n-reps", "1",
         "--serial",
@@ -53,10 +52,43 @@ def test_simulate_json(capsys):
     assert doc["pk_delay"] == "inf"
 
 
+def test_simulate_prints_the_one_point_suite_row(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "fcfs det arrival=det", "--lam", "0.5", "--mu", "0.8",
+        "--n-arrivals", "2000", "--n-reps", "2", "--base-seed", "3", "--serial",
+    )
+    assert code == 0
+    cfg = SweepConfig(
+        grid=(parse_grid_line("fcfs det arrival=det", 0.8, 0.5),),
+        n_arrivals=2000,
+        n_reps=2,
+        base_seed=3,
+        warmup_fraction=0.1,
+        nu_grid=(0.0,),
+    )
+    assert out == csv_text(run_suite(cfg, parallel=False))
+
+
+def test_simulate_out_of_memory_exits_with_one_line(capsys, monkeypatch):
+    def run_simulation(*args):
+        raise MemoryError("Unable to allocate 728. TiB for an array with shape (100000000000000,)")
+
+    monkeypatch.setattr(engine, "run_simulation", run_simulation)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8",
+        "--n-arrivals", "100000000000000", "--n-reps", "1", "--serial",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 728. TiB for an array with shape (100000000000000,)\n"
+
+
 def test_simulate_unstable_exits_nonzero(capsys):
     code, out, err = run_cli(
         capsys,
-        "simulate", "--lam", "0.9", "--service", "exp", "--mu", "0.8",
+        "simulate", "fcfs exp", "--lam", "0.9", "--mu", "0.8",
         "--n-arrivals", "100", "--serial",
     )
     assert code == 1
@@ -66,7 +98,7 @@ def test_simulate_unstable_exits_nonzero(capsys):
 def test_simulate_bad_service_spec(capsys):
     code, _, err = run_cli(
         capsys,
-        "simulate", "--lam", "0.5", "--service", "pareto", "--mu", "0.8", "--serial",
+        "simulate", "fcfs pareto", "--lam", "0.5", "--mu", "0.8", "--serial",
     )
     assert code == 1
     assert "alpha" in err
@@ -75,7 +107,7 @@ def test_simulate_bad_service_spec(capsys):
 def test_sweep_writes_outputs(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(
-        "[arrival]\nfamily = exp\nrate = 0.5\n"
+        "[arrival]\nrate = 0.5\n"
         "[service]\nrate = 0.8\n"
         "[run]\nn_arrivals = 1000\nn_reps = 1\nbase_seed = 4\nwarmup_fraction = 0.1\n"
         "[grid]\npoints =\n    fcfs exp\n    lcfs-p exp\n"
@@ -202,7 +234,7 @@ def test_oracle_moment_table_weibull_small_k(capsys):
 
 def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
     for argv in (
-        ("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "weibull k=0.004", "--serial"),
+        ("simulate", "fcfs weibull k=0.004", "--lam", "0.5", "--mu", "0.8", "--serial"),
         ("oracle", "moment-table", "--family", "weibull", "--shapes", "1,0.5,0.004", "--mu", "0.8"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -223,11 +255,11 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
 @pytest.mark.parametrize(
     "argv,fragment",
     [
-        (("simulate", "--lam", "1e-300", "--mu", "0.8", "--service", "exp", "--serial"), "lambda=1e-300"),
+        (("simulate", "fcfs exp", "--lam", "1e-300", "--mu", "0.8", "--serial"), "lambda=1e-300"),
         (("oracle", "a-min", "--lam", "1e-160"), "lambda=1e-160"),
         (("oracle", "pk-delay", "--service", "exp", "--mu", "1e-160", "--lam", "1e-170"), "mu=1e-160"),
         (
-            ("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "pareto alpha=1.5 alpha=2", "--serial"),
+            ("simulate", "fcfs pareto alpha=1.5 alpha=2", "--lam", "0.5", "--mu", "0.8", "--serial"),
             "repeated key 'alpha'",
         ),
         # 1e-320 is subnormal and prints as 9.99989e-321
@@ -240,13 +272,15 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             ("oracle", "tail-table", "--family", "exp", "--xs", "4,inf", "--mu", "0.8", "--lam", "0.5"),
             "got inf",
         ),
-        (("simulate", "--lam", "0.5", "--mu", "0.8", "--service", "exp", "--base-seed", "-1", "--serial"), "seed"),
+        (("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--base-seed", "-1", "--serial"), "seed"),
         (("figure1", "--set", "run.base_seed=-5", "--set", "run.n_arrivals=1000", "--serial"), "seed"),
         (("oracle", "gginf", "--lam", "0.5", "--mu", "0.8", "--service", "exp", "--seed", "-1"), "seed"),
         (("figure1", "--set", "scalarization.nu_grid=0 inf", "--serial"), "nu_grid"),
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "run.n_arival=100", "--serial"), "run.n_arival"),
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "rn.n_reps=1", "--serial"), "rn.n_reps"),
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "output.csv=figure1.json", "--serial"), "must differ"),
+        (("figure1", "--set", "run.n_arrivals=1000", "--set", "scalarization.nu_grid=1 1", "--serial"), "weight 1"),
+        (("figure1", "--set", "run.n_arrivals=1000", "--set", "arrival.family=exp", "--serial"), "arrival.family"),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -263,6 +297,8 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "misspelt-key",
         "misspelt-section",
         "repeated-output-name",
+        "repeated-weight",
+        "removed-arrival-family",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):
@@ -275,7 +311,7 @@ def test_bad_input_exits_with_one_line(capsys, argv, fragment):
 def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(
-        "[arrival]\nfamily = exp\nrate = 0.5\n"
+        "[arrival]\nrate = 0.5\n"
         "[service]\nrate = 0.8\n"
         "[run]\nn_arrivals = 1000\nn_reps = 1\nbase_seed = 4\nwarmup_fraction = 0.1\n"
         "[grid]\npoints =\n    fcfs det arrival=det arrival=exp\n"

@@ -27,9 +27,7 @@ from agedelay import (
     scalarized_pick,
     summarize,
 )
-from agedelay.experiments import _RENAMES, CSV_COLUMNS, PRESETS, _parse_grid_line
-
-ARR = parse_arrival("exp", 0.5)
+from agedelay.experiments import _RENAMES, CSV_COLUMNS, PRESETS, parse_grid_line
 
 
 def fp(age, delay, var=1.0, label="fcfs", family="exp", shape=None):
@@ -59,20 +57,8 @@ def fp(age, delay, var=1.0, label="fcfs", family="exp", shape=None):
 
 
 def small_config(points=("fcfs exp", "lcfs-p exp"), n=2000, reps=2, seed=5):
-    grid = []
-    for line in points:
-        tokens = line.split()
-        disc = Discipline(tokens[0])
-        arrival = ARR
-        svc_tokens = []
-        for t in tokens[1:]:
-            if t.startswith("arrival="):
-                arrival = parse_arrival(t.split("=")[1], 0.5)
-            else:
-                svc_tokens.append(t)
-        grid.append((disc, parse_service(" ".join(svc_tokens), 0.8), arrival))
     return SweepConfig(
-        grid=tuple(grid),
+        grid=tuple(parse_grid_line(line, 0.8, 0.5) for line in points),
         n_arrivals=n,
         n_reps=reps,
         base_seed=seed,
@@ -354,8 +340,7 @@ def test_outputs_name_each_point_by_its_grid_line(tmp_path, name):
             ArrivalProcess(p.arrival_family, p.lam),
         )
         assert point == entry
-        # the arrival tag is absolute: a label read against Poisson defaults is the same point
-        assert _parse_grid_line(p.label(), p.mu, ArrivalProcess("exp", p.lam)) == point
+        assert parse_grid_line(p.label(), p.mu, p.lam) == point
 
 
 def test_near_equal_weights_get_distinct_pick_keys(tmp_path):
@@ -369,7 +354,6 @@ def test_near_equal_weights_get_distinct_pick_keys(tmp_path):
 
 CONFIG_TEXT = """
 [arrival]
-family = exp
 rate = 0.5
 
 [service]
@@ -432,11 +416,11 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "missing.ini")
     bad = tmp_path / "bad.ini"
-    bad.write_text("[arrival]\nfamily = exp\n")
+    bad.write_text("[arrival]\nrate = 0.5\n")
     with pytest.raises(ParameterError):
         load_config(bad)
     headless = tmp_path / "headless.ini"
-    headless.write_text("family = exp\n" + CONFIG_TEXT)
+    headless.write_text("rate = 0.5\n" + CONFIG_TEXT)
     with pytest.raises(ParameterError):
         load_config(headless)
     badgrid = tmp_path / "badgrid.ini"

@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .distributions import parse_arrival, parse_service
+from .engine import parse_grid_line
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from . import experiments, oracles
 
@@ -29,7 +30,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def _cmd_simulate(args) -> int:
     cfg = experiments.SweepConfig(
-        grid=(experiments.parse_grid_line(args.point, args.mu, args.lam),),
+        grid=(parse_grid_line(args.point, args.mu, args.lam),),
         n_arrivals=args.n_arrivals,
         n_reps=args.n_reps,
         base_seed=args.base_seed,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disciplines import Discipline
-from .distributions import ArrivalProcess, ServiceDistribution
+from .distributions import ArrivalProcess, ServiceDistribution, parse_arrival, parse_service
 from .errors import ParameterError, StabilityError
 
 _INF = float("inf")
@@ -25,13 +25,41 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One simulation configuration: who arrives, how service behaves, and the policy."""
+    """What one grid line names: who arrives, how service behaves, and the policy.
+
+    A single-server point must be stable (lambda < mu); the error names the line.
+    """
 
     arrival: ArrivalProcess
     service: ServiceDistribution
     discipline: Discipline
-    n_arrivals: int
-    warmup_fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.discipline.single_server and not self.arrival.lam < self.service.mu:
+            raise StabilityError(f"{self.label()}: lambda={self.arrival.lam} >= mu={self.service.mu}")
+
+    def label(self) -> str:
+        """The grid line that parse_grid_line reads back as this point; untagged means Poisson."""
+        line = f"{self.discipline.value} {self.service.label()}"
+        return line if self.arrival.family == "exp" else f"{line} arrival={self.arrival.family}"
+
+
+def parse_grid_line(line: str, mu: float, lam: float) -> ExperimentPoint:
+    """The point '<discipline> <service spec> [arrival=det|exp]' names; untagged means Poisson."""
+    tokens = line.split()
+    if len(tokens) < 2:
+        raise ParameterError(f"grid line needs '<discipline> <service spec>', got {line!r}")
+    try:
+        discipline = Discipline(tokens[0].lower())
+    except ValueError:
+        raise ParameterError(f"unknown discipline {tokens[0]!r} in grid line {line!r}") from None
+    arrival_specs = [tok[len("arrival="):] for tok in tokens[1:] if tok.startswith("arrival=")]
+    if len(arrival_specs) > 1:
+        raise ParameterError(f"repeated key 'arrival' in grid line {line!r}")
+    arrival = parse_arrival(arrival_specs[0] if arrival_specs else "exp", lam)
+    service_tokens = [tok for tok in tokens[1:] if not tok.startswith("arrival=")]
+    service = parse_service(" ".join(service_tokens), mu)
+    return ExperimentPoint(arrival, service, discipline)
 
 
 @dataclass
@@ -53,6 +81,7 @@ class SimulationTrace:
     breakpoint_ages: np.ndarray
     n_generated: int
     seed: int
+    warmup_fraction: float
     point: ExperimentPoint = field(repr=False)
 
 
@@ -203,10 +232,7 @@ def run_simulation(
         raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    if discipline.single_server and not arrival.lam < service.mu:
-        raise StabilityError(
-            f"single-server run needs lambda < mu, got lambda={arrival.lam} mu={service.mu}"
-        )
+    point = ExperimentPoint(arrival, service, discipline)
 
     root = np.random.SeedSequence(seed)
     arrival_seq, service_seq = root.spawn(2)
@@ -228,7 +254,8 @@ def run_simulation(
         breakpoint_ages=bp_ages,
         n_generated=n_arrivals,
         seed=seed,
-        point=ExperimentPoint(arrival, service, discipline, n_arrivals, warmup_fraction),
+        warmup_fraction=warmup_fraction,
+        point=point,
     )
 
 

@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -22,10 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .disciplines import Discipline
-from .distributions import ArrivalProcess, ServiceDistribution, format_shape, parse_arrival, parse_service
+from .distributions import ArrivalProcess, ServiceDistribution, format_shape
 from . import engine
-from .engine import ExperimentPoint
-from .errors import ParameterError, StabilityError
+from .engine import ExperimentPoint, parse_grid_line
+from .errors import ParameterError
 from .metrics import MetricsReport, summarize, t_halfwidth
 from .oracles import gginf_age_estimate, min_average_age, pk_delay
 
@@ -40,7 +41,7 @@ GGINF_SAMPLES = 200_000
 
 @dataclass(frozen=True)
 class SweepConfig:
-    grid: tuple[tuple[Discipline, ServiceDistribution, ArrivalProcess], ...]
+    grid: tuple[ExperimentPoint, ...]
     n_arrivals: int
     n_reps: int
     base_seed: int
@@ -57,18 +58,8 @@ class SweepConfig:
             "base_seed": self.base_seed,
             "warmup_fraction": self.warmup_fraction,
             "nu_grid": list(self.nu_grid),
-            "grid": [_grid_line(d.value, s, a.family) for d, s, a in self.grid],
+            "grid": [p.label() for p in self.grid],
         }
-
-
-def _grid_line(discipline: str, service: ServiceDistribution, arrival_family: str) -> str:
-    """A point's name: the grid line that parse_grid_line reads back as it.
-
-    The arrival tag is left out only for Poisson arrivals, the family an
-    untagged line reads as.
-    """
-    line = f"{discipline} {service.label()}"
-    return line if arrival_family == "exp" else f"{line} arrival={arrival_family}"
 
 
 @dataclass(frozen=True)
@@ -98,8 +89,11 @@ class FrontierPoint:
     slow_convergence: bool
 
     def label(self) -> str:
-        service = ServiceDistribution(self.family, self.mu, self.shape)
-        return _grid_line(self.discipline, service, self.arrival_family)
+        return ExperimentPoint(
+            ArrivalProcess(self.arrival_family, self.lam),
+            ServiceDistribution(self.family, self.mu, self.shape),
+            Discipline(self.discipline),
+        ).label()
 
     def to_json_dict(self) -> dict:
         """The point's fields under their published names; no NaN or infinity, which JSON lacks."""
@@ -109,7 +103,7 @@ class FrontierPoint:
 # Published names of the fields whose attribute names differ.
 _RENAMES = {"lam": "lambda", "arrival_family": "arrival"}
 # The CSV carries every other field, in declaration order.
-_JSON_ONLY = ("arrival_family", "delay_var_ci", "gginf_stderr", "slow_convergence")
+_JSON_ONLY = ("delay_var_ci", "gginf_stderr", "slow_convergence")
 _CSV_FIELDS = tuple(f.name for f in fields(FrontierPoint) if f.name not in _JSON_ONLY)
 CSV_COLUMNS = tuple(_RENAMES.get(name, name) for name in _CSV_FIELDS)
 
@@ -121,12 +115,10 @@ def _json_float(x):
     return x
 
 
-def _suite_worker(job: tuple[ExperimentPoint, int]) -> MetricsReport:
-    p, seed = job
+def _suite_worker(job: tuple[ExperimentPoint, int, float, int]) -> MetricsReport:
+    p, n_arrivals, warmup_fraction, seed = job
     # looked up on the module at call time, so a wrapper patched onto engine applies
-    trace = engine.run_simulation(
-        p.arrival, p.service, p.discipline, p.n_arrivals, p.warmup_fraction, seed
-    )
+    trace = engine.run_simulation(p.arrival, p.service, p.discipline, n_arrivals, warmup_fraction, seed)
     return summarize(trace)
 
 
@@ -141,18 +133,11 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
         raise ParameterError("sweep grid is empty")
     if cfg.n_reps < 1:
         raise ParameterError(f"n_reps must be >= 1, got {cfg.n_reps}")
-    for idx, (discipline, service, arrival) in enumerate(cfg.grid):
-        if discipline.single_server and not arrival.lam < service.mu:
-            raise StabilityError(
-                f"grid point {idx} ({_grid_line(discipline.value, service, arrival.family)}): "
-                f"lambda={arrival.lam} >= mu={service.mu}"
-            )
-
-    jobs = []
-    for idx, (discipline, service, arrival) in enumerate(cfg.grid):
-        point = ExperimentPoint(arrival, service, discipline, cfg.n_arrivals, cfg.warmup_fraction)
-        base = cfg.base_seed + idx * cfg.n_reps
-        jobs.extend((point, base + rep) for rep in range(cfg.n_reps))
+    jobs = [
+        (point, cfg.n_arrivals, cfg.warmup_fraction, cfg.base_seed + idx * cfg.n_reps + rep)
+        for idx, point in enumerate(cfg.grid)
+        for rep in range(cfg.n_reps)
+    ]
 
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
@@ -163,7 +148,8 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     gginf_cache: dict[tuple, tuple[float, float]] = {}
     gginf_seed_base = cfg.base_seed + len(cfg.grid) * cfg.n_reps
     points = []
-    for idx, (discipline, service, arrival) in enumerate(cfg.grid):
+    for idx, point in enumerate(cfg.grid):
+        arrival, service, discipline = point.arrival, point.service, point.discipline
         reps = results[idx * cfg.n_reps : (idx + 1) * cfg.n_reps]
         ages = [r.avg_age for r in reps]
         delays = [r.mean_delay for r in reps]
@@ -277,20 +263,20 @@ def csv_text(points: Sequence[FrontierPoint]) -> str:
 
 
 def _plot_script(points: Sequence[FrontierPoint], csv_name: str) -> str:
-    series = []
-    for p in points:
-        key = (p.discipline, p.family)
-        if key not in series:
-            series.append(key)
-    disc, fam, age, delay = (
-        CSV_COLUMNS.index(name) + 1 for name in ("discipline", "family", "avg_age", "mean_delay")
+    series = list(dict.fromkeys((p.discipline, p.family, p.arrival_family) for p in points))
+    pairs = [(discipline, family) for discipline, family, _ in series]
+    disc, fam, arr, age, delay = (
+        CSV_COLUMNS.index(name) + 1 for name in ("discipline", "family", "arrival", "avg_age", "mean_delay")
     )
     clauses = []
-    for discipline, family in series:
+    for discipline, family, arrival in series:
         cond = f'strcol({disc}) eq "{discipline}" && strcol({fam}) eq "{family}"'
+        if pairs.count((discipline, family)) > 1:  # the arrival tells the series apart
+            cond += f' && strcol({arr}) eq "{arrival}"'
+        tag = "" if arrival == "exp" else f" arrival={arrival}"
         clauses.append(
             f'  "{csv_name}" using ({cond} ? ${age} : 1/0):(${delay})'
-            f' title "{discipline} {family}" with points'
+            f' title "{discipline} {family}{tag}" with points'
         )
     body = ", \\\n".join(clauses) if clauses else f'  "{csv_name}" using {age}:{delay} with points'
     return (
@@ -373,24 +359,6 @@ _SCHEMA = {
 _RETIRED = {"run.gginf_samples": f"the gginf_age column always uses {GGINF_SAMPLES} draws"}
 
 
-def parse_grid_line(line: str, mu: float, lam: float):
-    """The point '<discipline> <service spec> [arrival=det|exp]' names; untagged means Poisson."""
-    tokens = line.split()
-    if len(tokens) < 2:
-        raise ParameterError(f"grid line needs '<discipline> <service spec>', got {line!r}")
-    try:
-        discipline = Discipline(tokens[0].lower())
-    except ValueError:
-        raise ParameterError(f"unknown discipline {tokens[0]!r} in grid line {line!r}") from None
-    arrival_specs = [tok[len("arrival="):] for tok in tokens[1:] if tok.startswith("arrival=")]
-    if len(arrival_specs) > 1:
-        raise ParameterError(f"repeated key 'arrival' in grid line {line!r}")
-    arrival = parse_arrival(arrival_specs[0] if arrival_specs else "exp", lam)
-    service_tokens = [tok for tok in tokens[1:] if not tok.startswith("arrival=")]
-    service = parse_service(" ".join(service_tokens), mu)
-    return discipline, service, arrival
-
-
 def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     """Read the sweep config file at path (INI schema, see README), with overrides.
 
@@ -454,6 +422,9 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     if len({Path(name) for name in names.values()}) < len(names):
         raise ParameterError(f"[output] file names must differ, got {', '.join(names.values())}")
     grid = tuple(parse_grid_line(line, mu, lam) for line in grid_lines)
+    repeated = [p.label() for p, count in Counter(grid).items() if count > 1]
+    if repeated:
+        raise ParameterError(f"[grid] repeats point {', '.join(repeated)}")
     return SweepConfig(
         grid=grid,
         n_arrivals=n_arrivals,

@@ -33,7 +33,7 @@ def _default_window(trace: "SimulationTrace") -> tuple[float, float]:
     it, the drain delivers only what is already queued, and under lcfs-p
     only stale packets, so the age would grow for the whole drain.
     """
-    k = int(trace.point.warmup_fraction * trace.n_generated)
+    k = int(trace.warmup_fraction * trace.n_generated)
     k = min(k, trace.n_generated - 1)
     return float(trace.gen_times[k]), float(trace.gen_times[-1])
 
@@ -87,7 +87,6 @@ class MetricsReport:
     n_counted: int
     ci_halfwidth_age: float
     ci_halfwidth_delay: float
-    seed: int
 
 
 def summarize(trace: "SimulationTrace") -> MetricsReport:
@@ -127,5 +126,4 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
         n_counted=int(delays.shape[0]),
         ci_halfwidth_age=ci_age,
         ci_halfwidth_delay=ci_delay,
-        seed=trace.seed,
     )

@@ -40,7 +40,7 @@ def by_label(points):
 def one_point_suite(arrival, service, discipline, n_arrivals, n_reps, base_seed):
     """Replications base_seed .. base_seed + n_reps - 1 of one point, aggregated."""
     cfg = ad.SweepConfig(
-        grid=((discipline, service, arrival),),
+        grid=(ad.ExperimentPoint(arrival, service, discipline),),
         n_arrivals=n_arrivals,
         n_reps=n_reps,
         base_seed=base_seed,

@@ -5,7 +5,8 @@ import pytest
 
 from agedelay import engine
 from agedelay.cli import main
-from agedelay.experiments import CSV_COLUMNS, SweepConfig, csv_text, parse_grid_line, run_suite
+from agedelay.engine import parse_grid_line
+from agedelay.experiments import CSV_COLUMNS, SweepConfig, csv_text, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +282,15 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "output.csv=figure1.json", "--serial"), "must differ"),
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "scalarization.nu_grid=1 1", "--serial"), "weight 1"),
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "arrival.family=exp", "--serial"), "arrival.family"),
+        (
+            (
+                "figure1", "--set", "run.n_arrivals=1000", "--serial", "--set",
+                "grid.points=fcfs exp\nlcfs-p pareto alpha=1.5\nfcfs exponential\nlcfs-p pareto alpha=1.50",
+            ),
+            "repeats point fcfs exp, lcfs-p pareto alpha=1.5",
+        ),
+        (("simulate", "fcfs exp", "--lam", "0.9", "--mu", "0.8", "--serial"), "fcfs exp: lambda=0.9 >= mu=0.8"),
+        (("figure1", "--set", "arrival.rate=0.9", "--serial"), "fcfs det: lambda=0.9 >= mu=0.8"),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -299,6 +309,9 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "repeated-output-name",
         "repeated-weight",
         "removed-arrival-family",
+        "repeated-grid-point",
+        "unstable-simulate",
+        "unstable-sweep",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):
@@ -306,6 +319,25 @@ def test_bad_input_exits_with_one_line(capsys, argv, fragment):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "lcfs-np exp arrival=det", "--lam", "0.8", "--mu", "0.8"),
+        ("figure1", "--set", "arrival.rate=0.8"),
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_unstable_line_fails_before_any_replication(capsys, monkeypatch, argv):
+    def run_simulation(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(engine, "run_simulation", run_simulation)
+    code, out, err = run_cli(capsys, *argv, "--serial")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith(": lambda=0.8 >= mu=0.8\n")
 
 
 def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):

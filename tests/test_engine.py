@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from agedelay import (
+    ArrivalProcess,
     Discipline,
+    ExperimentPoint,
     ParameterError,
+    ServiceDistribution,
     StabilityError,
     busy_periods,
     parse_arrival,
     parse_service,
     run_simulation,
 )
+from agedelay.distributions import ARRIVAL_FAMILIES, SERVICE_FAMILIES
+from agedelay.engine import parse_grid_line
 from agedelay.metrics import age_at
 
 ARR = parse_arrival("exp", 0.5)
@@ -121,3 +126,39 @@ def test_stability_and_parameter_errors():
         run_simulation(ARR, SVC, Discipline.FCFS, 0, 0.1, 1)
     with pytest.raises(ParameterError):
         run_simulation(ARR, SVC, Discipline.FCFS, 100, 0.6, 1)
+
+
+# ---- points and their grid lines ------------------------------------------------
+
+SHAPES = {"det": None, "exp": None, "pareto": 1.5000001, "lognormal": 1.0, "weibull": 0.5}
+LONG_NAMES = {"det": "deterministic", "exp": "exponential"}
+
+
+def _respelt(point: ExperimentPoint) -> str:
+    """The point's line in other spellings: upper-case policy, long family names, explicit arrival."""
+    family, *shape = point.service.label().split()
+    arrival = LONG_NAMES[point.arrival.family]
+    policy = point.discipline.value.upper()
+    return " ".join([policy, LONG_NAMES.get(family, family), *shape, f"arrival={arrival}"])
+
+
+@pytest.mark.parametrize("arrival", ARRIVAL_FAMILIES)
+@pytest.mark.parametrize("family", SERVICE_FAMILIES)
+@pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)
+def test_grid_line_reads_back_as_its_point(discipline, family, arrival):
+    service = ServiceDistribution(family, 0.8, SHAPES[family])
+    point = ExperimentPoint(ArrivalProcess(arrival, 0.5), service, discipline)
+    assert parse_grid_line(point.label(), 0.8, 0.5) == point
+    assert parse_grid_line(_respelt(point), 0.8, 0.5) == point
+    if family == "pareto":
+        assert "alpha=1.5000001" in point.label()
+
+
+@pytest.mark.parametrize("discipline", SINGLE_SERVER, ids=lambda d: d.value)
+def test_unstable_point_names_its_line(discipline):
+    line = f"{discipline.value} pareto alpha=2 arrival=det"
+    for lam in (0.8, 0.9):
+        with pytest.raises(StabilityError, match=rf"^{line}: lambda={lam} >= mu=0\.8$"):
+            parse_grid_line(line, 0.8, lam)
+    # the infinite-server station has no stability constraint
+    assert parse_grid_line("inf pareto alpha=2 arrival=det", 0.8, 0.9).arrival.lam == 0.9

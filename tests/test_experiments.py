@@ -8,6 +8,7 @@ import pytest
 from agedelay import (
     ArrivalProcess,
     Discipline,
+    ExperimentPoint,
     FrontierPoint,
     ParameterError,
     ServiceDistribution,
@@ -27,7 +28,8 @@ from agedelay import (
     scalarized_pick,
     summarize,
 )
-from agedelay.experiments import _RENAMES, CSV_COLUMNS, PRESETS, parse_grid_line
+from agedelay.engine import parse_grid_line
+from agedelay.experiments import _RENAMES, CSV_COLUMNS, PRESETS
 
 
 def fp(age, delay, var=1.0, label="fcfs", family="exp", shape=None):
@@ -187,8 +189,8 @@ def test_run_suite_gginf_column_seed_rule_and_cache():
     # by the index of the first grid point that needs it
     assert (pts[0].gginf_age, pts[0].gginf_stderr) == (pts[1].gginf_age, pts[1].gginf_stderr)
     seed_base = cfg.base_seed + len(cfg.grid) * cfg.n_reps
-    for pt, (_, service, arrival), first_index in zip(pts, cfg.grid, (0, 0, 2)):
-        expected = gginf_age_estimate(arrival, service, 200_000, seed_base + first_index)
+    for pt, point, first_index in zip(pts, cfg.grid, (0, 0, 2)):
+        expected = gginf_age_estimate(point.arrival, point.service, 200_000, seed_base + first_index)
         assert (pt.gginf_age, pt.gginf_stderr) == expected
 
 
@@ -199,16 +201,9 @@ def test_run_suite_flags_slow_convergence():
 
 
 def test_run_suite_names_unstable_point():
-    bad = SweepConfig(
-        grid=((Discipline.FCFS, parse_service("exp", 0.8), parse_arrival("exp", 0.9)),),
-        n_arrivals=10,
-        n_reps=1,
-        base_seed=0,
-        warmup_fraction=0.0,
-        nu_grid=(0.0,),
-    )
-    with pytest.raises(StabilityError, match="grid point 0"):
-        run_suite(bad, parallel=False)
+    # the point checks itself, so no suite can hold an unstable one
+    with pytest.raises(StabilityError, match=r"^fcfs exp: lambda=0\.9 >= mu=0\.8$"):
+        ExperimentPoint(parse_arrival("exp", 0.9), parse_service("exp", 0.8), Discipline.FCFS)
 
 
 def test_run_suite_rejects_empty_grid():
@@ -228,9 +223,13 @@ def test_run_suite_matches_run_simulation():
     # replication rep of grid point idx runs seed base_seed + idx * n_reps + rep
     cfg = small_config(reps=3, seed=40)
     points = run_suite(cfg, parallel=False)
-    for idx, ((discipline, service, arrival), pt) in enumerate(zip(cfg.grid, points)):
+    for idx, (point, pt) in enumerate(zip(cfg.grid, points)):
         reports = [
-            summarize(run_simulation(arrival, service, discipline, cfg.n_arrivals, cfg.warmup_fraction, seed))
+            summarize(
+                run_simulation(
+                    point.arrival, point.service, point.discipline, cfg.n_arrivals, cfg.warmup_fraction, seed
+                )
+            )
             for seed in range(40 + 3 * idx, 40 + 3 * idx + 3)
         ]
         assert pt.seed == 40 + 3 * idx
@@ -285,7 +284,7 @@ def test_csv_12_significant_digits(tmp_path):
 
 def test_csv_columns_are_the_published_layout():
     assert CSV_COLUMNS == (
-        "discipline", "family", "shape", "lambda", "mu", "n_arrivals", "n_reps", "seed",
+        "discipline", "family", "shape", "arrival", "lambda", "mu", "n_arrivals", "n_reps", "seed",
         "avg_age", "avg_age_ci", "mean_delay", "mean_delay_ci", "delay_var", "informative_frac",
         "a_min", "pk_delay", "gginf_age",
     )
@@ -334,10 +333,10 @@ def test_outputs_name_each_point_by_its_grid_line(tmp_path, name):
     assert set(doc["frontier"]) <= set(grid)
     assert set(doc["scalarized_picks"].values()) <= set(grid)
     for p, entry in zip(points, cfg.grid):
-        point = (
-            Discipline(p.discipline),
-            ServiceDistribution(p.family, p.mu, p.shape),
+        point = ExperimentPoint(
             ArrivalProcess(p.arrival_family, p.lam),
+            ServiceDistribution(p.family, p.mu, p.shape),
+            Discipline(p.discipline),
         )
         assert point == entry
         assert parse_grid_line(p.label(), p.mu, p.lam) == point
@@ -386,10 +385,10 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.n_arrivals == 1500
     assert cfg.nu_grid == (0.0, 1.0, 5.0)
     assert len(cfg.grid) == 3
-    disc, svc, arr = cfg.grid[1]
-    assert disc is Discipline.LCFS_PREEMPTIVE
-    assert (svc.family, svc.shape) == ("pareto", 1.5)
-    assert cfg.grid[2][2].family == "det"
+    point = cfg.grid[1]
+    assert point.discipline is Discipline.LCFS_PREEMPTIVE
+    assert (point.service.family, point.service.shape) == ("pareto", 1.5)
+    assert cfg.grid[2].arrival.family == "det"
     assert cfg.csv_name == "out.csv"
 
 
@@ -447,13 +446,13 @@ def test_presets_ship_and_parse(capsys):
         assert cfg.n_reps == 8
     fig = load_preset("figure1")
     assert len(fig.grid) == 18
-    assert {(arr.lam, svc.mu) for _, svc, arr in fig.grid} == {(0.5, 0.8)}
-    disciplines = {d.value for d, _, _ in fig.grid}
+    assert {(p.arrival.lam, p.service.mu) for p in fig.grid} == {(0.5, 0.8)}
+    disciplines = {p.discipline.value for p in fig.grid}
     assert disciplines == {"fcfs", "lcfs-p"}
     sweep = load_preset("tradeoff-sweep")
-    assert [svc.shape for _, svc, _ in sweep.grid] == [3.0, 2.5, 2.0, 1.7, 1.5]
+    assert [p.service.shape for p in sweep.grid] == [3.0, 2.5, 2.0, 1.7, 1.5]
     nt = load_preset("no-tradeoff")
-    assert any(arr.family == "det" for _, _, arr in nt.grid)
+    assert any(p.arrival.family == "det" for p in nt.grid)
     with pytest.raises(ParameterError):
         preset_path("nope")
     assert capsys.readouterr().err == ""

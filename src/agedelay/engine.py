@@ -211,6 +211,16 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarr
     return _serve_lcfs_nonpreemptive(gen, svc)
 
 
+def check_run(n_arrivals: int, warmup_fraction: float, seed: int) -> None:
+    """Raise ParameterError unless these settings can start a run."""
+    if n_arrivals < 1:
+        raise ParameterError(f"n_arrivals must be >= 1, got {n_arrivals}")
+    if not 0.0 <= warmup_fraction <= 0.5:
+        raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def run_simulation(
     arrival: ArrivalProcess,
     service: ServiceDistribution,
@@ -226,12 +236,7 @@ def run_simulation(
     n_arrivals packets and the backlog is drained, so every generated
     packet is delivered.
     """
-    if n_arrivals < 1:
-        raise ParameterError(f"n_arrivals must be >= 1, got {n_arrivals}")
-    if not 0.0 <= warmup_fraction <= 0.5:
-        raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_run(n_arrivals, warmup_fraction, seed)
     point = ExperimentPoint(arrival, service, discipline)
 
     root = np.random.SeedSequence(seed)

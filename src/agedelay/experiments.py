@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .disciplines import Discipline
-from .distributions import ArrivalProcess, ServiceDistribution, format_shape
+from .distributions import format_shape
 from . import engine
 from .engine import ExperimentPoint, parse_grid_line
 from .errors import ParameterError
@@ -41,6 +41,8 @@ GGINF_SAMPLES = 200_000
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A suite, checked once when built, so any SweepConfig can run as given."""
+
     grid: tuple[ExperimentPoint, ...]
     n_arrivals: int
     n_reps: int
@@ -50,6 +52,25 @@ class SweepConfig:
     csv_name: str = "points.csv"
     json_name: str = "points.json"
     plot_name: str = "plot.gp"
+
+    def __post_init__(self):
+        if not self.grid:
+            raise ParameterError("sweep grid is empty")
+        repeated = [p.label() for p, count in Counter(self.grid).items() if count > 1]
+        if repeated:
+            raise ParameterError(f"[grid] repeats point {', '.join(repeated)}")
+        if self.n_reps < 1:
+            raise ParameterError(f"n_reps must be >= 1, got {self.n_reps}")
+        engine.check_run(self.n_arrivals, self.warmup_fraction, self.base_seed)
+        nus = self.nu_grid
+        if not nus or not all(0 <= nu < math.inf for nu in nus):
+            raise ParameterError(f"nu_grid must be nonempty, finite and nonnegative, got {list(nus)}")
+        repeated = sorted({nu for nu in nus if nus.count(nu) > 1})
+        if repeated:
+            raise ParameterError(f"nu_grid repeats weight {', '.join(map(format_shape, repeated))}")
+        names = (self.csv_name, self.json_name, self.plot_name)
+        if len({Path(name) for name in names}) < len(names):
+            raise ParameterError(f"[output] file names must differ, got {', '.join(names)}")
 
     def echo(self) -> dict:
         return {
@@ -66,12 +87,7 @@ class SweepConfig:
 class FrontierPoint:
     """One aggregated grid point with its oracle columns."""
 
-    discipline: str
-    family: str
-    shape: float | None
-    arrival_family: str
-    lam: float
-    mu: float
+    point: ExperimentPoint
     n_arrivals: int
     n_reps: int
     seed: int
@@ -89,23 +105,23 @@ class FrontierPoint:
     slow_convergence: bool
 
     def label(self) -> str:
-        return ExperimentPoint(
-            ArrivalProcess(self.arrival_family, self.lam),
-            ServiceDistribution(self.family, self.mu, self.shape),
-            Discipline(self.discipline),
-        ).label()
+        return self.point.label()
+
+    def columns(self) -> dict:
+        """Published name -> value: the point's six columns, then every other field in order."""
+        p = self.point
+        head = (p.discipline.value, p.service.family, p.service.shape, p.arrival.family, p.arrival.lam, p.service.mu)
+        return dict(zip(_COLUMNS, head + tuple(getattr(self, f.name) for f in fields(self)[1:])))
 
     def to_json_dict(self) -> dict:
-        """The point's fields under their published names; no NaN or infinity, which JSON lacks."""
-        return {_RENAMES.get(f.name, f.name): _json_float(getattr(self, f.name)) for f in fields(self)}
+        """The row's columns; no NaN or infinity, which JSON lacks."""
+        return {name: _json_float(value) for name, value in self.columns().items()}
 
 
-# Published names of the fields whose attribute names differ.
-_RENAMES = {"lam": "lambda", "arrival_family": "arrival"}
-# The CSV carries every other field, in declaration order.
+_COLUMNS = ("discipline", "family", "shape", "arrival", "lambda", "mu", *(f.name for f in fields(FrontierPoint)[1:]))
+# The CSV carries every other column, in order.
 _JSON_ONLY = ("delay_var_ci", "gginf_stderr", "slow_convergence")
-_CSV_FIELDS = tuple(f.name for f in fields(FrontierPoint) if f.name not in _JSON_ONLY)
-CSV_COLUMNS = tuple(_RENAMES.get(name, name) for name in _CSV_FIELDS)
+CSV_COLUMNS = tuple(name for name in _COLUMNS if name not in _JSON_ONLY)
 
 
 def _json_float(x):
@@ -129,10 +145,6 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     base_seed + index * n_reps and results come back in job order, (grid
     index, rep), regardless of execution order.
     """
-    if not cfg.grid:
-        raise ParameterError("sweep grid is empty")
-    if cfg.n_reps < 1:
-        raise ParameterError(f"n_reps must be >= 1, got {cfg.n_reps}")
     jobs = [
         (point, cfg.n_arrivals, cfg.warmup_fraction, cfg.base_seed + idx * cfg.n_reps + rep)
         for idx, point in enumerate(cfg.grid)
@@ -165,23 +177,16 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
 
         key = (arrival, service)
         if key not in gginf_cache:
-            gginf_cache[key] = gginf_age_estimate(
-                arrival, service, GGINF_SAMPLES, gginf_seed_base + idx
-            )
+            gginf_cache[key] = gginf_age_estimate(arrival, service, GGINF_SAMPLES, gginf_seed_base + idx)
         gginf_val, gginf_se = gginf_cache[key]
 
-        pk = None
-        if discipline.single_server and arrival.family == "exp":
+        pk = None  # P-K is the mean delay of a non-preemptive single server under Poisson arrivals
+        if discipline in (Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE) and arrival.family == "exp":
             pk = pk_delay(arrival.lam, service)
 
         points.append(
             FrontierPoint(
-                discipline=discipline.value,
-                family=service.family,
-                shape=service.shape,
-                arrival_family=arrival.family,
-                lam=arrival.lam,
-                mu=service.mu,
+                point=point,
                 n_arrivals=cfg.n_arrivals,
                 n_reps=cfg.n_reps,
                 seed=cfg.base_seed + idx * cfg.n_reps,
@@ -258,12 +263,13 @@ def format_cell(value) -> str:
 def csv_text(points: Sequence[FrontierPoint]) -> str:
     """The CSV header and one row per point, newline-terminated."""
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(format_cell(getattr(p, name)) for name in _CSV_FIELDS) for p in points)
+    lines.extend(",".join(format_cell(row[name]) for name in CSV_COLUMNS) for row in map(FrontierPoint.columns, points))
     return "\n".join(lines) + "\n"
 
 
 def _plot_script(points: Sequence[FrontierPoint], csv_name: str) -> str:
-    series = list(dict.fromkeys((p.discipline, p.family, p.arrival_family) for p in points))
+    rows = [p.columns() for p in points]
+    series = list(dict.fromkeys((row["discipline"], row["family"], row["arrival"]) for row in rows))
     pairs = [(discipline, family) for discipline, family, _ in series]
     disc, fam, arr, age, delay = (
         CSV_COLUMNS.index(name) + 1 for name in ("discipline", "family", "arrival", "avg_age", "mean_delay")
@@ -410,23 +416,12 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
         nu_grid = tuple(float(v) for v in cp.get("scalarization", "nu_grid").split())
     except (configparser.Error, ValueError) as exc:
         raise ParameterError(f"bad config: {exc}") from exc
-    if not nu_grid or not all(0 <= nu < math.inf for nu in nu_grid):
-        raise ParameterError(f"nu_grid must be nonempty, finite and nonnegative, got {list(nu_grid)}")
-    repeated = sorted({nu for nu in nu_grid if nu_grid.count(nu) > 1})
-    if repeated:
-        raise ParameterError(f"nu_grid repeats weight {', '.join(map(format_shape, repeated))}")
     names = {
         f"{key}_name": cp.get("output", key, fallback=getattr(SweepConfig, f"{key}_name"))
         for key in _SCHEMA["output"]
     }
-    if len({Path(name) for name in names.values()}) < len(names):
-        raise ParameterError(f"[output] file names must differ, got {', '.join(names.values())}")
-    grid = tuple(parse_grid_line(line, mu, lam) for line in grid_lines)
-    repeated = [p.label() for p, count in Counter(grid).items() if count > 1]
-    if repeated:
-        raise ParameterError(f"[grid] repeats point {', '.join(repeated)}")
     return SweepConfig(
-        grid=grid,
+        grid=tuple(parse_grid_line(line, mu, lam) for line in grid_lines),
         n_arrivals=n_arrivals,
         n_reps=n_reps,
         base_seed=base_seed,

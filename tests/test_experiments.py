@@ -229,6 +229,7 @@ def test_run_suite_rejects_bad_counts():
         ({"nu_grid": (0.0, 1.0, 1.0)}, "repeats weight 1"),
         ({"csv_name": "b", "json_name": "b", "plot_name": "b"}, "must differ"),
         ({"n_arrivals": 0}, "n_arrivals"),
+        ({"n_arrivals": 2, "warmup_fraction": 0.5}, "keeps 1 of its packets"),
         ({"warmup_fraction": 0.9}, "warmup_fraction"),
         ({"base_seed": -1}, "seed"),
     ],
@@ -239,6 +240,7 @@ def test_run_suite_rejects_bad_counts():
         "repeated-weight",
         "equal-output-names",
         "no-arrivals",
+        "one-packet-past-warmup",
         "warmup",
         "negative-seed",
     ],

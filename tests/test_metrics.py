@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import stdtrit
 
 from agedelay import (
     DegenerateSampleError,
@@ -16,7 +17,7 @@ from agedelay import (
     summarize,
 )
 from agedelay.engine import _mark_informative
-from agedelay.metrics import _age_area_at, _default_window, age_at
+from agedelay.metrics import _age_area_at, _default_window, _t975, age_at
 from reference_loop import AgeTracker
 
 ARR = parse_arrival("exp", 0.5)
@@ -281,3 +282,22 @@ def test_age_at_scalar_and_vector_agree():
     for t, v in zip(ts, vec):
         assert age_at(tr, float(t)) == pytest.approx(v, abs=0)
     assert math.isclose(age_at(tr, 0.0), 0.0)
+
+
+def test_t975_matches_scipy_quantile():
+    dfs = [*range(1, 3001), 10**4, 10**6, 10**9]
+    ours = np.array([_t975(df) for df in dfs])
+    ref = stdtrit(np.array(dfs, dtype=float), 0.975)
+    assert np.all(np.abs(ours - ref) <= 1e-12 * ref)
+
+
+def test_t975_decreases_to_normal_quantile():
+    values = [_t975(df) for df in [*range(1, 3001), 10**4, 10**6, 10**9]]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    # the first-order term of the expansion in 1/df is 2.37 / df
+    assert 0 < values[-1] - 1.959963984540054 < 3e-9
+
+
+def test_t975_is_memoised():
+    first = _t975(31)
+    assert _t975(31) is first

@@ -32,7 +32,6 @@ from .metrics import (
     summarize,
 )
 from .oracles import (
-    dd1_age,
     gginf_age_estimate,
     min_average_age,
     pk_delay,
@@ -56,7 +55,6 @@ __all__ = [
     "SweepConfig",
     "age_at",
     "busy_periods",
-    "dd1_age",
     "emit_outputs",
     "gginf_age_estimate",
     "load_config",

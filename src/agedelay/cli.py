@@ -4,7 +4,8 @@ Subcommands:
   simulate   one grid-line point, aggregated over reps
   sweep      run a config-file suite and write CSV/JSON/plot outputs
   figure1    shipped preset: the full age-delay scatter at lambda=0.5, mu=0.8
-  oracle     print any analytic baseline as CSV on stdout
+  oracle     print a grid point's oracle columns, or a heavy-tail sweep table,
+             as CSV on stdout
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .distributions import parse_arrival, parse_service
 from .engine import parse_grid_line
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from . import experiments, oracles
@@ -62,23 +62,11 @@ def _cmd_sweep(args, preset: str | None = None) -> int:
 def _cmd_oracle(args) -> int:
     kind = args.oracle_kind
     note = None
-    if kind == "a-min":
-        arrival = parse_arrival(args.arrival, args.lam)
-        header = "arrival,lambda,a_min"
-        rows = [(arrival.family, args.lam, oracles.min_average_age(arrival))]
-    elif kind == "pk-delay":
-        service = parse_service(args.service, args.mu)
-        header = "service,lambda,mu,pk_delay"
-        rows = [(service.label(), args.lam, args.mu, oracles.pk_delay(args.lam, service))]
-    elif kind == "dd1-age":
-        header = "lambda,mu,dd1_age"
-        rows = [(args.lam, args.mu, oracles.dd1_age(args.lam, args.mu))]
-    elif kind == "gginf":
-        arrival = parse_arrival(args.arrival, args.lam)
-        service = parse_service(args.service, args.mu)
-        est, se = oracles.gginf_age_estimate(arrival, service, args.n_samples, args.seed)
-        header = "arrival,service,lambda,mu,n_samples,seed,gginf_age,stderr"
-        rows = [(arrival.family, service.label(), args.lam, args.mu, args.n_samples, args.seed, est, se)]
+    if kind == "point":
+        point = parse_grid_line(args.point, args.mu, args.lam)
+        row = {**experiments.point_columns(point), **experiments.point_oracles(point, args.seed)}
+        header = ",".join(row)
+        rows = [tuple(row.values())]
     elif kind == "tail-table":
         shapes = _parse_floats(args.shapes) if args.shapes else []
         xs = _parse_floats(args.xs)
@@ -132,29 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_common(fig)
     fig.set_defaults(func=lambda args: _cmd_sweep(args, preset="figure1"))
 
-    oracle = sub.add_parser("oracle", help="print analytic baselines as CSV")
+    oracle = sub.add_parser("oracle", help="print a point's oracle columns or a sweep table as CSV")
     okind = oracle.add_subparsers(dest="oracle_kind", required=True)
 
-    amin = okind.add_parser("a-min", help="age floor from the arrival process")
-    amin.add_argument("--arrival", default="exp")
-    amin.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-
-    pk = okind.add_parser("pk-delay", help="Pollaczek-Khinchine mean delay")
-    pk.add_argument("--service", required=True)
-    pk.add_argument("--mu", type=float, required=True)
-    pk.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-
-    dd1 = okind.add_parser("dd1-age", help="periodic-arrival deterministic-service age")
-    dd1.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    dd1.add_argument("--mu", type=float, required=True)
-
-    gg = okind.add_parser("gginf", help="infinite-server age estimate")
-    gg.add_argument("--arrival", default="exp")
-    gg.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    gg.add_argument("--service", required=True)
-    gg.add_argument("--mu", type=float, required=True)
-    gg.add_argument("--n-samples", type=int, default=100_000)
-    gg.add_argument("--seed", type=int, default=0)
+    pt = okind.add_parser("point", help="the oracle columns of one grid point's result row")
+    pt.add_argument("point", help="grid line, e.g. 'fcfs det arrival=det'")
+    pt.add_argument("--lam", "--lambda", dest="lam", type=float, required=True, help="generation rate")
+    pt.add_argument("--mu", type=float, required=True, help="service rate")
+    pt.add_argument("--seed", type=int, default=0, help="seed of the gginf_age draws")
 
     tail = okind.add_parser("tail-table", help="tail and truncated-mean sweep table")
     tail.add_argument("--family", required=True)

@@ -11,6 +11,7 @@ inf, one pass over completions for lcfs-np.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -211,6 +212,10 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarr
     return _serve_lcfs_nonpreemptive(gen, svc)
 
 
+# numpy caps an array at sys.maxsize bytes; a run keeps float64 arrays of n_arrivals entries.
+_MAX_ARRIVALS = sys.maxsize // 8
+
+
 def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: int) -> None:
     """Raise ParameterError unless these settings can start a run that keeps min_kept packets.
 
@@ -219,6 +224,10 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
     """
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
+    if n_arrivals > _MAX_ARRIVALS:
+        raise ParameterError(
+            f"n_arrivals={n_arrivals} exceeds {_MAX_ARRIVALS}, the most float64 values one array holds"
+        )
     kept = n_arrivals - int(warmup_fraction * n_arrivals)
     if kept < min_kept:
         raise ParameterError(

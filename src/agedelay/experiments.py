@@ -110,9 +110,7 @@ class FrontierPoint:
 
     def columns(self) -> dict:
         """Published name -> value: the point's six columns, then every other field in order."""
-        p = self.point
-        head = (p.discipline.value, p.service.family, p.service.shape, p.arrival.family, p.arrival.lam, p.service.mu)
-        return dict(zip(_COLUMNS, head + tuple(getattr(self, f.name) for f in fields(self)[1:])))
+        return {**point_columns(self.point), **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
 
     def to_json_dict(self) -> dict:
         """The row's columns; no NaN or infinity, which JSON lacks."""
@@ -123,6 +121,37 @@ _COLUMNS = ("discipline", "family", "shape", "arrival", "lambda", "mu", *(f.name
 # The CSV carries every other column, in order.
 _JSON_ONLY = ("delay_var_ci", "gginf_stderr", "slow_convergence")
 CSV_COLUMNS = tuple(name for name in _COLUMNS if name not in _JSON_ONLY)
+
+
+def point_columns(p: ExperimentPoint) -> dict:
+    """The six columns that name a point, as every result row opens."""
+    head = (p.discipline.value, p.service.family, p.service.shape, p.arrival.family, p.arrival.lam, p.service.mu)
+    return dict(zip(_COLUMNS, head))
+
+
+def point_oracles(point: ExperimentPoint, gginf_seed: int, gginf_cache: dict | None = None) -> dict:
+    """A row's oracle cells: a_min, pk_delay, gginf_age and gginf_stderr.
+
+    gginf_age draws GGINF_SAMPLES at gginf_seed, unless gginf_cache already
+    holds the point's (arrival, service) law; the estimate is stored there
+    for the law's later points.
+    """
+    arrival, service = point.arrival, point.service
+    cache = {} if gginf_cache is None else gginf_cache
+    key = (arrival, service)
+    if key not in cache:
+        # called by its name in this module, so a wrapper patched onto experiments applies
+        cache[key] = gginf_age_estimate(arrival, service, GGINF_SAMPLES, gginf_seed)
+    gginf_age, gginf_stderr = cache[key]
+    pk = None  # P-K is the mean delay of a non-preemptive single server under Poisson arrivals
+    if point.discipline in (Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE) and arrival.family == "exp":
+        pk = pk_delay(arrival.lam, service)
+    return {
+        "a_min": min_average_age(arrival),
+        "pk_delay": pk,
+        "gginf_age": gginf_age,
+        "gginf_stderr": gginf_stderr,
+    }
 
 
 def _json_float(x):
@@ -144,7 +173,9 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
 
     Deterministic for a given config and base seed: point base seeds are
     base_seed + index * n_reps and results come back in job order, (grid
-    index, rep), regardless of execution order.
+    index, rep), regardless of execution order.  Each (arrival, service)
+    law's gginf_age is estimated once per call, at seed base_seed +
+    len(grid) * n_reps + the index of the law's first point.
     """
     jobs = [
         (point, cfg.n_arrivals, cfg.warmup_fraction, cfg.base_seed + idx * cfg.n_reps + rep)
@@ -158,11 +189,10 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     else:
         results = [_suite_worker(job) for job in jobs]
 
-    gginf_cache: dict[tuple, tuple[float, float]] = {}
+    gginf_cache: dict[tuple, tuple[float, float]] = {}  # one estimate per law, for this call only
     gginf_seed_base = cfg.base_seed + len(cfg.grid) * cfg.n_reps
     points = []
     for idx, point in enumerate(cfg.grid):
-        arrival, service, discipline = point.arrival, point.service, point.discipline
         reps = results[idx * cfg.n_reps : (idx + 1) * cfg.n_reps]
         ages = [r.avg_age for r in reps]
         delays = [r.mean_delay for r in reps]
@@ -175,15 +205,6 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
             age_ci = reps[0].ci_halfwidth_age
             delay_ci = reps[0].ci_halfwidth_delay
             var_ci = math.nan
-
-        key = (arrival, service)
-        if key not in gginf_cache:
-            gginf_cache[key] = gginf_age_estimate(arrival, service, GGINF_SAMPLES, gginf_seed_base + idx)
-        gginf_val, gginf_se = gginf_cache[key]
-
-        pk = None  # P-K is the mean delay of a non-preemptive single server under Poisson arrivals
-        if discipline in (Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE) and arrival.family == "exp":
-            pk = pk_delay(arrival.lam, service)
 
         points.append(
             FrontierPoint(
@@ -198,12 +219,9 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
                 delay_var=float(np.mean(variances)),
                 delay_var_ci=var_ci,
                 informative_frac=float(np.mean([r.informative_fraction for r in reps])),
-                a_min=min_average_age(arrival),
-                pk_delay=pk,
-                gginf_age=gginf_val,
-                gginf_stderr=gginf_se,
+                **point_oracles(point, gginf_seed_base + idx, gginf_cache),
                 slow_convergence=(
-                    service.family == "pareto" and service.shape < SLOW_CONVERGENCE_ALPHA
+                    point.service.family == "pareto" and point.service.shape < SLOW_CONVERGENCE_ALPHA
                 ),
             )
         )

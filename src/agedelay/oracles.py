@@ -46,19 +46,6 @@ def pk_delay(lam: float, service: ServiceDistribution) -> float:
     return 0.5 * lam * m2 / (1.0 - rho) + service.mean()
 
 
-def dd1_age(lam: float, mu: float) -> float:
-    """Steady-state average age of the periodic-arrival deterministic-service queue.
-
-    The sawtooth drops to 1/mu every 1/lam, so the time average is
-    1/mu + 1/(2 lam).
-    """
-    _check_rate("arrival rate lambda", lam)
-    _check_rate("service rate mu", mu)
-    if not lam < mu:
-        raise StabilityError(f"dd1_age needs lambda < mu, got lambda={lam} mu={mu}")
-    return 1.0 / mu + 0.5 / lam
-
-
 # Draws per vectorised round; caps the working arrays of one estimate.
 _GGINF_BLOCK = 16_384
 

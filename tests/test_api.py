@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "SweepConfig",
     "age_at",
     "busy_periods",
-    "dd1_age",
     "emit_outputs",
     "gginf_age_estimate",
     "load_config",

@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from agedelay import engine, experiments
+from agedelay import engine, experiments, gginf_age_estimate
 from agedelay.errors import ParameterError
 from agedelay.cli import main
 from agedelay.engine import parse_grid_line
-from agedelay.experiments import CSV_COLUMNS, SweepConfig, csv_text, run_suite
+from agedelay.experiments import CSV_COLUMNS, SweepConfig, csv_text, format_cell, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -150,41 +150,71 @@ def test_missing_config_errors(tmp_path, capsys):
     assert "nope.ini" in err
 
 
+ORACLE_HEADER = "discipline,family,shape,arrival,lambda,mu,a_min,pk_delay,gginf_age,gginf_stderr"
+
+
+def oracle_point(capsys, line, *argv):
+    """The one row of `oracle point LINE` at lambda=0.5, mu=0.8, keyed by its header."""
+    code, out, err = run_cli(capsys, "oracle", "point", line, "--lam", "0.5", "--mu", "0.8", *argv)
+    assert code == 0 and err == ""
+    header, row = out.splitlines()
+    assert header == ORACLE_HEADER
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_oracle_point_names_its_columns_as_the_result_row():
+    assert ORACLE_HEADER.split(",") == [*experiments._COLUMNS[:6], "a_min", "pk_delay", "gginf_age", "gginf_stderr"]
+
+
 def test_oracle_a_min(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "a-min", "--arrival", "det", "--lam", "0.5")
-    assert code == 0
-    assert out == "arrival,lambda,a_min\ndet,0.5,1\n"
+    assert oracle_point(capsys, "fcfs det arrival=det")["a_min"] == "1"
+    assert oracle_point(capsys, "fcfs exp")["a_min"] == "2"
 
 
 def test_oracle_pk_delay(capsys):
-    code, out, _ = run_cli(
-        capsys, "oracle", "pk-delay", "--service", "exp", "--mu", "0.8", "--lam", "0.5"
-    )
-    assert code == 0
-    assert out.splitlines()[1].endswith("3.33333333333")
-    code, out, _ = run_cli(
-        capsys, "oracle", "pk-delay", "--service", "pareto alpha=2", "--mu", "0.8", "--lam", "0.5"
-    )
-    assert code == 0
-    assert out == "service,lambda,mu,pk_delay\npareto alpha=2,0.5,0.8,inf\n"
+    assert oracle_point(capsys, "fcfs exp")["pk_delay"] == "3.33333333333"
+    assert oracle_point(capsys, "lcfs-np pareto alpha=2")["pk_delay"] == "inf"
+    # P-K is a non-preemptive formula under Poisson arrivals: no value otherwise
+    assert oracle_point(capsys, "lcfs-p exp")["pk_delay"] == ""
+    assert oracle_point(capsys, "fcfs exp arrival=det")["pk_delay"] == ""
 
 
 def test_oracle_dd1_age(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "dd1-age", "--lam", "0.5", "--mu", "0.8")
+    # with periodic arrivals and deterministic service below capacity no packet waits:
+    # the age is the infinite-server age 1/(2 lambda) + 1/mu, estimated with zero variance
+    code, out, _ = run_cli(capsys, "oracle", "point", "fcfs det arrival=det", "--lam", "0.5", "--mu", "0.8")
     assert code == 0
-    assert out == "lambda,mu,dd1_age\n0.5,0.8,2.25\n"
+    assert out == f"{ORACLE_HEADER}\nfcfs,det,,det,0.5,0.8,1,,2.25,0\n"
 
 
 def test_oracle_gginf(capsys):
+    assert oracle_point(capsys, "inf det arrival=det", "--seed", "1")["gginf_age"] == "2.25"
+    row = oracle_point(capsys, "lcfs-p pareto alpha=2", "--seed", "4")
+    point = parse_grid_line("lcfs-p pareto alpha=2", 0.8, 0.5)
+    est, se = gginf_age_estimate(point.arrival, point.service, experiments.GGINF_SAMPLES, 4)
+    assert (row["gginf_age"], row["gginf_stderr"]) == (format_cell(est), format_cell(se))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["fcfs exp", "lcfs-np pareto alpha=2", "lcfs-p lognormal sigma=1", "inf weibull k=0.5", "fcfs det arrival=det"],
+)
+def test_oracle_point_cells_are_the_simulated_rows(capsys, line):
+    # a one-point suite of n_reps reps seeds its gginf draws at base_seed + n_reps
+    base_seed, n_reps = 7, 2
+    oracle = oracle_point(capsys, line, "--seed", str(base_seed + n_reps))
     code, out, _ = run_cli(
         capsys,
-        "oracle", "gginf",
-        "--arrival", "det", "--lam", "0.5",
-        "--service", "det", "--mu", "0.8",
-        "--n-samples", "1000", "--seed", "1",
+        "simulate", line, "--lam", "0.5", "--mu", "0.8", "--n-arrivals", "2000",
+        "--n-reps", str(n_reps), "--base-seed", str(base_seed), "--serial",
     )
     assert code == 0
-    assert out == "arrival,service,lambda,mu,n_samples,seed,gginf_age,stderr\ndet,det,0.5,0.8,1000,1,2.25,0\n"
+    header, row = out.splitlines()
+    simulated = dict(zip(header.split(","), row.split(",")))
+    shared = [name for name in ORACLE_HEADER.split(",") if name in simulated]
+    assert shared == [name for name in CSV_COLUMNS if name in oracle]
+    assert len(shared) == 9  # gginf_stderr is a JSON-only column
+    assert {name: oracle[name] for name in shared} == {name: simulated[name] for name in shared}
 
 
 def test_oracle_tail_table(capsys):
@@ -263,25 +293,25 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
     "argv,fragment",
     [
         (("simulate", "fcfs exp", "--lam", "1e-300", "--mu", "0.8", "--serial"), "lambda=1e-300"),
-        (("oracle", "a-min", "--lam", "1e-160"), "lambda=1e-160"),
-        (("oracle", "pk-delay", "--service", "exp", "--mu", "1e-160", "--lam", "1e-170"), "mu=1e-160"),
+        (("oracle", "point", "fcfs det arrival=det", "--lam", "1e-160", "--mu", "0.8"), "lambda=1e-160"),
+        (("oracle", "point", "fcfs exp", "--lam", "0.5", "--mu", "1e-160"), "mu=1e-160 is too small"),
         (
             ("simulate", "fcfs pareto alpha=1.5 alpha=2", "--lam", "0.5", "--mu", "0.8", "--serial"),
             "repeated key 'alpha'",
         ),
         # 1e-320 is subnormal and prints as 9.99989e-321
-        (("oracle", "dd1-age", "--lam", "1e-320", "--mu", "0.8"), "lambda=9.99989e-321 is too small"),
         (
-            ("oracle", "pk-delay", "--service", "exp", "--lam", "1e-320", "--mu", "0.8"),
+            ("oracle", "point", "fcfs det arrival=det", "--lam", "1e-320", "--mu", "0.8"),
             "lambda=9.99989e-321 is too small",
         ),
+        (("oracle", "point", "fcfs exp", "--lam", "1e-320", "--mu", "0.8"), "lambda=9.99989e-321 is too small"),
         (
             ("oracle", "tail-table", "--family", "exp", "--xs", "4,inf", "--mu", "0.8", "--lam", "0.5"),
             "got inf",
         ),
         (("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--base-seed", "-1", "--serial"), "seed"),
         (("figure1", "--set", "run.base_seed=-5", "--set", "run.n_arrivals=1000", "--serial"), "seed"),
-        (("oracle", "gginf", "--lam", "0.5", "--mu", "0.8", "--service", "exp", "--seed", "-1"), "seed"),
+        (("oracle", "point", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--seed", "-1"), "seed"),
         (("figure1", "--set", "scalarization.nu_grid=0 inf", "--serial"), "nu_grid"),
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "run.n_arival=100", "--serial"), "run.n_arival"),
         (("figure1", "--set", "run.n_arrivals=1000", "--set", "rn.n_reps=1", "--serial"), "rn.n_reps"),
@@ -297,6 +327,23 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         ),
         (("simulate", "fcfs exp", "--lam", "0.9", "--mu", "0.8", "--serial"), "fcfs exp: lambda=0.9 >= mu=0.8"),
         (("figure1", "--set", "arrival.rate=0.9", "--serial"), "fcfs det: lambda=0.9 >= mu=0.8"),
+        # past sys.maxsize // 8 no float64 array of n_arrivals entries exists; numpy would raise ValueError
+        (
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", str(10**20), "--serial"),
+            "n_arrivals=100000000000000000000 exceeds",
+        ),
+        (
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", str(2**60), "--serial"),
+            "n_arrivals=1152921504606846976 exceeds",
+        ),
+        (
+            ("figure1", "--set", f"run.n_arrivals={10**20}", "--set", "run.n_reps=1", "--serial"),
+            "n_arrivals=100000000000000000000 exceeds",
+        ),
+        (
+            ("figure1", "--set", f"run.n_arrivals={2**60}", "--set", "run.n_reps=1", "--serial"),
+            "n_arrivals=1152921504606846976 exceeds",
+        ),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -318,6 +365,10 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "repeated-grid-point",
         "unstable-simulate",
         "unstable-sweep",
+        "n-arrivals-10^20-simulate",
+        "n-arrivals-2^60-simulate",
+        "n-arrivals-10^20-sweep",
+        "n-arrivals-2^60-sweep",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):
@@ -354,6 +405,7 @@ def test_unstable_line_fails_before_any_replication(capsys, monkeypatch, argv):
         ("run.base_seed=-1", "seed"),
         ("run.warmup_fraction=0.9", "warmup_fraction"),
         ("run.n_reps=0", "n_reps"),
+        (f"run.n_arrivals={2**60}", "n_arrivals"),
     ],
 )
 def test_bad_suite_never_starts_a_pool(capsys, monkeypatch, setting, fragment):
@@ -407,6 +459,7 @@ def test_oracle_rejects_non_numeric_list(capsys):
 
 
 def test_stability_error_on_oracle(capsys):
-    code, _, err = run_cli(capsys, "oracle", "dd1-age", "--lam", "0.9", "--mu", "0.8")
+    code, out, err = run_cli(capsys, "oracle", "point", "fcfs exp", "--lam", "0.9", "--mu", "0.8")
     assert code == 1
-    assert "lambda" in err
+    assert out == ""
+    assert err == "error: fcfs exp: lambda=0.9 >= mu=0.8\n"

@@ -28,6 +28,7 @@ from agedelay import (
     scalarized_pick,
     summarize,
 )
+from agedelay import experiments
 from agedelay.engine import parse_grid_line
 from agedelay.experiments import _COLUMNS, CSV_COLUMNS, PRESETS
 
@@ -195,6 +196,23 @@ def test_run_suite_gginf_column_seed_rule_and_cache():
     for pt, point, first_index in zip(pts, cfg.grid, (0, 0, 2)):
         expected = gginf_age_estimate(point.arrival, point.service, 200_000, seed_base + first_index)
         assert (pt.gginf_age, pt.gginf_stderr) == expected
+
+
+def test_run_suite_estimates_gginf_once_per_law_per_call(tmp_path, monkeypatch):
+    # figure1's first 9 points hold its 9 laws; no estimate outlives the call that made it
+    seeds = []
+    estimate = experiments.gginf_age_estimate
+
+    def spy(arrival, service, n_samples, seed):
+        seeds.append(seed)
+        return estimate(arrival, service, n_samples, seed)
+
+    monkeypatch.setattr(experiments, "gginf_age_estimate", spy)
+    cfg = load_preset("figure1", ["run.n_arrivals=2000", "run.n_reps=2"])
+    for _ in range(2):
+        seeds.clear()
+        run_and_emit(cfg, tmp_path, parallel=False)
+        assert seeds == [cfg.base_seed + 18 * cfg.n_reps + i for i in range(9)]
 
 
 def test_run_suite_flags_slow_convergence():

@@ -7,7 +7,6 @@ from agedelay import (
     Discipline,
     ParameterError,
     StabilityError,
-    dd1_age,
     gginf_age_estimate,
     min_average_age,
     parse_arrival,
@@ -18,6 +17,7 @@ from agedelay import (
     summarize,
     tail_decay_table,
 )
+from agedelay.engine import parse_grid_line
 from agedelay.oracles import _pending_minima
 
 MU = 0.8
@@ -76,8 +76,18 @@ def test_pk_delay_matches_lcfs_np_simulation():
 # ---- periodic/deterministic baseline ------------------------------------------------
 
 
+def dd1_age(lam: float, mu: float) -> float:
+    """gginf_age of 'fcfs det arrival=det': below capacity no packet waits, so it is that point's age."""
+    point = parse_grid_line("fcfs det arrival=det", mu, lam)
+    est, se = gginf_age_estimate(point.arrival, point.service, 2000, 1)
+    assert se == pytest.approx(0.0, abs=1e-12 * est)
+    return est
+
+
 def test_dd1_age_values():
     assert dd1_age(0.5, 0.8) == pytest.approx(2.25)
+    # the sawtooth drops to 1/mu every 1/lambda; the estimate carries rounding only
+    assert dd1_age(0.7, 0.9) == pytest.approx(0.5 / 0.7 + 1 / 0.9, rel=1e-12)
     # zero service time recovers the arrival-only floor
     assert dd1_age(0.5, 1e12) == pytest.approx(min_average_age(PERIODIC), rel=1e-9)
     with pytest.raises(StabilityError):

@@ -35,7 +35,6 @@ from .oracles import (
     gginf_age_estimate,
     min_average_age,
     pk_delay,
-    second_moment_table,
     tail_decay_table,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "run_simulation",
     "run_suite",
     "scalarized_pick",
-    "second_moment_table",
     "summarize",
     "tail_decay_table",
 ]

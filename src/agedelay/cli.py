@@ -4,8 +4,9 @@ Subcommands:
   simulate   one grid-line point, aggregated over reps
   sweep      run a config-file suite and write CSV/JSON/plot outputs
   figure1    shipped preset: the full age-delay scatter at lambda=0.5, mu=0.8
-  oracle     print a grid point's oracle columns, or a heavy-tail sweep table,
-             as CSV on stdout
+  oracle     print a grid point's oracle columns (point), or a family's
+             heavy-tail sweep of E[S^2], P(S > x) and E[S 1{S<x}]
+             (tail-table), as CSV on stdout
 """
 
 from __future__ import annotations
@@ -67,23 +68,19 @@ def _cmd_oracle(args) -> int:
         row = {**experiments.point_columns(point), **experiments.point_oracles(point, args.seed)}
         header = ",".join(row)
         rows = [tuple(row.values())]
-    elif kind == "tail-table":
+    else:  # tail-table
         shapes = _parse_floats(args.shapes) if args.shapes else []
         xs = _parse_floats(args.xs)
-        tail, trunc, decreasing = oracles.tail_decay_table(args.family, shapes, xs, args.mu, args.lam)
-        header = "family,shape,x,tail_prob,truncated_mean"
+        m2, tail, trunc, diverging, decreasing = oracles.tail_decay_table(
+            args.family, shapes, xs, args.mu, args.lam
+        )
+        header = "family,shape,second_moment,x,tail_prob,truncated_mean"
         rows = [
-            (args.family, shape, x, tail[i, j], trunc[i, j])
+            (args.family, shape, m2[i], x, tail[i, j], trunc[i, j])
             for i, shape in enumerate(shapes or [None])
             for j, x in enumerate(xs)
         ]
-        note = f"# columns_decreasing={decreasing}"
-    else:  # moment-table
-        shapes = _parse_floats(args.shapes) if args.shapes else []
-        m2, diverging = oracles.second_moment_table(args.family, shapes, args.mu)
-        header = "family,shape,second_moment"
-        rows = [(args.family, shape, m2[i]) for i, shape in enumerate(shapes or [None])]
-        note = f"# second_moment_diverging={diverging}"
+        note = f"# second_moment_diverging={diverging} columns_decreasing={decreasing}"
     print(header)
     for row in rows:
         print(",".join(experiments.format_cell(cell) for cell in row))
@@ -120,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_common(fig)
     fig.set_defaults(func=lambda args: _cmd_sweep(args, preset="figure1"))
 
-    oracle = sub.add_parser("oracle", help="print a point's oracle columns or a sweep table as CSV")
+    oracle = sub.add_parser("oracle", help="print a grid point's oracle columns or a family's heavy-tail sweep as CSV")
     okind = oracle.add_subparsers(dest="oracle_kind", required=True)
 
     pt = okind.add_parser("point", help="the oracle columns of one grid point's result row")
@@ -129,17 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--mu", type=float, required=True, help="service rate")
     pt.add_argument("--seed", type=int, default=0, help="seed of the gginf_age draws")
 
-    tail = okind.add_parser("tail-table", help="tail and truncated-mean sweep table")
+    tail = okind.add_parser("tail-table", help="second-moment, tail and truncated-mean sweep table")
     tail.add_argument("--family", required=True)
     tail.add_argument("--shapes", default="", help="shape grid, ordered toward the limit")
     tail.add_argument("--xs", required=True, help="thresholds, each >= 1/lambda")
     tail.add_argument("--mu", type=float, required=True)
     tail.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-
-    mom = okind.add_parser("moment-table", help="second-moment sweep table")
-    mom.add_argument("--family", required=True)
-    mom.add_argument("--shapes", default="")
-    mom.add_argument("--mu", type=float, required=True)
 
     oracle.set_defaults(func=_cmd_oracle)
     return parser

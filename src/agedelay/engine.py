@@ -11,6 +11,7 @@ inf, one pass over completions for lcfs-np.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -216,12 +217,22 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarr
 _MAX_ARRIVALS = sys.maxsize // 8
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ParameterError unless value is an integer (Python or numpy)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value}") from None
+
+
 def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: int) -> None:
     """Raise ParameterError unless these settings can start a run that keeps min_kept packets.
 
     The packets kept are those past the warm-up cut, int(warmup_fraction *
     n_arrivals).  A trace needs one; summarize needs two.
     """
+    check_integer("n_arrivals", n_arrivals)
+    check_integer("seed", seed)
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
     if n_arrivals > _MAX_ARRIVALS:

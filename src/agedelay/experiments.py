@@ -59,6 +59,7 @@ class SweepConfig:
         repeated = [p.label() for p, count in Counter(self.grid).items() if count > 1]
         if repeated:
             raise ParameterError(f"[grid] repeats point {', '.join(repeated)}")
+        engine.check_integer("n_reps", self.n_reps)
         if self.n_reps < 1:
             raise ParameterError(f"n_reps must be >= 1, got {self.n_reps}")
         # every run is summarized, so it must keep two packets past its warm-up

@@ -112,13 +112,18 @@ def tail_decay_table(
     xs: Sequence[float],
     mu: float,
     lam: float,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """P(S > x) and E[S 1{S<x}] along the heavy-tail sweep, x >= 1/lam.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, bool]:
+    """E[S^2], P(S > x) and E[S 1{S<x}] along the heavy-tail sweep, x >= 1/lam.
 
-    Both quantities must vanish in the limit for the age floor to be
-    approachable.  Returns (tail, truncated_mean, columns_decreasing): one
-    row per shape and one column per threshold x, and whether every column
-    strictly decreases along a sweep of two or more shapes.
+    The age floor is approachable only if the tail and the truncated mean
+    vanish in the limit; the second moment diverges along the way.  Returns
+    (second_moment, tail, truncated_mean, diverging, columns_decreasing):
+    one second moment per shape, one tail and truncated-mean row per shape
+    with one column per threshold x, and two flags.  diverging is True when
+    some second moment is infinite, or when they strictly increase along a
+    sweep of two or more shapes and the last reaches 1e6 times the squared
+    mean service time.  columns_decreasing is True when every tail and
+    truncated-mean column strictly decreases along such a sweep.
     """
     _check_rate("arrival rate lambda", lam)
     xs = [float(x) for x in xs]
@@ -128,24 +133,12 @@ def tail_decay_table(
     if bad:
         raise ParameterError(f"x grid values must be >= 1/lambda = {1.0 / lam}, got {bad}")
     dists = _sweep_distributions(family, shapes, mu)
+    m2 = np.array([d.second_moment() for d in dists])
     tail = np.array([[d.tail_prob(x) for x in xs] for d in dists])
     trunc = np.array([[d.truncated_mean_below(x) for x in xs] for d in dists])
-    decreasing = len(dists) >= 2 and bool(
-        np.all(np.diff(tail, axis=0) < 0) and np.all(np.diff(trunc, axis=0) < 0)
-    )
-    return tail, trunc, decreasing
-
-
-def second_moment_table(family: str, shapes: Sequence[float], mu: float) -> tuple[np.ndarray, bool]:
-    """E[S^2] along the heavy-tail sweep, flagging divergence.
-
-    Returns (second_moment, diverging), one entry per shape.  The flag is
-    True when some entry is infinite, or when the column strictly increases
-    and its last value reaches 1e6 times the squared mean service time.
-    """
-    dists = _sweep_distributions(family, shapes, mu)
-    m2 = np.array([d.second_moment() for d in dists])
+    sweep = len(dists) >= 2
     diverging = bool(np.isinf(m2).any()) or (
-        len(dists) >= 2 and bool(np.all(np.diff(m2) > 0) and m2[-1] >= 1e6 / (mu * mu))
+        sweep and bool(np.all(np.diff(m2) > 0) and m2[-1] >= 1e6 / (mu * mu))
     )
-    return m2, diverging
+    decreasing = sweep and bool(np.all(np.diff(tail, axis=0) < 0) and np.all(np.diff(trunc, axis=0) < 0))
+    return m2, tail, trunc, diverging, decreasing

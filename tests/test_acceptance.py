@@ -170,7 +170,7 @@ def test_criterion_06_strong_tradeoff(tradeoff_points, figure1_points):
     ok_age_ci = hi.avg_age + hi.avg_age_ci < lo.avg_age - lo.avg_age_ci
     ok_var_ci = lo.delay_var + lo.delay_var_ci < hi.delay_var - hi.delay_var_ci
 
-    m2, m2_diverging = ad.second_moment_table("pareto", [3.0, 2.5, 2.0, 1.7, 1.5], MU)
+    m2, _, _, m2_diverging, _ = ad.tail_decay_table("pareto", [3.0, 2.5, 2.0, 1.7, 1.5], [2.0], MU, LAM)
     ok_m2 = (
         m2[0] == pytest.approx(2.0833333333, rel=1e-9)
         and m2[1] == pytest.approx(2.8125, rel=1e-9)
@@ -223,7 +223,7 @@ def test_criterion_07_tail_table():
     thresholds before the shrinking scale wins.
     """
     shapes = [2.0, 1.5, 1.2, 1.05]
-    tail, trunc, _ = ad.tail_decay_table("pareto", shapes, [2.0, 4.0], MU, LAM)
+    _, tail, trunc, _, _ = ad.tail_decay_table("pareto", shapes, [2.0, 4.0], MU, LAM)
     ok_identity = True
     for alpha in shapes:
         d = ad.parse_service(f"pareto alpha={alpha}", MU)
@@ -258,7 +258,7 @@ def test_criterion_07_tail_table():
 def test_criterion_07_tail_monotone_at_x4_clause():
     """Unattainable clause, asserted verbatim: P(S>x) strictly decreasing
     along the sweep at x=4."""
-    tail, _, _ = ad.tail_decay_table("pareto", [2.0, 1.5, 1.2, 1.05], [4.0], MU, LAM)
+    _, tail, _, _, _ = ad.tail_decay_table("pareto", [2.0, 1.5, 1.2, 1.05], [4.0], MU, LAM)
     assert bool(np.all(np.diff(tail[:, 0]) < 0))
 
 

@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "run_simulation",
     "run_suite",
     "scalarized_pick",
-    "second_moment_table",
     "summarize",
     "tail_decay_table",
 ]

@@ -226,15 +226,17 @@ def test_oracle_tail_table(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "family,shape,x,tail_prob,truncated_mean"
+    assert lines[0] == "family,shape,second_moment,x,tail_prob,truncated_mean"
     assert len(lines) == 5
-    assert "columns_decreasing" in err
-    code, out, _ = run_cli(
+    # E[S^2] is infinite at alpha=2; P(S>4) rises from alpha=2 to 1.5
+    assert err == "# second_moment_diverging=True columns_decreasing=False\n"
+    code, out, err = run_cli(
         capsys, "oracle", "tail-table", "--family", "exp", "--xs", "2", "--mu", "0.8", "--lam", "0.5"
     )
     assert code == 0
-    # exp(-1.6) and (1 - exp(-1.6)) / 0.8 - 2 exp(-1.6), to 12 significant digits
-    assert out == "family,shape,x,tail_prob,truncated_mean\nexp,,2,0.201896517995,0.593836316517\n"
+    # 2/mu^2, exp(-1.6) and (1 - exp(-1.6)) / 0.8 - 2 exp(-1.6), to 12 significant digits
+    assert out == "family,shape,second_moment,x,tail_prob,truncated_mean\nexp,,3.125,2,0.201896517995,0.593836316517\n"
+    assert err == "# second_moment_diverging=False columns_decreasing=False\n"
 
 
 def test_oracle_tail_table_weibull_large_k(capsys):
@@ -245,34 +247,43 @@ def test_oracle_tail_table_weibull_large_k(capsys):
         "--xs", "4", "--mu", "0.8", "--lam", "0.5",
     )
     assert code == 0
-    assert out.splitlines()[1] == "weibull,700,4,0,1.25"
+    m2 = math.gamma(1 + 2 / 700) / math.gamma(1 + 1 / 700) ** 2 / 0.64
+    assert out.splitlines()[1] == f"weibull,700,{m2:.12g},4,0,1.25"
     assert all(math.isfinite(float(cell)) for line in out.splitlines()[1:] for cell in line.split(",")[1:])
 
 
 def test_oracle_moment_table(capsys):
+    # the second_moment column of tail-table: one cell per shape, repeated on each x row
     code, out, err = run_cli(
         capsys,
-        "oracle", "moment-table", "--family", "pareto", "--shapes", "3,2.5,2", "--mu", "0.8",
+        "oracle", "tail-table", "--family", "pareto", "--shapes", "3,2.5,2",
+        "--xs", "2", "--mu", "0.8", "--lam", "0.5",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1].endswith("inf")
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["2.08333333333", "2.8125", "inf"]
     assert "second_moment_diverging=True" in err
 
 
 def test_oracle_moment_table_weibull_small_k(capsys):
     code, out, _ = run_cli(
         capsys,
-        "oracle", "moment-table", "--family", "weibull", "--shapes", "1,0.5,0.01", "--mu", "0.8",
+        "oracle", "tail-table", "--family", "weibull", "--shapes", "1,0.5,0.01",
+        "--xs", "4", "--mu", "0.8", "--lam", "0.5",
     )
     assert code == 0
-    assert out.splitlines()[-1] == f"weibull,0.01,{math.comb(200, 100) / 0.64:.12g}"
+    # E[S^2] = Gamma(1+2/k) / (Gamma(1+1/k)^2 mu^2) = C(200, 100) / 0.64 at k = 0.01
+    last = out.splitlines()[-1].split(",")
+    assert last[:3] == ["weibull", "0.01", f"{math.comb(200, 100) / 0.64:.12g}"]
+    assert last[2] == "1.4148205415e+59"
 
 
 def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
     for argv in (
         ("simulate", "fcfs weibull k=0.004", "--lam", "0.5", "--mu", "0.8", "--serial"),
-        ("oracle", "moment-table", "--family", "weibull", "--shapes", "1,0.5,0.004", "--mu", "0.8"),
+        (
+            "oracle", "tail-table", "--family", "weibull", "--shapes", "1,0.5,0.004",
+            "--xs", "4", "--mu", "0.8", "--lam", "0.5",
+        ),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

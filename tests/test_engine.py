@@ -126,6 +126,9 @@ def test_stability_and_parameter_errors():
         run_simulation(ARR, SVC, Discipline.FCFS, 0, 0.1, 1)
     with pytest.raises(ParameterError):
         run_simulation(ARR, SVC, Discipline.FCFS, 100, 0.6, 1)
+    # a whole float is still no packet count
+    with pytest.raises(ParameterError, match="n_arrivals must be an integer, got 2000.0"):
+        run_simulation(ARR, SVC, Discipline.FCFS, 2000.0, 0.1, 1)
 
 
 # ---- points and their grid lines ------------------------------------------------

@@ -250,6 +250,9 @@ def test_run_suite_rejects_bad_counts():
         ({"n_arrivals": 2, "warmup_fraction": 0.5}, "keeps 1 of its packets"),
         ({"warmup_fraction": 0.9}, "warmup_fraction"),
         ({"base_seed": -1}, "seed"),
+        ({"n_arrivals": 2000.5}, "n_arrivals must be an integer, got 2000.5"),
+        ({"n_reps": 2.5}, "n_reps must be an integer, got 2.5"),
+        ({"base_seed": 1.5}, "seed must be an integer, got 1.5"),
     ],
     ids=[
         "repeated-point",
@@ -261,11 +264,20 @@ def test_run_suite_rejects_bad_counts():
         "one-packet-past-warmup",
         "warmup",
         "negative-seed",
+        "fractional-arrivals",
+        "fractional-reps",
+        "fractional-seed",
     ],
 )
 def test_sweep_config_checks_itself_when_built_in_code(changes, fragment):
     with pytest.raises(ParameterError, match=fragment):
         dataclasses.replace(small_config(), **changes)
+
+
+def test_sweep_config_takes_numpy_integers():
+    numpy_ints = run_suite(small_config(n=np.int64(2000), reps=np.int32(2), seed=np.uint8(5)), parallel=False)
+    plain = run_suite(small_config(), parallel=False)
+    assert [(p.avg_age, p.mean_delay) for p in numpy_ints] == [(p.avg_age, p.mean_delay) for p in plain]
 
 
 def test_run_suite_matches_run_simulation():

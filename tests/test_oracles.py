@@ -13,7 +13,6 @@ from agedelay import (
     parse_service,
     pk_delay,
     run_simulation,
-    second_moment_table,
     summarize,
     tail_decay_table,
 )
@@ -185,7 +184,8 @@ def test_gginf_consistent_with_infinite_server_simulation():
 
 def test_tail_decay_table_pareto_values_and_flag():
     shapes, xs = [2.0, 1.5, 1.2, 1.05], [2.0, 4.0]
-    tail, trunc, decreasing = tail_decay_table("pareto", shapes, xs, MU, 0.5)
+    m2, tail, trunc, diverging, decreasing = tail_decay_table("pareto", shapes, xs, MU, 0.5)
+    assert m2.shape == (4,)
     assert tail.shape == trunc.shape == (4, 2)
     # frozen closed forms: tail (theta/x)^alpha, truncated (1/mu)(1-(theta/x)^(alpha-1))
     for i, alpha in enumerate(shapes):
@@ -197,10 +197,12 @@ def test_tail_decay_table_pareto_values_and_flag():
     # a heavier tail puts more mass above large thresholds before the
     # shrinking scale wins, so the joint monotone flag is False here
     assert decreasing is False
-    assert tail_decay_table("pareto", shapes, [2.0], MU, 0.5)[2] is True
+    assert tail_decay_table("pareto", shapes, [2.0], MU, 0.5)[4] is True
+    # E[S^2] is infinite for alpha <= 2
+    assert np.all(np.isinf(m2)) and diverging is True
     assert np.all((tail >= 0) & (tail <= 1))
     # spot values from the closed form at alpha=1.5 and alpha=1.1, x=2
-    spot_tail, spot_trunc, _ = tail_decay_table("pareto", [1.5, 1.1], [2.0], MU, 0.5)
+    _, spot_tail, spot_trunc, _, _ = tail_decay_table("pareto", [1.5, 1.1], [2.0], MU, 0.5)
     assert spot_tail[0, 0] == pytest.approx(0.09509072178909, abs=1e-12)
     assert spot_trunc[0, 0] == pytest.approx(0.67945566926545, abs=1e-12)
     assert spot_tail[1, 0] == pytest.approx(0.04265167245854, abs=1e-12)
@@ -218,6 +220,10 @@ def test_tail_decay_table_domain_checks():
         tail_decay_table("lognormal", [2.0, 1.0], [2.0], MU, 0.5)  # sigma must increase
     with pytest.raises(ParameterError):
         tail_decay_table("lognormal", [2.0, 2.0], [2.0], MU, 0.5)
+    with pytest.raises(ParameterError, match="weibull sweep must move k toward 0"):
+        tail_decay_table("weibull", [0.5, 1.0], [2.0], MU, 0.5)  # k must decrease
+    with pytest.raises(ParameterError, match="weibull sweep must move k toward 0"):
+        tail_decay_table("weibull", [0.5, 0.5], [2.0], MU, 0.5)
     with pytest.raises(ParameterError):
         tail_decay_table("pareto", [], [2.0], MU, 0.5)  # the single law needs a shape
     with pytest.raises(ParameterError):
@@ -229,9 +235,9 @@ def test_tail_decay_table_domain_checks():
 
 
 def test_tail_decay_table_deterministic_family():
-    tail, trunc, decreasing = tail_decay_table("det", (), [2.0, 4.0], MU, 0.5)
+    _, tail, trunc, diverging, decreasing = tail_decay_table("det", (), [2.0, 4.0], MU, 0.5)
     assert tail.shape == (1, 2)
-    assert decreasing is False
+    assert diverging is False and decreasing is False
     assert np.allclose(tail, 0.0)  # point mass at 1.25 < 2
     assert np.allclose(trunc, 1.25)
     with pytest.raises(ParameterError):
@@ -239,14 +245,21 @@ def test_tail_decay_table_deterministic_family():
 
 
 def test_tail_decay_table_weibull_k1_equals_exponential():
-    w_tail, w_trunc, _ = tail_decay_table("weibull", [1.0], [2.0, 4.0], MU, 0.5)
-    e_tail, e_trunc, _ = tail_decay_table("exp", (), [2.0, 4.0], MU, 0.5)
+    w_m2, w_tail, w_trunc, _, _ = tail_decay_table("weibull", [1.0], [2.0, 4.0], MU, 0.5)
+    e_m2, e_tail, e_trunc, _, _ = tail_decay_table("exp", (), [2.0, 4.0], MU, 0.5)
+    assert w_m2 == pytest.approx(e_m2, rel=1e-12)
     assert np.allclose(w_tail, e_tail, atol=1e-12)
     assert np.allclose(w_trunc, e_trunc, atol=1e-12)
 
 
+def sweep_moments(family, shapes):
+    """The second-moment column and divergence flag of a sweep, at the threshold x = 1/lambda = 2."""
+    m2, _, _, diverging, _ = tail_decay_table(family, shapes, [2.0], MU, 0.5)
+    return m2, diverging
+
+
 def test_second_moment_table_pareto_hits_infinite_branch():
-    m2, diverging = second_moment_table("pareto", [3.0, 2.5, 2.1, 2.0], MU)
+    m2, diverging = sweep_moments("pareto", [3.0, 2.5, 2.1, 2.0])
     # alpha*theta(alpha)^2/(alpha-2) with theta = (alpha-1)/(mu*alpha)
     assert m2[0] == pytest.approx(2.0833333333, rel=1e-9)
     assert m2[1] == pytest.approx(2.8125, rel=1e-9)
@@ -256,21 +269,21 @@ def test_second_moment_table_pareto_hits_infinite_branch():
 
 
 def test_second_moment_table_lognormal_trend():
-    m2, diverging = second_moment_table("lognormal", [1.0, 2.0], MU)
+    m2, diverging = sweep_moments("lognormal", [1.0, 2.0])
     assert m2[0] == pytest.approx(math.e / 0.64, rel=1e-12)
     assert m2[1] == pytest.approx(math.exp(4.0) / 0.64, rel=1e-12)
     # increasing but far below the divergence threshold 1e6 / mu^2
     assert diverging is False
     # exp(sigma^2) crosses 1e6 between sigma = 3.71 and 3.72: a finite,
     # increasing column is divergent once its last value reaches the threshold
-    assert second_moment_table("lognormal", [1.0, 3.71], MU)[1] is False
-    assert second_moment_table("lognormal", [1.0, 3.72], MU)[1] is True
+    assert sweep_moments("lognormal", [1.0, 3.71])[1] is False
+    assert sweep_moments("lognormal", [1.0, 3.72])[1] is True
     # a single law reaching the threshold is no trend
-    assert second_moment_table("lognormal", [3.72], MU)[1] is False
+    assert sweep_moments("lognormal", [3.72])[1] is False
 
 
 def test_second_moment_past_double_range_is_divergent():
-    m2, diverging = second_moment_table("lognormal", [1.0, 30.0], MU)
+    m2, diverging = sweep_moments("lognormal", [1.0, 30.0])
     assert math.isfinite(m2[0])
     assert math.isinf(m2[1])
     assert diverging is True
@@ -278,6 +291,6 @@ def test_second_moment_past_double_range_is_divergent():
 
 
 def test_second_moment_table_deterministic_constant():
-    m2, diverging = second_moment_table("det", (), MU)
+    m2, diverging = sweep_moments("det", ())
     assert m2.tolist() == [pytest.approx(1.5625)]
     assert diverging is False

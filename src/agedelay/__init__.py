@@ -21,7 +21,6 @@ from .experiments import (
     load_config,
     load_preset,
     pareto_frontier,
-    preset_path,
     run_and_emit,
     run_suite,
     scalarized_pick,
@@ -63,7 +62,6 @@ __all__ = [
     "parse_arrival",
     "parse_service",
     "pk_delay",
-    "preset_path",
     "run_and_emit",
     "run_simulation",
     "run_suite",

@@ -2,8 +2,8 @@
 
 Subcommands:
   simulate   one grid-line point, aggregated over reps
-  sweep      run a config-file suite and write CSV/JSON/plot outputs
-  figure1    shipped preset: the full age-delay scatter at lambda=0.5, mu=0.8
+  sweep      run a shipped preset (figure1, tradeoff-sweep, no-tradeoff) or
+             a config-file suite, and write CSV/JSON/plot outputs
   oracle     print a grid point's oracle columns (point), or a family's
              heavy-tail sweep of E[S^2], P(S > x) and E[S 1{S<x}]
              (tail-table), as CSV on stdout
@@ -48,12 +48,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args, preset: str | None = None) -> int:
+def _cmd_sweep(args) -> int:
     overrides = args.set or []
-    if preset is None:
-        cfg = experiments.load_config(args.config, overrides)
+    if args.suite in experiments.PRESETS:
+        cfg = experiments.load_preset(args.suite, overrides)
     else:
-        cfg = experiments.load_preset(preset, overrides)
+        cfg = experiments.load_config(args.suite, overrides)
     paths = experiments.run_and_emit(cfg, args.out_dir, parallel=not args.serial)
     for p in paths:
         print(p)
@@ -108,14 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--json", action="store_true", help="emit JSON instead of a CSV row")
     sim.set_defaults(func=_cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="run a config-file suite")
-    sweep.add_argument("--config", required=True, help="INI config path")
-    _add_sweep_common(sweep)
+    sweep = sub.add_parser("sweep", help="run a shipped preset or a config-file suite")
+    presets = ", ".join(experiments.PRESETS)
+    sweep.add_argument("suite", help=f"preset ({presets}) or INI config path; a preset wins over a same-named file")
+    sweep.add_argument(
+        "--set", action="append", metavar="SECTION.KEY=VALUE", help="override a config value, e.g. run.n_reps=2"
+    )
+    sweep.add_argument("--out-dir", default="results", help="directory for output files")
+    sweep.add_argument("--serial", action="store_true", help="disable concurrent execution")
     sweep.set_defaults(func=_cmd_sweep)
-
-    fig = sub.add_parser("figure1", help="run the shipped age-delay scatter preset")
-    _add_sweep_common(fig)
-    fig.set_defaults(func=lambda args: _cmd_sweep(args, preset="figure1"))
 
     oracle = sub.add_parser("oracle", help="print a grid point's oracle columns or a family's heavy-tail sweep as CSV")
     okind = oracle.add_subparsers(dest="oracle_kind", required=True)
@@ -135,17 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle.set_defaults(func=_cmd_oracle)
     return parser
-
-
-def _add_sweep_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--set",
-        action="append",
-        metavar="SECTION.KEY=VALUE",
-        help="override a config value, e.g. --set run.n_arrivals=10000",
-    )
-    sp.add_argument("--out-dir", default="results", help="directory for output files")
-    sp.add_argument("--serial", action="store_true", help="disable concurrent execution")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -90,11 +90,13 @@ def format_shape(shape: float) -> str:
 
 
 def _check_rate(name: str, rate: float) -> None:
-    """A rate must be positive and finite, and its square a normal double: moments divide by it."""
+    """A rate must be positive and finite, and rate^2 and 1/rate^2 normal doubles: moments divide by rate^2."""
     if not (rate > 0 and math.isfinite(rate)):
         raise ParameterError(f"{name} must be positive, got {rate}")
     if rate * rate < sys.float_info.min:
         raise ParameterError(f"{name}={rate:g} is too small: its square is below the double range")
+    if 1.0 / (rate * rate) < sys.float_info.min:
+        raise ParameterError(f"{name}={rate:g} is too large: its inverse square is below the double range")
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,11 @@ class SweepConfig:
         if repeated:
             raise ParameterError(f"nu_grid repeats weight {', '.join(map(format_shape, repeated))}")
         names = (self.csv_name, self.json_name, self.plot_name)
-        if len({Path(name) for name in names}) < len(names):
+        for name in names:
+            # a bare file name, so every output lands inside the output directory
+            if name in ("", "..") or name != Path(name).name:
+                raise ParameterError(f"[output] names must be plain file names, got {name!r}")
+        if len(set(names)) < len(names):
             raise ParameterError(f"[output] file names must differ, got {', '.join(names)}")
 
     def echo(self) -> dict:
@@ -319,8 +323,8 @@ def emit_outputs(
     points: Sequence[FrontierPoint],
     frontier: Sequence[FrontierPoint],
     out_dir: Path,
-    cfg: SweepConfig | None = None,
-    scalarized: dict[float, FrontierPoint] | None = None,
+    cfg: SweepConfig,
+    scalarized: dict[float, FrontierPoint],
     csv_name: str = SweepConfig.csv_name,
     json_name: str = SweepConfig.json_name,
     plot_name: str = SweepConfig.plot_name,
@@ -338,12 +342,10 @@ def emit_outputs(
         plot_path = out_dir / plot_name
         csv_path.write_text(csv_text(points))
         doc = {
-            "config": cfg.echo() if cfg is not None else None,
+            "config": cfg.echo(),
             "points": [p.to_json_dict() for p in points],
             "frontier": [p.label() for p in frontier],
-            "scalarized_picks": (
-                {format_shape(nu): p.label() for nu, p in scalarized.items()} if scalarized else None
-            ),
+            "scalarized_picks": {format_shape(nu): p.label() for nu, p in scalarized.items()},
         }
         # allow_nan=False: a non-finite value that got past _json_float raises, not writes bad JSON
         json_path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
@@ -451,12 +453,8 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     )
 
 
-def preset_path(name: str) -> Path:
-    """Filesystem path of a shipped preset config."""
+def load_preset(name: str, overrides: Sequence[str] = ()) -> SweepConfig:
+    """The shipped preset config called name, with overrides as in load_config."""
     if name not in PRESETS:
         raise ParameterError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
-    return Path(str(resources.files("agedelay") / "presets" / f"{name}.ini"))
-
-
-def load_preset(name: str, overrides: Sequence[str] = ()) -> SweepConfig:
-    return load_config(preset_path(name), overrides)
+    return load_config(resources.files("agedelay") / "presets" / f"{name}.ini", overrides)

@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "parse_arrival",
     "parse_service",
     "pk_delay",
-    "preset_path",
     "run_and_emit",
     "run_simulation",
     "run_suite",

@@ -121,7 +121,7 @@ def test_sweep_writes_outputs(tmp_path, capsys):
         "[scalarization]\nnu_grid = 0 1\n"
     )
     out_dir = tmp_path / "res"
-    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out_dir), "--serial")
+    code, out, _ = run_cli(capsys, "sweep", str(cfg), "--out-dir", str(out_dir), "--serial")
     assert code == 0
     assert (out_dir / "points.csv").exists()
     assert (out_dir / "points.json").exists()
@@ -133,7 +133,7 @@ def test_figure1_preset_scaled_down(tmp_path, capsys):
     out_dir = tmp_path / "fig"
     code, _, _ = run_cli(
         capsys,
-        "figure1",
+        "sweep", "figure1",
         "--set", "run.n_arrivals=500",
         "--set", "run.n_reps=1",
         "--out-dir", str(out_dir),
@@ -145,9 +145,30 @@ def test_figure1_preset_scaled_down(tmp_path, capsys):
 
 
 def test_missing_config_errors(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.ini"))
+    code, _, err = run_cli(capsys, "sweep", str(tmp_path / "nope.ini"))
     assert code == 1
     assert "nope.ini" in err
+
+
+@pytest.mark.parametrize("name", experiments.PRESETS)
+def test_sweep_runs_each_preset_by_name(tmp_path, capsys, name):
+    overrides = ["run.n_arrivals=2000", "run.n_reps=2"]
+    sets = [arg for setting in overrides for arg in ("--set", setting)]
+    code, out, err = run_cli(capsys, "sweep", name, *sets, "--out-dir", str(tmp_path / "cli"), "--serial")
+    assert code == 0 and err == ""
+    paths = experiments.run_and_emit(experiments.load_preset(name, overrides), tmp_path / "lib", parallel=False)
+    assert out.split() == [str(tmp_path / "cli" / p.name) for p in paths]
+    for p in paths:
+        assert (tmp_path / "cli" / p.name).read_bytes() == p.read_bytes()
+
+
+def test_sweep_of_neither_preset_nor_file_exits_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sweep", "nope", "--serial")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "nope" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 ORACLE_HEADER = "discipline,family,shape,arrival,lambda,mu,a_min,pk_delay,gginf_age,gginf_stderr"
@@ -321,23 +342,32 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             "got inf",
         ),
         (("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--base-seed", "-1", "--serial"), "seed"),
-        (("figure1", "--set", "run.base_seed=-5", "--set", "run.n_arrivals=1000", "--serial"), "seed"),
+        (("sweep", "figure1", "--set", "run.base_seed=-5", "--set", "run.n_arrivals=1000", "--serial"), "seed"),
         (("oracle", "point", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--seed", "-1"), "seed"),
-        (("figure1", "--set", "scalarization.nu_grid=0 inf", "--serial"), "nu_grid"),
-        (("figure1", "--set", "run.n_arrivals=1000", "--set", "run.n_arival=100", "--serial"), "run.n_arival"),
-        (("figure1", "--set", "run.n_arrivals=1000", "--set", "rn.n_reps=1", "--serial"), "rn.n_reps"),
-        (("figure1", "--set", "run.n_arrivals=1000", "--set", "output.csv=figure1.json", "--serial"), "must differ"),
-        (("figure1", "--set", "run.n_arrivals=1000", "--set", "scalarization.nu_grid=1 1", "--serial"), "weight 1"),
-        (("figure1", "--set", "run.n_arrivals=1000", "--set", "arrival.family=exp", "--serial"), "arrival.family"),
+        (("sweep", "figure1", "--set", "scalarization.nu_grid=0 inf", "--serial"), "nu_grid"),
+        (("sweep", "figure1", "--set", "run.n_arrivals=1000", "--set", "run.n_arival=100", "--serial"), "run.n_arival"),
+        (("sweep", "figure1", "--set", "run.n_arrivals=1000", "--set", "rn.n_reps=1", "--serial"), "rn.n_reps"),
+        (
+            ("sweep", "figure1", "--set", "run.n_arrivals=1000", "--set", "output.csv=figure1.json", "--serial"),
+            "must differ",
+        ),
+        (
+            ("sweep", "figure1", "--set", "run.n_arrivals=1000", "--set", "scalarization.nu_grid=1 1", "--serial"),
+            "weight 1",
+        ),
+        (
+            ("sweep", "figure1", "--set", "run.n_arrivals=1000", "--set", "arrival.family=exp", "--serial"),
+            "arrival.family",
+        ),
         (
             (
-                "figure1", "--set", "run.n_arrivals=1000", "--serial", "--set",
+                "sweep", "figure1", "--set", "run.n_arrivals=1000", "--serial", "--set",
                 "grid.points=fcfs exp\nlcfs-p pareto alpha=1.5\nfcfs exponential\nlcfs-p pareto alpha=1.50",
             ),
             "repeats point fcfs exp, lcfs-p pareto alpha=1.5",
         ),
         (("simulate", "fcfs exp", "--lam", "0.9", "--mu", "0.8", "--serial"), "fcfs exp: lambda=0.9 >= mu=0.8"),
-        (("figure1", "--set", "arrival.rate=0.9", "--serial"), "fcfs det: lambda=0.9 >= mu=0.8"),
+        (("sweep", "figure1", "--set", "arrival.rate=0.9", "--serial"), "fcfs det: lambda=0.9 >= mu=0.8"),
         # past sys.maxsize // 8 no float64 array of n_arrivals entries exists; numpy would raise ValueError
         (
             ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", str(10**20), "--serial"),
@@ -348,13 +378,18 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             "n_arrivals=1152921504606846976 exceeds",
         ),
         (
-            ("figure1", "--set", f"run.n_arrivals={10**20}", "--set", "run.n_reps=1", "--serial"),
+            ("sweep", "figure1", "--set", f"run.n_arrivals={10**20}", "--set", "run.n_reps=1", "--serial"),
             "n_arrivals=100000000000000000000 exceeds",
         ),
         (
-            ("figure1", "--set", f"run.n_arrivals={2**60}", "--set", "run.n_reps=1", "--serial"),
+            ("sweep", "figure1", "--set", f"run.n_arrivals={2**60}", "--set", "run.n_reps=1", "--serial"),
             "n_arrivals=1152921504606846976 exceeds",
         ),
+        (
+            ("oracle", "tail-table", "--family", "exp", "--xs", "2", "--mu", "1e300", "--lam", "0.5"),
+            "mu=1e+300 is too large",
+        ),
+        (("simulate", "inf exp", "--lam", "1e300", "--mu", "0.8", "--serial"), "lambda=1e+300 is too large"),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -380,6 +415,8 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "n-arrivals-2^60-simulate",
         "n-arrivals-10^20-sweep",
         "n-arrivals-2^60-sweep",
+        "huge-mu-tail-table",
+        "huge-lambda-simulate",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):
@@ -393,7 +430,7 @@ def test_bad_input_exits_with_one_line(capsys, argv, fragment):
     "argv",
     [
         ("simulate", "lcfs-np exp arrival=det", "--lam", "0.8", "--mu", "0.8"),
-        ("figure1", "--set", "arrival.rate=0.8"),
+        ("sweep", "figure1", "--set", "arrival.rate=0.8"),
     ],
     ids=["simulate", "sweep"],
 )
@@ -417,6 +454,11 @@ def test_unstable_line_fails_before_any_replication(capsys, monkeypatch, argv):
         ("run.warmup_fraction=0.9", "warmup_fraction"),
         ("run.n_reps=0", "n_reps"),
         (f"run.n_arrivals={2**60}", "n_arrivals"),
+        # an output name that is not a bare file name would fail after the run or write outside --out-dir
+        ("output.plot=..", "got '..'"),
+        ("output.csv=sub/x.csv", "sub/x.csv"),
+        ("output.csv=", "got ''"),
+        ("output.csv=/tmp/abs.csv", "/tmp/abs.csv"),
     ],
 )
 def test_bad_suite_never_starts_a_pool(capsys, monkeypatch, setting, fragment):
@@ -427,7 +469,7 @@ def test_bad_suite_never_starts_a_pool(capsys, monkeypatch, setting, fragment):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
     with pytest.raises(ParameterError, match=fragment):
         experiments.load_preset("figure1", [setting])
-    code, out, err = run_cli(capsys, "figure1", "--set", setting)
+    code, out, err = run_cli(capsys, "sweep", "figure1", "--set", setting)
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and fragment in err
@@ -442,7 +484,7 @@ def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):
         "[grid]\npoints =\n    fcfs det arrival=det arrival=exp\n"
         "[scalarization]\nnu_grid = 0\n"
     )
-    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path), "--serial")
+    code, out, err = run_cli(capsys, "sweep", str(cfg), "--out-dir", str(tmp_path), "--serial")
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and "repeated key 'arrival'" in err

@@ -46,8 +46,8 @@ def test_pareto_scale_pins_mean():
         d = ServiceDistribution("pareto", MU, alpha)
         th = d.pareto_scale
         assert alpha * th / (alpha - 1.0) == pytest.approx(1.0 / MU, rel=1e-15)
-    # mu * alpha overflows; theta = 1/(2 mu) all the same
-    assert ServiceDistribution("pareto", 1e308, 2.0).pareto_scale == pytest.approx(0.5e-308, rel=1e-12)
+    # mu * alpha overflows; theta = (alpha - 1)/(alpha mu) rounds to 1/mu all the same
+    assert ServiceDistribution("pareto", 2.0, 1e308).pareto_scale == pytest.approx(0.5, rel=1e-12)
 
 
 def test_second_moments_closed_form():
@@ -331,6 +331,7 @@ def test_shape_domain_limits(family, data, mu, x):
         ("lognormal", MU, 0.0),
         ("lognormal", MU, 1e200),  # sigma^2 overflows
         ("exp", 1e-160, None),  # mu^2 underflows
+        ("exp", 1e300, None),  # 1/mu^2 underflows
         ("det", 0.0, None),
         ("exp", -1.0, None),
         ("pareto", MU, None),
@@ -350,6 +351,8 @@ def test_arrival_admissibility():
         ArrivalProcess("pareto", 0.5)
     with pytest.raises(ParameterError):
         ArrivalProcess("exp", 1e-160)  # lambda^2 underflows
+    with pytest.raises(ParameterError):
+        ArrivalProcess("exp", 1e300)  # 1/lambda^2 underflows
 
 
 def test_parse_service_specs():

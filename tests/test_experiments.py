@@ -21,7 +21,6 @@ from agedelay import (
     pareto_frontier,
     parse_arrival,
     parse_service,
-    preset_path,
     run_and_emit,
     run_simulation,
     run_suite,
@@ -246,6 +245,7 @@ def test_run_suite_rejects_bad_counts():
         ({"nu_grid": ()}, "nu_grid"),
         ({"nu_grid": (0.0, 1.0, 1.0)}, "repeats weight 1"),
         ({"csv_name": "b", "json_name": "b", "plot_name": "b"}, "must differ"),
+        ({"plot_name": "../plot.gp"}, "plain file names, got '../plot.gp'"),
         ({"n_arrivals": 0}, "n_arrivals"),
         ({"n_arrivals": 2, "warmup_fraction": 0.5}, "keeps 1 of its packets"),
         ({"warmup_fraction": 0.9}, "warmup_fraction"),
@@ -260,6 +260,7 @@ def test_run_suite_rejects_bad_counts():
         "no-weights",
         "repeated-weight",
         "equal-output-names",
+        "output-outside-dir",
         "no-arrivals",
         "one-packet-past-warmup",
         "warmup",
@@ -328,14 +329,14 @@ def test_emit_outputs_files_and_determinism(tmp_path):
 
 
 def test_emit_outputs_header_only_for_no_points(tmp_path):
-    paths = emit_outputs([], [], tmp_path)
+    paths = emit_outputs([], [], tmp_path, cfg=small_config(), scalarized={})
     lines = paths[0].read_text().splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
 
 
 def test_csv_12_significant_digits(tmp_path):
     pt = fp(2.0 / 3.0, 1.0 / 7.0)
-    paths = emit_outputs([pt], [pt], tmp_path)
+    paths = emit_outputs([pt], [pt], tmp_path, cfg=small_config(), scalarized={0.0: pt})
     row = paths[0].read_text().splitlines()[1].split(",")
     assert row[CSV_COLUMNS.index("avg_age")] == "0.666666666667"
     assert row[CSV_COLUMNS.index("mean_delay")] == "0.142857142857"
@@ -356,7 +357,7 @@ def test_json_record_has_no_nan(tmp_path):
     record = pt.to_json_dict()
     assert record["avg_age_ci"] is None and record["gginf_age"] == "inf"
     assert record["lambda"] == 0.5 and record["arrival"] == "exp"
-    paths = emit_outputs([pt], [pt], tmp_path)
+    paths = emit_outputs([pt], [pt], tmp_path, cfg=small_config(), scalarized={0.0: pt})
     text = paths[1].read_text()
     assert "NaN" not in text and "Infinity" not in text
     assert json.loads(text)["points"][0]["avg_age_ci"] is None
@@ -365,7 +366,7 @@ def test_json_record_has_no_nan(tmp_path):
 def test_csv_infinite_pk_delay(tmp_path):
     cfg = small_config(points=("fcfs pareto alpha=2",), n=500, reps=1)
     points = run_suite(cfg, parallel=False)
-    paths = emit_outputs(points, points, tmp_path)
+    paths = emit_outputs(points, points, tmp_path, cfg=cfg, scalarized={0.0: points[0]})
     row = paths[0].read_text().splitlines()[1].split(",")
     assert row[CSV_COLUMNS.index("pk_delay")] == "inf"
     doc = json.loads(paths[1].read_text())
@@ -502,7 +503,6 @@ def test_nan_scalarization_weight_rejected(tmp_path):
 
 def test_presets_ship_and_parse(capsys):
     for name in PRESETS:
-        assert preset_path(name).exists()
         cfg = load_preset(name)
         assert cfg.grid
         assert cfg.n_arrivals == 1_000_000
@@ -516,8 +516,8 @@ def test_presets_ship_and_parse(capsys):
     assert [p.service.shape for p in sweep.grid] == [3.0, 2.5, 2.0, 1.7, 1.5]
     nt = load_preset("no-tradeoff")
     assert any(p.arrival.family == "det" for p in nt.grid)
-    with pytest.raises(ParameterError):
-        preset_path("nope")
+    with pytest.raises(ParameterError, match="unknown preset 'nope'; available: figure1, tradeoff-sweep, no-tradeoff"):
+        load_preset("nope")
     assert capsys.readouterr().err == ""
 
 

@@ -31,6 +31,7 @@ from .metrics import (
     summarize,
 )
 from .oracles import (
+    gginf_age,
     gginf_age_estimate,
     min_average_age,
     pk_delay,
@@ -54,6 +55,7 @@ __all__ = [
     "age_at",
     "busy_periods",
     "emit_outputs",
+    "gginf_age",
     "gginf_age_estimate",
     "load_config",
     "load_preset",

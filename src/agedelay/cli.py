@@ -4,9 +4,9 @@ Subcommands:
   simulate   one grid-line point, aggregated over reps
   sweep      run a shipped preset (figure1, tradeoff-sweep, no-tradeoff) or
              a config-file suite, and write CSV/JSON/plot outputs
-  oracle     print a grid point's oracle columns (point), or a family's
-             heavy-tail sweep of E[S^2], P(S > x) and E[S 1{S<x}]
-             (tail-table), as CSV on stdout
+  oracle     print a grid point's oracle columns (point: a_min, pk_delay and
+             the exact gginf_age), or a family's heavy-tail sweep of E[S^2],
+             P(S > x) and E[S 1{S<x}] (tail-table), as CSV on stdout
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def _cmd_oracle(args) -> int:
     note = None
     if kind == "point":
         point = parse_grid_line(args.point, args.mu, args.lam)
-        row = {**experiments.point_columns(point), **experiments.point_oracles(point, args.seed)}
+        (cells,) = experiments.point_oracles([point])
+        row = {**experiments.point_columns(point), **cells}
         header = ",".join(row)
         rows = [tuple(row.values())]
     else:  # tail-table
@@ -121,11 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="print a grid point's oracle columns or a family's heavy-tail sweep as CSV")
     okind = oracle.add_subparsers(dest="oracle_kind", required=True)
 
-    pt = okind.add_parser("point", help="the oracle columns of one grid point's result row")
+    pt = okind.add_parser(
+        "point", help="the oracle columns of one grid point's result row: a_min, pk_delay, exact gginf_age"
+    )
     pt.add_argument("point", help="grid line, e.g. 'fcfs det arrival=det'")
     pt.add_argument("--lam", "--lambda", dest="lam", type=float, required=True, help="generation rate")
     pt.add_argument("--mu", type=float, required=True, help="service rate")
-    pt.add_argument("--seed", type=int, default=0, help="seed of the gginf_age draws")
 
     tail = okind.add_parser("tail-table", help="second-moment, tail and truncated-mean sweep table")
     tail.add_argument("--family", required=True)

@@ -55,6 +55,10 @@ def _gammainc(a: float, u: float) -> float:
     if math.isinf(u):
         return 1.0
     scale = math.exp(a * math.log(u) - u - math.lgamma(a))
+    if scale == 0.0:
+        # either sum would be scaled to nothing; near the top of the double range
+        # the continued fraction overflows to nan and would never converge
+        return 0.0 if u < a + 1.0 else 1.0
     if u < a + 1.0:
         # sum of u^n / (a (a+1) ... (a+n)); each term is below u / (a+1) < 1 times the last
         term = total = 1.0 / a
@@ -135,6 +139,11 @@ class ServiceDistribution:
             raise ParameterError(
                 f"weibull k={self.shape:g} is too small: Gamma(1+1/k) exceeds the double range"
             )
+        if self.family == "weibull" and self.weibull_scale == 0.0:
+            raise ParameterError(
+                f"weibull k={self.shape:g} at mu={self.mu:g} is out of range: "
+                "its scale 1/(mu Gamma(1+1/k)) is below the double range"
+            )
         if self.family == "lognormal" and math.isinf(self.shape * self.shape):
             raise ParameterError(
                 f"lognormal sigma={self.shape:g} is too large: sigma^2 exceeds the double range"
@@ -207,6 +216,21 @@ class ServiceDistribution:
                 return 1.0
             return (th / x) ** self.shape
         return math.exp(-_or_inf(math.pow, x / self.weibull_scale, self.shape))
+
+    def _tail_probs(self, x: np.ndarray) -> np.ndarray:
+        """tail_prob at every entry of x, each positive and finite, to within rounding."""
+        if self.family == "det":
+            return (x < 1.0 / self.mu).astype(float)
+        if self.family == "exp":
+            return np.exp(-self.mu * x)
+        if self.family == "lognormal":
+            z = (np.log(x) - self.lognormal_location) / (self.shape * _SQRT2)
+            return 0.5 * np.array([math.erfc(v) for v in z.tolist()])  # numpy has no erfc
+        if self.family == "pareto":
+            th = self.pareto_scale
+            return (th / np.maximum(x, th)) ** self.shape
+        with np.errstate(over="ignore"):  # an infinite power is a zero tail
+            return np.exp(-((x / self.weibull_scale) ** self.shape))
 
     def expected_min_with(self, x: float) -> float:
         """E[min(S, x)] = integral of P(S > t) over (0, x), in closed form."""

@@ -124,7 +124,9 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  Packet i finds
     the server idle iff g_i >= c_{i-1} (a departure at its arrival instant
     leaves first), and starts a busy period; it is given exactly g_i + s_i,
-    as a sequential run would.
+    as a sequential run would.  The unrolled sums can round c_i one step
+    below c_{i-1} where s_i is tiny; a running maximum restores the FIFO
+    order, and leaves a path without such an inversion bit for bit.
     """
     cs = np.cumsum(svc)
     c = cs + np.maximum.accumulate(gen - (cs - svc))
@@ -132,6 +134,7 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idle[0] = True
     np.greater_equal(gen[1:], c[:-1], out=idle[1:])
     c[idle] = gen[idle] + svc[idle]
+    np.maximum.accumulate(c, out=c)
     return c, idle
 
 

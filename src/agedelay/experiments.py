@@ -28,15 +28,16 @@ from . import engine
 from .engine import ExperimentPoint, parse_grid_line
 from .errors import ParameterError
 from .metrics import MetricsReport, summarize, t_halfwidth
-from .oracles import gginf_age_estimate, min_average_age, pk_delay
+from .oracles import gginf_age, min_average_age, pk_delay
+
+# Not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name on
+# this module in traced runs, and fails where the module lacks it.
+from .oracles import gginf_age_estimate  # noqa: F401
 
 PRESETS = ("figure1", "tradeoff-sweep", "no-tradeoff")
 
 # Pareto sample means converge too slowly below this tail index for CI claims.
 SLOW_CONVERGENCE_ALPHA = 1.5
-
-# Monte-Carlo draws behind each point's gginf_age column.
-GGINF_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,6 @@ class FrontierPoint:
     a_min: float
     pk_delay: float | None
     gginf_age: float | None
-    gginf_stderr: float | None
     slow_convergence: bool
 
     def label(self) -> str:
@@ -124,7 +124,7 @@ class FrontierPoint:
 
 _COLUMNS = ("discipline", "family", "shape", "arrival", "lambda", "mu", *(f.name for f in fields(FrontierPoint)[1:]))
 # The CSV carries every other column, in order.
-_JSON_ONLY = ("delay_var_ci", "gginf_stderr", "slow_convergence")
+_JSON_ONLY = ("delay_var_ci", "slow_convergence")
 CSV_COLUMNS = tuple(name for name in _COLUMNS if name not in _JSON_ONLY)
 
 
@@ -134,29 +134,23 @@ def point_columns(p: ExperimentPoint) -> dict:
     return dict(zip(_COLUMNS, head))
 
 
-def point_oracles(point: ExperimentPoint, gginf_seed: int, gginf_cache: dict | None = None) -> dict:
-    """A row's oracle cells: a_min, pk_delay, gginf_age and gginf_stderr.
+def point_oracles(points: Sequence[ExperimentPoint]) -> list[dict]:
+    """Each point's oracle cells: a_min, pk_delay and the exact gginf_age.
 
-    gginf_age draws GGINF_SAMPLES at gginf_seed, unless gginf_cache already
-    holds the point's (arrival, service) law; the estimate is stored there
-    for the law's later points.
+    gginf_age depends only on the (arrival, service) law, so it is computed
+    once per law of points.
     """
-    arrival, service = point.arrival, point.service
-    cache = {} if gginf_cache is None else gginf_cache
-    key = (arrival, service)
-    if key not in cache:
-        # called by its name in this module, so a wrapper patched onto experiments applies
-        cache[key] = gginf_age_estimate(arrival, service, GGINF_SAMPLES, gginf_seed)
-    gginf_age, gginf_stderr = cache[key]
-    pk = None  # P-K is the mean delay of a non-preemptive single server under Poisson arrivals
-    if point.discipline in (Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE) and arrival.family == "exp":
-        pk = pk_delay(arrival.lam, service)
-    return {
-        "a_min": min_average_age(arrival),
-        "pk_delay": pk,
-        "gginf_age": gginf_age,
-        "gginf_stderr": gginf_stderr,
-    }
+    gginf = {}
+    cells = []
+    for point in points:
+        arrival, service = point.arrival, point.service
+        if (arrival, service) not in gginf:
+            gginf[arrival, service] = gginf_age(arrival, service)
+        pk = None  # P-K is the mean delay of a non-preemptive single server under Poisson arrivals
+        if point.discipline in (Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE) and arrival.family == "exp":
+            pk = pk_delay(arrival.lam, service)
+        cells.append({"a_min": min_average_age(arrival), "pk_delay": pk, "gginf_age": gginf[arrival, service]})
+    return cells
 
 
 def _json_float(x):
@@ -178,9 +172,7 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
 
     Deterministic for a given config and base seed: point base seeds are
     base_seed + index * n_reps and results come back in job order, (grid
-    index, rep), regardless of execution order.  Each (arrival, service)
-    law's gginf_age is estimated once per call, at seed base_seed +
-    len(grid) * n_reps + the index of the law's first point.
+    index, rep), regardless of execution order.
     """
     jobs = [
         (point, cfg.n_arrivals, cfg.warmup_fraction, cfg.base_seed + idx * cfg.n_reps + rep)
@@ -194,8 +186,7 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     else:
         results = [_suite_worker(job) for job in jobs]
 
-    gginf_cache: dict[tuple, tuple[float, float]] = {}  # one estimate per law, for this call only
-    gginf_seed_base = cfg.base_seed + len(cfg.grid) * cfg.n_reps
+    oracle_cells = point_oracles(cfg.grid)
     points = []
     for idx, point in enumerate(cfg.grid):
         reps = results[idx * cfg.n_reps : (idx + 1) * cfg.n_reps]
@@ -224,7 +215,7 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
                 delay_var=float(np.mean(variances)),
                 delay_var_ci=var_ci,
                 informative_frac=float(np.mean([r.informative_fraction for r in reps])),
-                **point_oracles(point, gginf_seed_base + idx, gginf_cache),
+                **oracle_cells[idx],
                 slow_convergence=(
                     point.service.family == "pareto" and point.service.shape < SLOW_CONVERGENCE_ALPHA
                 ),
@@ -384,7 +375,7 @@ _SCHEMA = {
     "output": ("csv", "json", "plot"),
 }
 # A key dropped from the schema that older configs still set: ignored with a note.
-_RETIRED = {"run.gginf_samples": f"the gginf_age column always uses {GGINF_SAMPLES} draws"}
+_RETIRED = {"run.gginf_samples": "the gginf_age column is exact"}
 
 
 def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:

@@ -7,7 +7,9 @@ the station-independent quantities.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +95,159 @@ def gginf_age_estimate(
     ])
     stderr = float(z.std(ddof=1) / math.sqrt(n_samples))
     return min_average_age(arrival) + float(z.mean()), stderr
+
+
+# Each quadrature panel is _GL_ORDER-point Gauss-Legendre, at most _PANEL wide in log x.
+_GL_ORDER = 32
+_PANEL = 0.5
+# Terms of the periodic-arrival sum that gginf_age adds before it gives up.
+_PERIODIC_TERMS = 10_000
+# The periodic sum stops where a term falls below this.
+_NEGLIGIBLE = 1e-17
+# The largest relative error that rounding may put into a Poisson-arrival gginf_age.
+_ROUNDING_LIMIT = 1e-6
+
+
+def _legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for n = _GL_ORDER, by the three-term recurrence."""
+    n = _GL_ORDER
+    prev, cur = np.ones_like(x), x
+    for j in range(2, n + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of _GL_ORDER-point Gauss-Legendre on [-1, 1], nodes ascending.
+
+    Newton's method on the recurrence, from the usual cosine guesses; it
+    matches numpy.polynomial.legendre.leggauss to about 4e-16.  Built on
+    first use, so that importing the package does no quadrature work and
+    loads neither numpy.polynomial nor LAPACK.
+    """
+    n = _GL_ORDER
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-16:
+            break
+    dp = _legendre(x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _log_bends(service: ServiceDistribution) -> np.ndarray:
+    """log x at which the law's CDF bends, as panel edges: none for det and exp.
+
+    P(S <= x) is a function of y = r (log x - c): the tail is e^-y above
+    the Pareto scale (a kink at y = 0), exp(-e^y) for Weibull and a normal
+    tail in y for the lognormal.  Where r > 1, _PANEL in log x spans more
+    than _PANEL in y, so edges go every _PANEL in y across the bend.
+    """
+    if service.family == "pareto":
+        c, r, ys = math.log(service.pareto_scale), service.shape, np.arange(0.0, 40.5, _PANEL)
+    elif service.family == "weibull":
+        c, r, ys = math.log(service.weibull_scale), service.shape, np.arange(-40.0, 4.5, _PANEL)
+    elif service.family == "lognormal":
+        c, r, ys = service.lognormal_location, 1.0 / service.shape, np.arange(-9.0, 9.5, _PANEL)
+    else:
+        return np.empty(0)
+    return c + ys / r if r > 1.0 else np.array([c])
+
+
+def _log_panels(lo: float, hi: float, bends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with sum(w * g(x)) ~ the integral of g over (e^lo, e^hi).
+
+    Gauss-Legendre in v = log x (so the weights carry the factor x), on
+    panels _PANEL wide with extra edges at the bends inside (lo, hi).
+    """
+    inside = bends[(bends > lo) & (bends < hi)]
+    edges = np.unique(np.concatenate((np.arange(lo, hi, _PANEL), inside, [hi])))
+    nodes, weights = _gauss_legendre()
+    half = np.diff(edges)[:, None] / 2.0
+    x = np.exp(((edges[:-1] + edges[1:])[:, None] / 2.0 + half * nodes).ravel())
+    return x, (half * weights).ravel() * x
+
+
+def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
+    """Exact average age of the infinite-server station: the floor under every discipline.
+
+    Every packet starts service on arrival, so the age exceeds x exactly
+    when no packet generated in the last x time units has been delivered.
+
+    Poisson arrivals at rate lam (Kam, Kompella and Ephremides, ISIT 2013,
+    for M/M/inf; the same thinning holds for M/G/inf): the delivered
+    packets among those generated in the last x form a Poisson count of mean
+    lam E[(x - S)+], so
+        A = integral over x > 0 of exp(-lam (x - E[min(S, x)])) dx.
+    Periodic arrivals with period D = 1/lam, U the time since the last one
+    (uniform on [0, D)) and packet j generated U + jD ago:
+        A = D/2 + sum over k >= 0 of integral_0^D prod_{j<=k} P(S > U + jD) dU.
+
+    Deterministic service has the closed forms 1/lam + 1/mu and D/2 + 1/mu.
+    Otherwise each integral is taken by Gauss-Legendre panels in log x,
+    with edges where the law's CDF bends (see _log_bends): over
+    [1e-12/lam, 60/lam + 10/mu] under Poisson arrivals, where the integrand
+    is 1 to within 1e-12 below and under e^-60 above, and over
+    [1e-12 D, D] under periodic ones.  The periodic sum stops at the first
+    k whose products fall below 1e-17 for every U.
+
+    Raises ParameterError where lam/mu is too large for a sound answer:
+    under periodic arrivals, if the sum needs more than _PERIODIC_TERMS =
+    10,000 terms (exponential service past lam/mu of about 1.2e6); under
+    Poisson arrivals, if the rounding of x - E[min(S, x)] may move the
+    result by more than _ROUNDING_LIMIT = 1e-6 of itself.  That bound is
+    conservative: exponential service passes it up to lam/mu of about
+    1e19, but near-deterministic laws (weibull k=1000, lognormal
+    sigma=0.001) are refused from about 1e10.
+    """
+    lam, mu = arrival.lam, service.mu
+    if arrival.family == "exp":
+        if service.family == "det":
+            return 1.0 / lam + 1.0 / mu
+        lo, hi = math.log(1e-12 / lam), math.log(60.0 / lam + 10.0 / mu)
+        x, w = _log_panels(lo, hi, _log_bends(service))
+        m = np.array([service.expected_min_with(t) for t in x.tolist()])
+        survival = np.exp(-lam * np.maximum(x - m, 0.0))
+        age = math.exp(lo) + float(w @ survival)
+        # x - E[min(S, x)] is exact below the Pareto scale, where S > x surely.  Elsewhere it errs
+        # by about eps x, plus eps/mu for the Pareto formula, and the exponent scales that by lam.
+        if service.family == "pareto":
+            err = np.where(x > service.pareto_scale, x + 1.0 / mu, 0.0)
+        else:
+            err = x
+        slip = lam * sys.float_info.epsilon * float(w @ (err * survival))
+        if slip > _ROUNDING_LIMIT * age:
+            raise ParameterError(
+                f"gginf_age of {service.label()} service under Poisson arrivals at lambda={lam:g}, "
+                f"mu={mu:g} is lost to rounding"
+            )
+        return age
+    period = 1.0 / lam
+    if service.family == "det":
+        return period / 2.0 + 1.0 / mu
+    # prod_{j=1..k} P(S > jD) bounds the k-th product at every U, since the tail does not rise
+    bound = np.cumprod(service._tail_probs(period * np.arange(1, _PERIODIC_TERMS + 1)))
+    n_terms = int(np.argmax(bound < _NEGLIGIBLE))
+    if not bound[n_terms] < _NEGLIGIBLE:
+        raise ParameterError(
+            f"gginf_age of {service.label()} service under periodic arrivals at lambda={lam:g}, "
+            f"mu={mu:g} needs more than {_PERIODIC_TERMS} terms"
+        )
+    bends = np.exp(_log_bends(service))
+    # a bend of P(S > U + jD) in U sits at the bend minus jD: they all fold onto (0, D)
+    folded = np.mod(bends[bends < (n_terms + 2) * period], period)
+    lo, hi = math.log(1e-12 * period), math.log(period)
+    u, w = _log_panels(lo, hi, np.log(folded[folded > 0.0]))
+    prod = np.ones_like(u)
+    series = np.zeros_like(u)
+    for j in range(n_terms + 1):
+        prod *= service._tail_probs(u + j * period)
+        series += prod
+    # below the first panel, the series is about its value at the first node
+    return period / 2.0 + float(w @ series) + math.exp(lo) * float(series[0])
 
 
 def _sweep_distributions(family: str, shapes: Sequence[float], mu: float) -> list[ServiceDistribution]:

@@ -94,7 +94,8 @@ def test_criterion_02_mg1_pareto_closed_form(figure1_points):
 
 def test_criterion_03_infinite_server_age_consistency():
     """Simulated infinite-server age matches the Monte-Carlo estimate within
-    3 combined standard errors on the 6-point (arrival x service) grid.
+    3 combined standard errors on the 6-point (arrival x service) grid, and
+    the exact gginf_age (the row's gginf_age cell) within 3 of its own.
 
     The deterministic/deterministic point is exact on both sides (stderr 0),
     so a 5e-3 absolute floor covers the finite-horizon truncation residual.
@@ -110,10 +111,13 @@ def test_criterion_03_infinite_server_age_consistency():
             est, se_mc = ad.gginf_age_estimate(arrival, service, 200_000, 977)
             gap = abs(point.avg_age - est)
             bound = 3.0 * math.hypot(se_sim, se_mc) + 5e-3
-            ok &= gap <= bound
+            exact_gap = abs(point.avg_age - point.gginf_age)
+            exact_bound = 3.0 * se_sim + 5e-3
+            ok &= gap <= bound and exact_gap <= exact_bound
             lines.append(
                 f"{arrival.family}/{service.label()}: sim={point.avg_age:.4f} est={est:.4f} "
-                f"gap={gap:.4f} bound={bound:.4f}"
+                f"gap={gap:.4f} bound={bound:.4f} exact={point.gginf_age:.4f} "
+                f"gap={exact_gap:.4f} bound={exact_bound:.4f}"
             )
     report(3, ok, "; ".join(lines))
     assert ok, "\n".join(lines)

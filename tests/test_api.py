@@ -20,6 +20,7 @@ PUBLIC_NAMES = [
     "age_at",
     "busy_periods",
     "emit_outputs",
+    "gginf_age",
     "gginf_age_estimate",
     "load_config",
     "load_preset",

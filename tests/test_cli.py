@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from agedelay import engine, experiments, gginf_age_estimate
+from agedelay import engine, experiments, gginf_age
 from agedelay.errors import ParameterError
 from agedelay.cli import main
 from agedelay.engine import parse_grid_line
@@ -171,12 +171,12 @@ def test_sweep_of_neither_preset_nor_file_exits_with_one_line(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
-ORACLE_HEADER = "discipline,family,shape,arrival,lambda,mu,a_min,pk_delay,gginf_age,gginf_stderr"
+ORACLE_HEADER = "discipline,family,shape,arrival,lambda,mu,a_min,pk_delay,gginf_age"
 
 
-def oracle_point(capsys, line, *argv):
-    """The one row of `oracle point LINE` at lambda=0.5, mu=0.8, keyed by its header."""
-    code, out, err = run_cli(capsys, "oracle", "point", line, "--lam", "0.5", "--mu", "0.8", *argv)
+def oracle_point(capsys, line, lam="0.5"):
+    """The one row of `oracle point LINE` at lambda=lam, mu=0.8, keyed by its header."""
+    code, out, err = run_cli(capsys, "oracle", "point", line, "--lam", lam, "--mu", "0.8")
     assert code == 0 and err == ""
     header, row = out.splitlines()
     assert header == ORACLE_HEADER
@@ -184,7 +184,7 @@ def oracle_point(capsys, line, *argv):
 
 
 def test_oracle_point_names_its_columns_as_the_result_row():
-    assert ORACLE_HEADER.split(",") == [*experiments._COLUMNS[:6], "a_min", "pk_delay", "gginf_age", "gginf_stderr"]
+    assert ORACLE_HEADER.split(",") == [*experiments._COLUMNS[:6], "a_min", "pk_delay", "gginf_age"]
 
 
 def test_oracle_a_min(capsys):
@@ -202,18 +202,35 @@ def test_oracle_pk_delay(capsys):
 
 def test_oracle_dd1_age(capsys):
     # with periodic arrivals and deterministic service below capacity no packet waits:
-    # the age is the infinite-server age 1/(2 lambda) + 1/mu, estimated with zero variance
+    # the age is the infinite-server age 1/(2 lambda) + 1/mu, in closed form
     code, out, _ = run_cli(capsys, "oracle", "point", "fcfs det arrival=det", "--lam", "0.5", "--mu", "0.8")
     assert code == 0
-    assert out == f"{ORACLE_HEADER}\nfcfs,det,,det,0.5,0.8,1,,2.25,0\n"
+    assert out == f"{ORACLE_HEADER}\nfcfs,det,,det,0.5,0.8,1,,2.25\n"
 
 
 def test_oracle_gginf(capsys):
-    assert oracle_point(capsys, "inf det arrival=det", "--seed", "1")["gginf_age"] == "2.25"
-    row = oracle_point(capsys, "lcfs-p pareto alpha=2", "--seed", "4")
+    assert oracle_point(capsys, "inf det arrival=det")["gginf_age"] == "2.25"
+    assert oracle_point(capsys, "inf det")["gginf_age"] == "3.25"  # 1/lambda + 1/mu
+    row = oracle_point(capsys, "lcfs-p pareto alpha=2")
     point = parse_grid_line("lcfs-p pareto alpha=2", 0.8, 0.5)
-    est, se = gginf_age_estimate(point.arrival, point.service, experiments.GGINF_SAMPLES, 4)
-    assert (row["gginf_age"], row["gginf_stderr"]) == (format_cell(est), format_cell(se))
+    assert row["gginf_age"] == format_cell(gginf_age(point.arrival, point.service))
+    # the cell is exact, so no seed option is left to take
+    with pytest.raises(SystemExit):
+        main(["oracle", "point", "inf exp", "--lam", "0.5", "--mu", "0.8", "--seed", "1"])
+
+
+@pytest.mark.parametrize(
+    "line,lam",
+    [("inf det", "10000"), ("inf exp", "1e10")],
+    ids=["inf-det-lambda-1e4", "inf-exp-lambda-1e10"],
+)
+def test_oracle_gginf_at_large_lambda_over_mu(capsys, line, lam):
+    # large lambda/mu: an estimator drawing about lambda/mu rounds per sample would take minutes here
+    cell = float(oracle_point(capsys, line, lam)["gginf_age"])
+    # Jensen: 1/lambda <= gginf_age <= 1/lambda + 1/mu, with equality on the right for det
+    assert 1 / float(lam) <= cell <= 1 / float(lam) + 1.25
+    if line == "inf det":
+        assert cell == 1.2501
 
 
 @pytest.mark.parametrize(
@@ -221,9 +238,8 @@ def test_oracle_gginf(capsys):
     ["fcfs exp", "lcfs-np pareto alpha=2", "lcfs-p lognormal sigma=1", "inf weibull k=0.5", "fcfs det arrival=det"],
 )
 def test_oracle_point_cells_are_the_simulated_rows(capsys, line):
-    # a one-point suite of n_reps reps seeds its gginf draws at base_seed + n_reps
     base_seed, n_reps = 7, 2
-    oracle = oracle_point(capsys, line, "--seed", str(base_seed + n_reps))
+    oracle = oracle_point(capsys, line)
     code, out, _ = run_cli(
         capsys,
         "simulate", line, "--lam", "0.5", "--mu", "0.8", "--n-arrivals", "2000",
@@ -234,7 +250,7 @@ def test_oracle_point_cells_are_the_simulated_rows(capsys, line):
     simulated = dict(zip(header.split(","), row.split(",")))
     shared = [name for name in ORACLE_HEADER.split(",") if name in simulated]
     assert shared == [name for name in CSV_COLUMNS if name in oracle]
-    assert len(shared) == 9  # gginf_stderr is a JSON-only column
+    assert len(shared) == len(oracle) == 9
     assert {name: oracle[name] for name in shared} == {name: simulated[name] for name in shared}
 
 
@@ -343,7 +359,6 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         ),
         (("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--base-seed", "-1", "--serial"), "seed"),
         (("sweep", "figure1", "--set", "run.base_seed=-5", "--set", "run.n_arrivals=1000", "--serial"), "seed"),
-        (("oracle", "point", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--seed", "-1"), "seed"),
         (("sweep", "figure1", "--set", "scalarization.nu_grid=0 inf", "--serial"), "nu_grid"),
         (("sweep", "figure1", "--set", "run.n_arrivals=1000", "--set", "run.n_arival=100", "--serial"), "run.n_arival"),
         (("sweep", "figure1", "--set", "run.n_arrivals=1000", "--set", "rn.n_reps=1", "--serial"), "rn.n_reps"),
@@ -390,6 +405,10 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             "mu=1e+300 is too large",
         ),
         (("simulate", "inf exp", "--lam", "1e300", "--mu", "0.8", "--serial"), "lambda=1e+300 is too large"),
+        (
+            ("oracle", "point", "inf exp arrival=det", "--lam", "1e10", "--mu", "0.8"),
+            "lambda=1e+10, mu=0.8 needs more than 10000 terms",
+        ),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -401,7 +420,6 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "infinite-threshold",
         "negative-simulate-seed",
         "negative-config-seed",
-        "negative-gginf-seed",
         "infinite-weight",
         "misspelt-key",
         "misspelt-section",
@@ -417,6 +435,7 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "n-arrivals-2^60-sweep",
         "huge-mu-tail-table",
         "huge-lambda-simulate",
+        "periodic-gginf-past-its-terms",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):

@@ -173,6 +173,17 @@ def test_tail_examples():
     assert parse_service("weibull k=1", MU).tail_prob(1.25) == pytest.approx(math.exp(-1.0))
 
 
+@pytest.mark.parametrize(
+    "dist",
+    SERVICE_GRID + [parse_service(spec, MU) for spec in ("pareto alpha=1.0001", "lognormal sigma=20", "weibull k=0.02")],
+    ids=lambda d: d.label(),
+)
+def test_vectorised_tail_matches_scalar(dist):
+    xs = np.array([1e-300, 1e-12, *X_GRID, dist.pareto_scale if dist.family == "pareto" else 1.25, 1e12, 1e300])
+    scalar = np.array([dist.tail_prob(x) for x in xs.tolist()])
+    assert np.allclose(dist._tail_probs(xs), scalar, rtol=1e-12, atol=0.0)
+
+
 def test_weibull_k1_tail_matches_exponential_to_1e12():
     w = parse_service("weibull k=1", MU)
     e = parse_service("exp", MU)
@@ -209,7 +220,8 @@ def test_truncated_mean_examples():
 @pytest.mark.parametrize("k", [700, 50, 5, 1, 0.5, 0.1, 0.02, 0.0117, 0.006])
 def test_gammainc_matches_scipy(k):
     a = 1.0 + 1.0 / k
-    us = [0.0, 1e-300, *np.logspace(-12, 4), a * (1 - 1e-3), a * (1 + 1e-3), 1e6, math.inf]
+    # near the top of the double range the continued fraction overflowed to nan and never returned
+    us = [0.0, 1e-300, *np.logspace(-12, 4), a * (1 - 1e-3), a * (1 + 1e-3), 1e6, 1e300, 1.4786218688585072e308, math.inf]
     for u in map(float, us):
         ref = float(gammainc(a, u))
         # scipy flushes some results below the normal double range to 0
@@ -328,6 +340,7 @@ def test_shape_domain_limits(family, data, mu, x):
         ("weibull", MU, -1.0),
         ("weibull", MU, 0.004),  # Gamma(1+1/k) overflows
         ("weibull", MU, 1e-320),  # 1/k is infinite
+        ("weibull", 1e150, 0.006),  # the scale 1/(mu Gamma(1+1/k)) underflows to 0
         ("lognormal", MU, 0.0),
         ("lognormal", MU, 1e200),  # sigma^2 overflows
         ("exp", 1e-160, None),  # mu^2 underflows

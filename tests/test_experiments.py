@@ -15,7 +15,7 @@ from agedelay import (
     StabilityError,
     SweepConfig,
     emit_outputs,
-    gginf_age_estimate,
+    gginf_age,
     load_config,
     load_preset,
     pareto_frontier,
@@ -48,7 +48,6 @@ def fp(age, delay, var=1.0):
         a_min=2.0,
         pk_delay=None,
         gginf_age=None,
-        gginf_stderr=None,
         slow_convergence=False,
     )
 
@@ -185,33 +184,33 @@ def test_pk_delay_only_on_non_preemptive_poisson_rows():
     assert pk[2:] == [None, None]
 
 
-def test_run_suite_gginf_column_seed_rule_and_cache():
-    cfg = small_config(points=("fcfs exp", "lcfs-p exp", "fcfs det"), n=1000)
+def test_run_suite_gginf_column_is_the_exact_value_of_its_law():
+    cfg = small_config(points=("fcfs exp", "lcfs-p exp", "fcfs det", "fcfs exp arrival=det"), n=1000)
     pts = run_suite(cfg, parallel=False)
-    # one estimate per (arrival, service), seeded past every replication seed
-    # by the index of the first grid point that needs it
-    assert (pts[0].gginf_age, pts[0].gginf_stderr) == (pts[1].gginf_age, pts[1].gginf_stderr)
-    seed_base = cfg.base_seed + len(cfg.grid) * cfg.n_reps
-    for pt, point, first_index in zip(pts, cfg.grid, (0, 0, 2)):
-        expected = gginf_age_estimate(point.arrival, point.service, 200_000, seed_base + first_index)
-        assert (pt.gginf_age, pt.gginf_stderr) == expected
+    # no seed enters the cell: it is gginf_age of the point's (arrival, service) law
+    for pt, point in zip(pts, cfg.grid):
+        assert pt.gginf_age == gginf_age(point.arrival, point.service)
+    assert pts[0].gginf_age == pts[1].gginf_age
+    assert pts[2].gginf_age == 1 / 0.5 + 1 / 0.8 and pts[3].gginf_age < pts[0].gginf_age
 
 
 def test_run_suite_estimates_gginf_once_per_law_per_call(tmp_path, monkeypatch):
-    # figure1's first 9 points hold its 9 laws; no estimate outlives the call that made it
-    seeds = []
-    estimate = experiments.gginf_age_estimate
+    # figure1's first 9 points hold its 9 laws; no value outlives the call that made it
+    laws = []
+    exact = experiments.gginf_age
 
-    def spy(arrival, service, n_samples, seed):
-        seeds.append(seed)
-        return estimate(arrival, service, n_samples, seed)
+    def spy(arrival, service):
+        laws.append((arrival, service))
+        return exact(arrival, service)
 
-    monkeypatch.setattr(experiments, "gginf_age_estimate", spy)
+    monkeypatch.setattr(experiments, "gginf_age", spy)
+    # the Monte-Carlo estimator stays off the run path
+    monkeypatch.setattr(experiments, "gginf_age_estimate", None)
     cfg = load_preset("figure1", ["run.n_arrivals=2000", "run.n_reps=2"])
     for _ in range(2):
-        seeds.clear()
+        laws.clear()
         run_and_emit(cfg, tmp_path, parallel=False)
-        assert seeds == [cfg.base_seed + 18 * cfg.n_reps + i for i in range(9)]
+        assert laws == [(p.arrival, p.service) for p in cfg.grid[:9]]
 
 
 def test_run_suite_flags_slow_convergence():
@@ -525,6 +524,7 @@ def test_retired_key_is_ignored_with_one_note(capsys):
     cfg = load_preset("figure1", ["run.gginf_samples=1000"])
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("note:") and "run.gginf_samples" in err
+    assert err.endswith("the gginf_age column is exact\n")
     assert cfg == load_preset("figure1")
 
 

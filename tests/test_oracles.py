@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from agedelay import (
+    ArrivalProcess,
     Discipline,
     ParameterError,
+    ServiceDistribution,
     StabilityError,
+    gginf_age,
     gginf_age_estimate,
     min_average_age,
     parse_arrival,
@@ -17,7 +23,7 @@ from agedelay import (
     tail_decay_table,
 )
 from agedelay.engine import parse_grid_line
-from agedelay.oracles import _pending_minima
+from agedelay.oracles import _gauss_legendre, _pending_minima
 
 MU = 0.8
 POISSON = parse_arrival("exp", 0.5)
@@ -78,15 +84,13 @@ def test_pk_delay_matches_lcfs_np_simulation():
 def dd1_age(lam: float, mu: float) -> float:
     """gginf_age of 'fcfs det arrival=det': below capacity no packet waits, so it is that point's age."""
     point = parse_grid_line("fcfs det arrival=det", mu, lam)
-    est, se = gginf_age_estimate(point.arrival, point.service, 2000, 1)
-    assert se == pytest.approx(0.0, abs=1e-12 * est)
-    return est
+    return gginf_age(point.arrival, point.service)
 
 
 def test_dd1_age_values():
-    assert dd1_age(0.5, 0.8) == pytest.approx(2.25)
-    # the sawtooth drops to 1/mu every 1/lambda; the estimate carries rounding only
-    assert dd1_age(0.7, 0.9) == pytest.approx(0.5 / 0.7 + 1 / 0.9, rel=1e-12)
+    assert dd1_age(0.5, 0.8) == 2.25
+    # the sawtooth drops to 1/mu every 1/lambda
+    assert dd1_age(0.7, 0.9) == pytest.approx(0.5 / 0.7 + 1 / 0.9, rel=1e-15)
     # zero service time recovers the arrival-only floor
     assert dd1_age(0.5, 1e12) == pytest.approx(min_average_age(PERIODIC), rel=1e-9)
     with pytest.raises(StabilityError):
@@ -163,12 +167,11 @@ def test_gginf_early_termination_matches_brute_force():
 
 
 def test_gginf_pareto_sweep_decreases_toward_floor():
-    estimates = []
-    for alpha in (3.0, 2.5, 2.0, 1.7, 1.5):
-        est, _ = gginf_age_estimate(POISSON, parse_service(f"pareto alpha={alpha}", MU), 100_000, 9)
-        estimates.append(est)
-    assert all(e > 2.0 for e in estimates)
-    assert all(b < a for a, b in zip(estimates, estimates[1:]))
+    ages = [gginf_age(POISSON, parse_service(f"pareto alpha={alpha}", MU)) for alpha in (3.0, 2.5, 2.0, 1.7, 1.5)]
+    assert all(a > 2.0 for a in ages)
+    assert all(b < a for a, b in zip(ages, ages[1:]))
+    # at alpha -> 1+ the floor 1/lambda is all that is left: theta -> 0, and E[S] rides on a vanishing tail
+    assert gginf_age(POISSON, parse_service("pareto alpha=1.0001", MU)) == pytest.approx(2.0, rel=1e-3)
 
 
 def test_gginf_consistent_with_infinite_server_simulation():
@@ -177,6 +180,121 @@ def test_gginf_consistent_with_infinite_server_simulation():
     est, se = gginf_age_estimate(POISSON, svc, 100_000, 55)
     combined = math.hypot(rep.ci_halfwidth_age / 1.96, se)
     assert abs(rep.avg_age - est) <= 4 * combined + 1e-3
+
+
+# ---- exact infinite-server age --------------------------------------------------------
+
+FIGURE1_LAWS = [
+    parse_service(spec, MU)
+    for spec in (
+        "det", "exp", "pareto alpha=3", "pareto alpha=2", "pareto alpha=1.5",
+        "lognormal sigma=1", "lognormal sigma=2", "weibull k=1", "weibull k=0.5",
+    )
+]
+# the heavy-tail limits the paper sweeps toward
+LIMIT_LAWS = [parse_service(spec, MU) for spec in ("pareto alpha=1.0001", "lognormal sigma=20", "weibull k=0.02")]
+
+
+def law_kinks(service):
+    """Where P(S > x) is not smooth: the Pareto scale, the deterministic value."""
+    if service.family == "pareto":
+        return [service.pareto_scale]
+    return [1.0 / service.mu] if service.family == "det" else []
+
+
+def quad_gginf_poisson(lam, service):
+    """The Poisson-arrival integral of exp(-lam E[(x - S)+]), by adaptive quadrature in log x."""
+    def integrand(v):
+        x = math.exp(v)
+        return x * math.exp(-lam * (x - service.expected_min_with(x)))
+
+    lo, hi = math.log(1e-30), math.log(100 / lam + 20 / service.mu)
+    kinks = [math.log(k) for k in law_kinks(service)]
+    value, _ = integrate.quad(integrand, lo, hi, points=kinks or None, limit=2000, epsabs=0, epsrel=1e-13)
+    return math.exp(lo) + value
+
+
+def quad_gginf_periodic(lam, service):
+    """D/2 plus the sum over k of the U-integrals of prod_{j<=k} P(S > U + jD), term by term."""
+    period = 1 / lam
+    total = period / 2
+    for k in range(1000):
+        def integrand(u):
+            return math.prod(service.tail_prob(u + j * period) for j in range(k + 1))
+
+        kinks = [x % period for x in law_kinks(service)]
+        term, _ = integrate.quad(integrand, 0, period, points=kinks or None, limit=500, epsabs=1e-300, epsrel=1e-13)
+        total += term
+        if term < 1e-18:
+            return total
+    raise AssertionError("the reference sum did not converge")
+
+
+@pytest.mark.parametrize("arrival", [POISSON, PERIODIC], ids=["poisson", "periodic"])
+@pytest.mark.parametrize("service", FIGURE1_LAWS + LIMIT_LAWS, ids=lambda d: d.label())
+def test_gginf_age_matches_adaptive_quadrature(arrival, service):
+    reference = (quad_gginf_poisson if arrival.family == "exp" else quad_gginf_periodic)(arrival.lam, service)
+    assert gginf_age(arrival, service) == pytest.approx(reference, rel=1e-10)
+
+
+def test_gginf_age_det_closed_forms():
+    for lam, mu in ((0.5, 0.8), (0.7, 0.9), (3.0, 0.1), (1e-6, 1e6)):
+        det = parse_service("det", mu)
+        assert gginf_age(ArrivalProcess("exp", lam), det) == 1 / lam + 1 / mu
+        assert gginf_age(ArrivalProcess("det", lam), det) == 0.5 / lam + 1 / mu
+    # a closed form, whatever lambda/mu
+    assert gginf_age(ArrivalProcess("exp", 1e4), parse_service("det", MU)) == 1e-4 + 1.25
+
+
+def test_gauss_legendre_nodes_match_numpy():
+    nodes, weights = _gauss_legendre()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 4e-16
+    assert np.max(np.abs(weights - ref_weights)) <= 4e-16
+
+
+# each family's whole admissible shape domain; shapes the constructor rejects are skipped
+DOMAIN_SHAPES = {
+    "det": st.none(),
+    "exp": st.none(),
+    "pareto": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    "lognormal": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "weibull": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DOMAIN_SHAPES))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), lam=st.floats(1e-3, 1e3), mu=st.floats(1e-3, 1e3))
+def test_gginf_age_jensen_bounds(family, data, lam, mu):
+    # exp(-lam E[(x - S)+]) lies between exp(-lam x) and, as E[(x - S)+] >= (x - 1/mu)+,
+    # exp(-lam (x - 1/mu)+): so 1/lam <= A <= 1/lam + 1/mu, with equality on the right for det
+    try:
+        service = ServiceDistribution(family, mu, data.draw(DOMAIN_SHAPES[family]))
+    except ParameterError:
+        return
+    age = gginf_age(ArrivalProcess("exp", lam), service)
+    slack = 1e-12 * (1 / lam + 1 / mu)  # rounding
+    assert 1 / lam - slack <= age <= 1 / lam + 1 / mu + slack
+
+
+@pytest.mark.parametrize("service", FIGURE1_LAWS, ids=lambda d: d.label())
+def test_gginf_estimate_agrees_with_exact_value(service):
+    est, se = gginf_age_estimate(POISSON, service, 100_000, 31)
+    assert abs(est - gginf_age(POISSON, service)) <= 4 * se
+
+
+def test_gginf_age_refuses_what_it_cannot_resolve():
+    # past _PERIODIC_TERMS periods the periodic sum gives up at once
+    with pytest.raises(ParameterError, match=r"^gginf_age of exp service under periodic arrivals at lambda=1e\+10, "):
+        gginf_age(ArrivalProcess("det", 1e10), parse_service("exp", MU))
+    # the M/M/inf age is about sqrt(pi / (2 lambda mu)) = 1.4e-75 here, but x - E[min(S, x)]
+    # rounds to 0 below x = 1e-16, where the integrand then reads 1
+    with pytest.raises(ParameterError, match="is lost to rounding"):
+        gginf_age(ArrivalProcess("exp", 1e150), parse_service("exp", MU))
+    # the exponential law still resolves at lambda/mu = 1.25e10: sqrt(pi / (2 lambda mu)) to 1e-4
+    age = gginf_age(ArrivalProcess("exp", 1e10), parse_service("exp", MU))
+    assert age == pytest.approx(math.sqrt(math.pi / (2 * 1e10 * MU)), rel=1e-4)
 
 
 # ---- sweep tables -------------------------------------------------------------------

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agedelay import ArrivalProcess, Discipline, ServiceDistribution
-from agedelay.engine import _serve, busy_periods
+from agedelay.engine import _mark_informative, _serve, busy_periods
+from reference_loop import AgeTracker
 from reference_loop import serve as reference_serve
 
 REL_TOL = 1e-13
@@ -99,3 +100,22 @@ def test_lcfs_preemptive_heavy_tail_stress():
     gen = np.cumsum(ArrivalProcess("exp", 0.95).sample_n(rng, 200_000))
     svc = ServiceDistribution("pareto", 1.0, 1.05).sample_n(rng, 200_000)
     assert_matches_reference(gen, svc, Discipline.LCFS_PREEMPTIVE)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 22])
+def test_small_k_weibull_informative_flags_match_reference(seed):
+    # Weibull k=0.2 services span many orders of magnitude; the unrolled FCFS sums
+    # rounded a completion one step below the one before it, and that packet read as stale
+    rng = np.random.default_rng(seed)
+    gen = np.cumsum(ArrivalProcess("exp", 0.5).sample_n(rng, 20_000))
+    svc = ServiceDistribution("weibull", 0.8, 0.2).sample_n(rng, 20_000)
+    for discipline in (Discipline.FCFS, Discipline.LCFS_PREEMPTIVE, Discipline.LCFS_NONPREEMPTIVE):
+        flags = _mark_informative(gen, _serve(gen, svc, discipline))[0]
+        recv = reference_serve(gen, svc, discipline)
+        tracker = AgeTracker()
+        expected = np.zeros(gen.shape[0], dtype=bool)
+        for i in np.argsort(recv, kind="stable").tolist():  # equal instants in generation order
+            expected[i] = tracker.on_reception(gen[i], recv[i])
+        assert np.array_equal(flags, expected), discipline
+        if discipline is Discipline.FCFS:
+            assert flags.all()  # first in, first out: every packet is fresher than the last

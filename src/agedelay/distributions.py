@@ -17,6 +17,7 @@ Inter-arrival families are deterministic (X = 1/lambda) and exponential
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,10 +30,8 @@ SERVICE_FAMILIES = ("det", "exp", "lognormal", "pareto", "weibull")
 ARRIVAL_FAMILIES = ("det", "exp")
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
+# numpy has no erfc, so math.erfc runs on each entry
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def _or_inf(fn, *args: float) -> float:
@@ -85,6 +84,25 @@ def _gammainc(a: float, u: float) -> float:
         frac *= c * d
         if abs(c * d - 1.0) <= sys.float_info.epsilon:
             return 1.0 - scale * frac
+
+
+def _over_thresholds(method):
+    """A tail method at every entry of x, each positive and finite: a float for a scalar x, else x's shape.
+
+    The method's body always receives x as a float array of at least one dimension.
+    """
+
+    @functools.wraps(method)
+    def over_thresholds(self, x):
+        t = np.array(x, dtype=float, ndmin=1)  # not a numpy scalar, whose ** rounds apart from an array's
+        bad = ~((t > 0.0) & (t < math.inf))
+        if bad.any():
+            raise ParameterError(f"threshold x must be positive and finite, got {t[bad][0]}")
+        with np.errstate(over="ignore"):  # each overflow gives its exact limit: erfc(inf) = 0, exp(-inf) = 0
+            out = method(self, t)
+        return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
+
+    return over_thresholds
 
 
 def format_shape(shape: float) -> str:
@@ -199,68 +217,49 @@ class ServiceDistribution:
 
     # ---- tail and truncated moments ------------------------------------------
 
-    def tail_prob(self, x: float) -> float:
-        """P(S > x), exact closed form."""
-        if not 0 < x < math.inf:
-            raise ParameterError(f"threshold x must be positive and finite, got {x}")
-        if self.family == "det":
-            return 1.0 if x < 1.0 / self.mu else 0.0
-        if self.family == "exp":
-            return math.exp(-self.mu * x)
-        if self.family == "lognormal":
-            z = (math.log(x) - self.lognormal_location) / self.shape
-            return 0.5 * math.erfc(z / _SQRT2)
-        if self.family == "pareto":
-            th = self.pareto_scale
-            if x <= th:
-                return 1.0
-            return (th / x) ** self.shape
-        return math.exp(-_or_inf(math.pow, x / self.weibull_scale, self.shape))
-
-    def _tail_probs(self, x: np.ndarray) -> np.ndarray:
-        """tail_prob at every entry of x, each positive and finite, to within rounding."""
+    @_over_thresholds
+    def tail_prob(self, x: float | np.ndarray) -> float | np.ndarray:
+        """P(S > x), exact closed form, at a scalar x or each entry of an array."""
         if self.family == "det":
             return (x < 1.0 / self.mu).astype(float)
         if self.family == "exp":
             return np.exp(-self.mu * x)
         if self.family == "lognormal":
-            z = (np.log(x) - self.lognormal_location) / (self.shape * _SQRT2)
-            return 0.5 * np.array([math.erfc(v) for v in z.tolist()])  # numpy has no erfc
+            z = (np.log(x) - self.lognormal_location) / self.shape
+            return 0.5 * _erfc(z / _SQRT2)
         if self.family == "pareto":
             th = self.pareto_scale
             return (th / np.maximum(x, th)) ** self.shape
-        with np.errstate(over="ignore"):  # an infinite power is a zero tail
-            return np.exp(-((x / self.weibull_scale) ** self.shape))
+        return np.exp(-((x / self.weibull_scale) ** self.shape))
 
-    def expected_min_with(self, x: float) -> float:
-        """E[min(S, x)] = integral of P(S > t) over (0, x), in closed form."""
-        if not 0 < x < math.inf:
-            raise ParameterError(f"threshold x must be positive and finite, got {x}")
+    @_over_thresholds
+    def expected_min_with(self, x: float | np.ndarray) -> float | np.ndarray:
+        """E[min(S, x)] = integral of P(S > t) over (0, x), in closed form, at a scalar x or each entry of an array."""
         mu = self.mu
         if self.family == "det":
-            return min(x, 1.0 / mu)
+            return np.minimum(x, 1.0 / mu)
         if self.family == "exp":
-            return min(x, -math.expm1(-mu * x) / mu)  # mu * x loses digits at subnormal x
+            return np.minimum(x, -np.expm1(-mu * x) / mu)  # mu * x loses digits at subnormal x
         if self.family == "lognormal":
             # E[S 1{S<x}] + x P(S>x) with the lognormal partial expectation
             m, s = self.lognormal_location, self.shape
-            z = (math.log(x) - m) / s
-            below = (1.0 / mu) * _norm_cdf(z - s)
-            return below + x * 0.5 * math.erfc(z / _SQRT2)
+            z = (np.log(x) - m) / s
+            below = (1.0 / mu) * (0.5 * _erfc(-(z - s) / _SQRT2))
+            return below + x * 0.5 * _erfc(z / _SQRT2)
         if self.family == "pareto":
             th, a = self.pareto_scale, self.shape
-            if x <= th:
-                return x
-            return th + th * (1.0 - (th / x) ** (a - 1.0)) / (a - 1.0)
+            above = th + th * (1.0 - (th / np.maximum(x, th)) ** (a - 1.0)) / (a - 1.0)
+            return np.where(x <= th, x, above)
         b, k = self.weibull_scale, self.shape
-        u = _or_inf(math.pow, x / b, k)  # at u = inf both terms take their exact limits
-        below = (1.0 / mu) * _gammainc(1.0 + 1.0 / k, u)
-        return below + x * math.exp(-u)
+        u = (x / b) ** k  # at u = inf both terms take their exact limits
+        below = (1.0 / mu) * np.vectorize(_gammainc, otypes=[float])(1.0 + 1.0 / k, u)
+        return below + x * np.exp(-u)
 
-    def truncated_mean_below(self, x: float) -> float:
-        """E[S 1{S < x}], evaluated as E[min(S,x)] - x*P(S > x)."""
+    @_over_thresholds
+    def truncated_mean_below(self, x: float | np.ndarray) -> float | np.ndarray:
+        """E[S 1{S < x}], evaluated as E[min(S,x)] - x*P(S > x), at a scalar x or each entry of an array."""
         val = self.expected_min_with(x) - x * self.tail_prob(x)
-        return val if val > 0.0 else 0.0
+        return np.where(val > 0.0, val, 0.0)
 
     # ---- sampling -------------------------------------------------------------
 

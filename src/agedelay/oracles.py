@@ -209,7 +209,7 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
             return 1.0 / lam + 1.0 / mu
         lo, hi = math.log(1e-12 / lam), math.log(60.0 / lam + 10.0 / mu)
         x, w = _log_panels(lo, hi, _log_bends(service))
-        m = np.array([service.expected_min_with(t) for t in x.tolist()])
+        m = service.expected_min_with(x)
         survival = np.exp(-lam * np.maximum(x - m, 0.0))
         age = math.exp(lo) + float(w @ survival)
         # x - E[min(S, x)] is exact below the Pareto scale, where S > x surely.  Elsewhere it errs
@@ -229,7 +229,7 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
     if service.family == "det":
         return period / 2.0 + 1.0 / mu
     # prod_{j=1..k} P(S > jD) bounds the k-th product at every U, since the tail does not rise
-    bound = np.cumprod(service._tail_probs(period * np.arange(1, _PERIODIC_TERMS + 1)))
+    bound = np.cumprod(service.tail_prob(period * np.arange(1, _PERIODIC_TERMS + 1)))
     n_terms = int(np.argmax(bound < _NEGLIGIBLE))
     if not bound[n_terms] < _NEGLIGIBLE:
         raise ParameterError(
@@ -244,7 +244,7 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
     prod = np.ones_like(u)
     series = np.zeros_like(u)
     for j in range(n_terms + 1):
-        prod *= service._tail_probs(u + j * period)
+        prod *= service.tail_prob(u + j * period)
         series += prod
     # below the first panel, the series is about its value at the first node
     return period / 2.0 + float(w @ series) + math.exp(lo) * float(series[0])
@@ -281,16 +281,16 @@ def tail_decay_table(
     truncated-mean column strictly decreases along such a sweep.
     """
     _check_rate("arrival rate lambda", lam)
-    xs = [float(x) for x in xs]
-    if not xs:
+    xs = np.array([float(x) for x in xs])
+    if not xs.size:
         raise ParameterError("x grid must be nonempty")
-    bad = [x for x in xs if x < 1.0 / lam - 1e-12]
-    if bad:
-        raise ParameterError(f"x grid values must be >= 1/lambda = {1.0 / lam}, got {bad}")
+    bad = xs[xs < (1.0 / lam) * (1.0 - 1e-12)]
+    if bad.size:
+        raise ParameterError(f"x grid values must be >= 1/lambda = {1.0 / lam}, got {bad.tolist()}")
     dists = _sweep_distributions(family, shapes, mu)
     m2 = np.array([d.second_moment() for d in dists])
-    tail = np.array([[d.tail_prob(x) for x in xs] for d in dists])
-    trunc = np.array([[d.truncated_mean_below(x) for x in xs] for d in dists])
+    tail = np.array([d.tail_prob(xs) for d in dists])
+    trunc = np.array([d.truncated_mean_below(xs) for d in dists])
     sweep = len(dists) >= 2
     diverging = bool(np.isinf(m2).any()) or (
         sweep and bool(np.all(np.diff(m2) > 0) and m2[-1] >= 1e6 / (mu * mu))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -276,6 +277,28 @@ def test_oracle_tail_table(capsys):
     assert err == "# second_moment_diverging=False columns_decreasing=False\n"
 
 
+@pytest.mark.parametrize(
+    "argv,cell,note",
+    [
+        (("oracle", "point", "inf lognormal sigma=1e-310 arrival=det", "--lam", "0.5", "--mu", "0.8"), "2.25", ""),
+        (
+            ("oracle", "tail-table", "--family", "lognormal", "--shapes", "1e-310", "--xs", "10", "--mu", "0.8", "--lam", "0.5"),
+            "1.25",
+            "# second_moment_diverging=False columns_decreasing=False\n",
+        ),
+    ],
+    ids=["point", "tail-table"],
+)
+def test_overflow_to_the_exact_limit_writes_no_warning(capsys, argv, cell, note):
+    # at sigma=1e-310, (log x - m) / sigma overflows to an infinity whose erfc is the exact tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-1] == cell
+    assert err == note
+
+
 def test_oracle_tail_table_weibull_large_k(capsys):
     # (x / beta)^k overflows at k = 700: the tail and truncated mean take their exact limits
     code, out, _ = run_cli(
@@ -404,6 +427,11 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             ("oracle", "tail-table", "--family", "exp", "--xs", "2", "--mu", "1e300", "--lam", "0.5"),
             "mu=1e+300 is too large",
         ),
+        # the slack under 1/lambda is relative: an absolute 1e-12 would pass any x at lambda=1e12
+        (
+            ("oracle", "tail-table", "--family", "exp", "--xs", "1e-20", "--mu", "2e12", "--lam", "1e12"),
+            "must be >= 1/lambda = 1e-12, got [1e-20]",
+        ),
         (("simulate", "inf exp", "--lam", "1e300", "--mu", "0.8", "--serial"), "lambda=1e+300 is too large"),
         (
             ("oracle", "point", "inf exp arrival=det", "--lam", "1e10", "--mu", "0.8"),
@@ -434,6 +462,7 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "n-arrivals-10^20-sweep",
         "n-arrivals-2^60-sweep",
         "huge-mu-tail-table",
+        "tiny-x-under-tiny-inverse-lambda",
         "huge-lambda-simulate",
         "periodic-gginf-past-its-terms",
     ],

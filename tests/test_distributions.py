@@ -26,6 +26,7 @@ SERVICE_GRID = [
 ]
 
 X_GRID = [0.3, 0.7, 1.0, 1.25, 1.9, 2.5, 4.0, 8.0, 20.0]
+TAIL_METHODS = ("tail_prob", "expected_min_with", "truncated_mean_below")
 
 
 def _ids(dists):
@@ -179,9 +180,23 @@ def test_tail_examples():
     ids=lambda d: d.label(),
 )
 def test_vectorised_tail_matches_scalar(dist):
+    # a scalar takes the same arithmetic as an array entry, so the two agree bit for bit
     xs = np.array([1e-300, 1e-12, *X_GRID, dist.pareto_scale if dist.family == "pareto" else 1.25, 1e12, 1e300])
-    scalar = np.array([dist.tail_prob(x) for x in xs.tolist()])
-    assert np.allclose(dist._tail_probs(xs), scalar, rtol=1e-12, atol=0.0)
+    for name in TAIL_METHODS:
+        method = getattr(dist, name)
+        scalar = [method(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in scalar), name
+        assert method(xs).tolist() == scalar, name
+        grid = method(np.stack([xs, xs[::-1]]))
+        assert grid.shape == (2, xs.size) and grid.tolist() == [scalar, scalar[::-1]], name
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", TAIL_METHODS)
+def test_tail_methods_name_a_bad_threshold_entry(name, bad):
+    method = getattr(parse_service("lognormal sigma=2", MU), name)
+    with pytest.raises(ParameterError, match=f"^threshold x must be positive and finite, got {bad}$"):
+        method(np.array([[1.0, 2.0], [bad, 4.0]]))
 
 
 def test_weibull_k1_tail_matches_exponential_to_1e12():

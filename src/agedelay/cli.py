@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .distributions import _FAMILY_ALIASES
 from .engine import parse_grid_line
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from . import experiments, oracles
@@ -72,12 +73,11 @@ def _cmd_oracle(args) -> int:
     else:  # tail-table
         shapes = _parse_floats(args.shapes) if args.shapes else []
         xs = _parse_floats(args.xs)
-        m2, tail, trunc, diverging, decreasing = oracles.tail_decay_table(
-            args.family, shapes, xs, args.mu, args.lam
-        )
+        family = _FAMILY_ALIASES.get(args.family.lower(), args.family)
+        m2, tail, trunc, diverging, decreasing = oracles.tail_decay_table(family, shapes, xs, args.mu, args.lam)
         header = "family,shape,second_moment,x,tail_prob,truncated_mean"
         rows = [
-            (args.family, shape, m2[i], x, tail[i, j], trunc[i, j])
+            (family, shape, m2[i], x, tail[i, j], trunc[i, j])
             for i, shape in enumerate(shapes or [None])
             for j, x in enumerate(xs)
         ]

@@ -233,33 +233,32 @@ class ServiceDistribution:
         return np.exp(-((x / self.weibull_scale) ** self.shape))
 
     @_over_thresholds
-    def expected_min_with(self, x: float | np.ndarray) -> float | np.ndarray:
-        """E[min(S, x)] = integral of P(S > t) over (0, x), in closed form, at a scalar x or each entry of an array."""
+    def truncated_mean_below(self, x: float | np.ndarray) -> float | np.ndarray:
+        """E[S 1{S < x}], the partial expectation, in closed form at a scalar x or each entry of an array.
+
+        E[min(S, x)] = truncated_mean_below(x) + x * tail_prob(x); for det at
+        x = 1/mu that makes it E[S 1{S <= x}] = 1/mu.
+        """
         mu = self.mu
         if self.family == "det":
-            return np.minimum(x, 1.0 / mu)
+            return np.where(x < 1.0 / mu, 0.0, 1.0 / mu)
         if self.family == "exp":
-            return np.minimum(x, -np.expm1(-mu * x) / mu)  # mu * x loses digits at subnormal x
+            # (1 - e^-y (1 + y)) / mu with y = mu x: that cancels below y = 1e-3, where its series is
+            # exact to rounding; y is capped so that y e^-y is 0, not inf * 0, once e^-y underflows
+            y = np.minimum(mu * x, 1e3)
+            series = y * y * (1 / 2 - y * (1 / 3 - y * (1 / 8 - y * (1 / 30 - y * (1 / 144)))))
+            return np.where(y < 1e-3, series, -np.expm1(-y) - y * np.exp(-y)) / mu
         if self.family == "lognormal":
-            # E[S 1{S<x}] + x P(S>x) with the lognormal partial expectation
-            m, s = self.lognormal_location, self.shape
-            z = (np.log(x) - m) / s
-            below = (1.0 / mu) * (0.5 * _erfc(-(z - s) / _SQRT2))
-            return below + x * 0.5 * _erfc(z / _SQRT2)
+            z = (np.log(x) - self.lognormal_location) / self.shape
+            return (1.0 / mu) * (0.5 * _erfc(-(z - self.shape) / _SQRT2))
         if self.family == "pareto":
+            # (1/mu) (1 - (theta/x)^(alpha-1)), as theta alpha / (alpha-1) = 1/mu: expm1 keeps every
+            # digit as alpha -> 1+, and log x - log theta cannot overflow as x/theta can
             th, a = self.pareto_scale, self.shape
-            above = th + th * (1.0 - (th / np.maximum(x, th)) ** (a - 1.0)) / (a - 1.0)
-            return np.where(x <= th, x, above)
+            return (1.0 / mu) * -np.expm1((1.0 - a) * np.maximum(np.log(x) - math.log(th), 0.0))
         b, k = self.weibull_scale, self.shape
-        u = (x / b) ** k  # at u = inf both terms take their exact limits
-        below = (1.0 / mu) * np.vectorize(_gammainc, otypes=[float])(1.0 + 1.0 / k, u)
-        return below + x * np.exp(-u)
-
-    @_over_thresholds
-    def truncated_mean_below(self, x: float | np.ndarray) -> float | np.ndarray:
-        """E[S 1{S < x}], evaluated as E[min(S,x)] - x*P(S > x), at a scalar x or each entry of an array."""
-        val = self.expected_min_with(x) - x * self.tail_prob(x)
-        return np.where(val > 0.0, val, 0.0)
+        u = (x / b) ** k
+        return (1.0 / mu) * np.vectorize(_gammainc, otypes=[float])(1.0 + 1.0 / k, u)
 
     # ---- sampling -------------------------------------------------------------
 

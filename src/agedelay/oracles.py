@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate
+from .distributions import _FAMILY_ALIASES, _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate
 from .errors import ParameterError, StabilityError
 
 # The shape each family's heavy-tail sweep moves toward (alpha -> 1+,
@@ -200,8 +200,8 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
     Poisson arrivals, if the rounding of x - E[min(S, x)] may move the
     result by more than _ROUNDING_LIMIT = 1e-6 of itself.  That bound is
     conservative: exponential service passes it up to lam/mu of about
-    1e19, but near-deterministic laws (weibull k=1000, lognormal
-    sigma=0.001) are refused from about 1e10.
+    1e19, but near-deterministic laws are refused from about 1e10
+    (weibull k=1000) or 1e12 (lognormal sigma=0.001).
     """
     lam, mu = arrival.lam, service.mu
     if arrival.family == "exp":
@@ -209,15 +209,13 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
             return 1.0 / lam + 1.0 / mu
         lo, hi = math.log(1e-12 / lam), math.log(60.0 / lam + 10.0 / mu)
         x, w = _log_panels(lo, hi, _log_bends(service))
-        m = service.expected_min_with(x)
+        below = service.truncated_mean_below(x)
+        m = below + x * service.tail_prob(x)  # E[min(S, x)]
         survival = np.exp(-lam * np.maximum(x - m, 0.0))
         age = math.exp(lo) + float(w @ survival)
-        # x - E[min(S, x)] is exact below the Pareto scale, where S > x surely.  Elsewhere it errs
-        # by about eps x, plus eps/mu for the Pareto formula, and the exponent scales that by lam.
-        if service.family == "pareto":
-            err = np.where(x > service.pareto_scale, x + 1.0 / mu, 0.0)
-        else:
-            err = x
+        # where E[S 1{S<x}] is 0, no service (or too little to show) is shorter than x, and
+        # x - E[min(S, x)] is exact; elsewhere it errs by about eps x, and lam scales that
+        err = np.where(below > 0.0, x, 0.0)
         slip = lam * sys.float_info.epsilon * float(w @ (err * survival))
         if slip > _ROUNDING_LIMIT * age:
             raise ParameterError(
@@ -252,6 +250,7 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
 
 def _sweep_distributions(family: str, shapes: Sequence[float], mu: float) -> list[ServiceDistribution]:
     """One law per shape, each nearer the family's limit; an empty grid is the family's single law."""
+    family = _FAMILY_ALIASES.get(family.lower(), family)  # any name a grid line takes, e.g. 'Exponential'
     shapes = [float(s) for s in shapes]
     dists = [ServiceDistribution(family, mu, s) for s in shapes] or [ServiceDistribution(family, mu)]
     limit = HEAVY_TAIL_LIMITS.get(family)

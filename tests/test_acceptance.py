@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import agedelay as ad
 from agedelay import Discipline
@@ -218,7 +218,8 @@ def test_criterion_06_mean_delay_clause(tradeoff_points):
 
 
 def test_criterion_07_tail_table():
-    """Pareto sweep table at x in {2, 4}: min-identity to 1e-9 everywhere;
+    """Pareto sweep table at x in {2, 4}: min-identity E[S 1{S<x}] + x P(S>x)
+    = integral of P(S>t) over (0, x) to 1e-9 everywhere;
     both columns strictly decrease at x=2; the truncated mean also
     decreases at x=4.
 
@@ -232,7 +233,8 @@ def test_criterion_07_tail_table():
     for alpha in shapes:
         d = ad.parse_service(f"pareto alpha={alpha}", MU)
         for x in (2.0, 4.0):
-            gap = abs(d.expected_min_with(x) - d.truncated_mean_below(x) - x * d.tail_prob(x))
+            integral, _ = integrate.quad(d.tail_prob, 0.0, x, points=[d.pareto_scale], limit=200)
+            gap = abs(integral - d.truncated_mean_below(x) - x * d.tail_prob(x))
             ok_identity &= gap <= 1e-9
     tail_x2 = tail[:, 0]
     trunc_x2 = trunc[:, 0]

@@ -58,7 +58,7 @@ ad.summarize(trace)
 grid = tuple(parse_grid_line(line, 0.8, 0.5) for line in ("fcfs exp", "lcfs-p weibull k=0.5"))
 cfg = ad.SweepConfig(grid=grid, n_arrivals=2000, n_reps=2, base_seed=5, warmup_fraction=0.1, nu_grid=(0.0, 1.0))
 ad.run_suite(cfg, parallel=False)
-ad.parse_service("weibull k=0.5", 0.8).expected_min_with(2.0)
+ad.parse_service("weibull k=0.5", 0.8).truncated_mean_below(2.0)
 print([name for name in sys.modules if name == "scipy" or name.startswith("scipy.")])
 """
 

@@ -278,6 +278,18 @@ def test_oracle_tail_table(capsys):
 
 
 @pytest.mark.parametrize(
+    "alias,name,shapes",
+    [("Exponential", "exp", ""), ("EXP", "exp", ""), ("deterministic", "det", ""), ("Pareto", "pareto", "2,1.5")],
+)
+def test_tail_table_takes_the_family_names_a_grid_line_takes(capsys, alias, name, shapes):
+    # the family column prints the canonical name, so an alias gives the canonical name's bytes
+    argv = ("--shapes", shapes, "--xs", "2", "--mu", "0.8", "--lam", "0.5")
+    assert run_cli(capsys, "oracle", "tail-table", "--family", alias, *argv) == run_cli(
+        capsys, "oracle", "tail-table", "--family", name, *argv
+    )
+
+
+@pytest.mark.parametrize(
     "argv,cell,note",
     [
         (("oracle", "point", "inf lognormal sigma=1e-310 arrival=det", "--lam", "0.5", "--mu", "0.8"), "2.25", ""),

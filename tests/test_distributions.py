@@ -1,5 +1,7 @@
+import decimal
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,7 +28,19 @@ SERVICE_GRID = [
 ]
 
 X_GRID = [0.3, 0.7, 1.0, 1.25, 1.9, 2.5, 4.0, 8.0, 20.0]
-TAIL_METHODS = ("tail_prob", "expected_min_with", "truncated_mean_below")
+
+
+def expected_min(dist, x):
+    """E[min(S, x)] = E[S 1{S<x}] + x P(S > x), as gginf_age forms it."""
+    return dist.truncated_mean_below(x) + x * dist.tail_prob(x)
+
+
+# each tail quantity as a function of (law, x)
+TAIL_METHODS = {
+    "tail_prob": ServiceDistribution.tail_prob,
+    "expected_min_with": expected_min,
+    "truncated_mean_below": ServiceDistribution.truncated_mean_below,
+}
 
 
 def _ids(dists):
@@ -182,21 +196,19 @@ def test_tail_examples():
 def test_vectorised_tail_matches_scalar(dist):
     # a scalar takes the same arithmetic as an array entry, so the two agree bit for bit
     xs = np.array([1e-300, 1e-12, *X_GRID, dist.pareto_scale if dist.family == "pareto" else 1.25, 1e12, 1e300])
-    for name in TAIL_METHODS:
-        method = getattr(dist, name)
-        scalar = [method(x) for x in xs.tolist()]
+    for name, method in TAIL_METHODS.items():
+        scalar = [method(dist, x) for x in xs.tolist()]
         assert all(type(v) is float for v in scalar), name
-        assert method(xs).tolist() == scalar, name
-        grid = method(np.stack([xs, xs[::-1]]))
+        assert method(dist, xs).tolist() == scalar, name
+        grid = method(dist, np.stack([xs, xs[::-1]]))
         assert grid.shape == (2, xs.size) and grid.tolist() == [scalar, scalar[::-1]], name
 
 
 @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
 @pytest.mark.parametrize("name", TAIL_METHODS)
 def test_tail_methods_name_a_bad_threshold_entry(name, bad):
-    method = getattr(parse_service("lognormal sigma=2", MU), name)
     with pytest.raises(ParameterError, match=f"^threshold x must be positive and finite, got {bad}$"):
-        method(np.array([[1.0, 2.0], [bad, 4.0]]))
+        TAIL_METHODS[name](parse_service("lognormal sigma=2", MU), np.array([[1.0, 2.0], [bad, 4.0]]))
 
 
 def test_weibull_k1_tail_matches_exponential_to_1e12():
@@ -208,16 +220,16 @@ def test_weibull_k1_tail_matches_exponential_to_1e12():
 
 def test_expected_min_examples():
     e = parse_service("exp", MU)
-    assert e.expected_min_with(1.25) == pytest.approx(1.25 * (1 - math.exp(-1.0)), rel=1e-12)
+    assert expected_min(e, 1.25) == pytest.approx(1.25 * (1 - math.exp(-1.0)), rel=1e-12)
     det = parse_service("det", MU)
-    assert det.expected_min_with(1.0) == 1.0
+    assert expected_min(det, 1.0) == 1.0
     # mu * x is subnormal and loses digits; the result must still not exceed x
     tiny = 1.1125369292536007e-308
-    assert parse_service("exp", 1e-6).expected_min_with(tiny) <= tiny
+    assert expected_min(parse_service("exp", 1e-6), tiny) <= tiny
     # x -> infinity saturates at the mean; heavy Pareto converges at rate
     # x^(1-alpha), so at x=1e9 and alpha=1.5 the deficit is ~2e-5
     for d in SERVICE_GRID:
-        assert d.expected_min_with(1e9) == pytest.approx(1.0 / MU, rel=1e-4)
+        assert expected_min(d, 1e9) == pytest.approx(1.0 / MU, rel=1e-4)
 
 
 def test_truncated_mean_examples():
@@ -245,11 +257,13 @@ def test_gammainc_matches_scipy(k):
 
 @pytest.mark.parametrize("dist", SERVICE_GRID, ids=_ids(SERVICE_GRID))
 def test_min_identity_on_grid(dist):
-    # E[min(S,x)] = E[S 1{S<x}] + x P(S>x), to 1e-9 everywhere
+    # the mean split at x: E[S 1{S<x}] + x P(S>x) = E[min(S,x)] = 1/mu - integral of P(S>t) over (x, inf),
+    # to 1e-9 everywhere, so the partial expectation agrees with the mean 1/mu and the tail above x
+    kinks = [1.0 / MU] + ([dist.pareto_scale] if dist.family == "pareto" else [])
     for x in X_GRID:
-        lhs = dist.expected_min_with(x)
-        rhs = dist.truncated_mean_below(x) + x * dist.tail_prob(x)
-        assert abs(lhs - rhs) <= 1e-9
+        near, _ = integrate.quad(dist.tail_prob, x, x + 100.0, points=[k for k in kinks if k > x] or None, limit=200)
+        far, _ = integrate.quad(dist.tail_prob, x + 100.0, math.inf, limit=200)
+        assert abs(expected_min(dist, x) - (1.0 / MU - near - far)) <= 1e-9
 
 
 @pytest.mark.parametrize("dist", SERVICE_GRID, ids=_ids(SERVICE_GRID))
@@ -259,7 +273,23 @@ def test_expected_min_against_quadrature(dist):
         val, err = integrate.quad(
             dist.tail_prob, 0.0, x, points=[p for p in (dist.mean(),) if p < x], limit=200
         )
-        assert dist.expected_min_with(x) == pytest.approx(val, rel=1e-7, abs=1e-10)
+        assert expected_min(dist, x) == pytest.approx(val, rel=1e-7, abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.0001, 1.001, 1.5, 3.0])
+def test_pareto_expected_min_full_precision_near_alpha_one(alpha):
+    # E[min(S, x)] = theta + theta (1 - (theta/x)^(alpha-1)) / (alpha-1) above theta, in 50-digit
+    # decimal from the law's own double theta; 1 - (theta/x)^(alpha-1) cancels as alpha -> 1+
+    d = parse_service(f"pareto alpha={alpha}", MU)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        th, a = Decimal(d.pareto_scale), Decimal(alpha)
+        for x in (0.5, 2.0, 1e6, 1e12):
+            ref = th + th * (1 - (th / Decimal(x)) ** (a - 1)) / (a - 1) if x > th else Decimal(x)
+            assert abs(Decimal(expected_min(d, x)) / ref - 1) <= Decimal("1e-15"), x
+        # x/theta overflows at alpha near 1; the partial expectation (1/mu)(1 - (theta/x)^(alpha-1)) does not
+        ref = Decimal(1.0 / MU) * (1 - (th / Decimal(1e308)) ** (a - 1))
+        assert abs(Decimal(d.truncated_mean_below(1e308)) / ref - 1) <= Decimal("1e-15")
 
 
 def test_pareto_truncated_closed_form_vs_quadrature():
@@ -276,7 +306,7 @@ def test_tail_monotone_and_min_concave(dist):
     tails = np.array([dist.tail_prob(x) for x in xs])
     assert np.all(np.diff(tails) <= 1e-15)
     assert np.all((tails >= 0) & (tails <= 1))
-    mins = np.array([dist.expected_min_with(x) for x in xs])
+    mins = np.array([expected_min(dist, x) for x in xs])
     assert np.all(np.diff(mins) >= -1e-12)
     # concavity: increments are nonincreasing on the uniform grid
     assert np.all(np.diff(mins, 2) <= 1e-10)
@@ -325,15 +355,15 @@ def test_shape_domain_limits(family, data, mu, x):
     except ParameterError:
         return
     assert 0.0 <= d.tail_prob(x) <= 1.0
-    assert 0.0 <= d.expected_min_with(x) <= min(x, 1.0 / mu) * (1.0 + 1e-12)
+    em = expected_min(d, x)
+    assert 0.0 <= em <= min(x, 1.0 / mu) * (1.0 + 1e-12)
     assert d.truncated_mean_below(x) >= 0.0
     m2 = d.second_moment()
     assert math.isinf(m2) or m2 >= (1.0 / mu**2) * (1.0 - 1e-12)
     # the mean 1/mu, checked analytically: sampling cannot reach it near alpha -> 1+ or sigma -> inf
-    em = d.expected_min_with(x)
     if math.isinf(m2):
         y = data.draw(st.floats(min_value=x, allow_infinity=False))
-        assert d.expected_min_with(y) >= em * (1.0 - 1e-12)
+        assert expected_min(d, y) >= em * (1.0 - 1e-12)
     else:
         # 1/mu - E[min(S, x)] = E[(S - x)+] <= E[S^2]/(4x), as (s - x)+ <= s^2/(4x); slack for rounding
         slack = 1e-12 / mu

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 from agedelay import (
     ArrivalProcess,
@@ -206,7 +207,7 @@ def quad_gginf_poisson(lam, service):
     """The Poisson-arrival integral of exp(-lam E[(x - S)+]), by adaptive quadrature in log x."""
     def integrand(v):
         x = math.exp(v)
-        return x * math.exp(-lam * (x - service.expected_min_with(x)))
+        return x * math.exp(-lam * (x - service.truncated_mean_below(x) - x * service.tail_prob(x)))
 
     lo, hi = math.log(1e-30), math.log(100 / lam + 20 / service.mu)
     kinks = [math.log(k) for k in law_kinks(service)]
@@ -284,6 +285,22 @@ def test_gginf_estimate_agrees_with_exact_value(service):
     assert abs(est - gginf_age(POISSON, service)) <= 4 * se
 
 
+# At mu = 0.8, the first lambda = 10^e (e <= 21) whose Poisson gginf_age the rounding check refuses;
+# None where it refuses none.  Below its bulk, lognormal sigma=0.001 has E[S 1{S<x}] = 0.0 and
+# P(S > x) = 1.0, where x - E[min(S, x)] is 0 to far below eps x, so the check charges only the bulk.
+ROUNDING_REFUSED_FROM = {
+    "exp": 20,
+    "weibull k=1": 20,
+    "lognormal sigma=2": 17,
+    "lognormal sigma=0.001": 12,
+    "weibull k=1000": 10,
+    "weibull k=0.5": None,
+    "pareto alpha=3": None,
+    "pareto alpha=1.5": None,
+    "pareto alpha=1.0001": None,
+}
+
+
 def test_gginf_age_refuses_what_it_cannot_resolve():
     # past _PERIODIC_TERMS periods the periodic sum gives up at once
     with pytest.raises(ParameterError, match=r"^gginf_age of exp service under periodic arrivals at lambda=1e\+10, "):
@@ -295,6 +312,36 @@ def test_gginf_age_refuses_what_it_cannot_resolve():
     # the exponential law still resolves at lambda/mu = 1.25e10: sqrt(pi / (2 lambda mu)) to 1e-4
     age = gginf_age(ArrivalProcess("exp", 1e10), parse_service("exp", MU))
     assert age == pytest.approx(math.sqrt(math.pi / (2 * 1e10 * MU)), rel=1e-4)
+    for spec, first in ROUNDING_REFUSED_FROM.items():
+        service = parse_service(spec, MU)
+        for e in range(22 if first is None else first):
+            gginf_age(ArrivalProcess("exp", 10.0**e), service)
+        if first is not None:
+            with pytest.raises(ParameterError, match="is lost to rounding"):
+                gginf_age(ArrivalProcess("exp", 10.0**first), service)
+
+
+def quad_gginf_lognormal(lam, service):
+    """The Poisson-arrival integral with E[(x - S)+] = x Phi(z) - Phi(z - sigma)/mu, free of the cancellation in x - E[min(S, x)]."""
+    m, sigma = service.lognormal_location, service.shape
+
+    def integrand(x):
+        z = (math.log(x) - m) / sigma
+        return math.exp(-lam * (x * ndtr(z) - ndtr(z - sigma) / service.mu))
+
+    # the integrand is 1 to rounding below z = -12 and under e^-1e7 above z = 8 at the lambdas used here
+    edges = [math.exp(m + sigma * k / 2) for k in range(-24, 17)]
+    value, _ = integrate.quad(integrand, edges[0], edges[-1], points=edges[1:-1], limit=500, epsabs=0, epsrel=1e-13)
+    return edges[0] + value
+
+
+@pytest.mark.parametrize("lam,rel", [(1e9, 1e-10), (1e10, 1e-9), (1e11, 1e-8)])
+def test_gginf_age_resolves_a_near_deterministic_law_at_large_lambda(lam, rel):
+    # rounding x - E[min(S, x)] in the law's bulk costs about 3e-20 lambda of the value (2.5e-11,
+    # 2.1e-10 and 2.8e-9 against 60-digit mpmath); the rounding check allows up to 1e-6, and the
+    # exponential law, resolved up to lambda = 1e19, is 3.8e-9 off there
+    service = parse_service("lognormal sigma=0.001", MU)
+    assert gginf_age(ArrivalProcess("exp", lam), service) == pytest.approx(quad_gginf_lognormal(lam, service), rel=rel)
 
 
 # ---- sweep tables -------------------------------------------------------------------
@@ -358,6 +405,8 @@ def test_tail_decay_table_deterministic_family():
     assert diverging is False and decreasing is False
     assert np.allclose(tail, 0.0)  # point mass at 1.25 < 2
     assert np.allclose(trunc, 1.25)
+    # any family name a grid line takes
+    assert np.array_equal(tail_decay_table("Deterministic", (), [2.0, 4.0], MU, 0.5)[2], trunc)
     with pytest.raises(ParameterError):
         tail_decay_table("det", [1.0], [2.0], MU, 0.5)
 

@@ -2,9 +2,10 @@
 
 A run generates exactly n_arrivals packets, draws every packet's service
 requirement at arrival time from a dedicated substream (so all disciplines
-see identical arrival/service sequences for a given seed), stops generation,
-drains the backlog completely, and returns the full trace.  Ties between a
-departure and an arrival at the same instant process the departure first.
+see identical arrival/service sequences for a given seed, and coupled runs
+share one read-only copy of them), stops generation, drains the backlog
+completely, and returns the full trace.  Ties between a departure and an
+arrival at the same instant process the departure first.
 Each discipline has its own serve kernel: closed forms for fcfs, lcfs-p and
 inf, one pass over completions for lcfs-np.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import operator
 import sys
+import weakref
 from array import array
 from dataclasses import dataclass, field
 
@@ -252,6 +254,34 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
+# Draws that some live trace still views, by (arrival, service, n_arrivals, seed).  A row view
+# keeps its draw alive, so an entry lasts exactly as long as some trace of it.
+_DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _draw(arrival: ArrivalProcess, service: ServiceDistribution, n_arrivals: int, seed: int) -> np.ndarray:
+    """Generation times and service requirements of a run, as the rows of one read-only array.
+
+    The seed spawns separate arrival and service substreams, so every
+    discipline run at that seed sees the same (X_i, S_i).  Coupled runs
+    share the one array while any trace of it lives: it is read-only, so no
+    run can change another's path.
+    """
+    key = (arrival, service, int(n_arrivals), int(seed))
+    draw = _DRAWS.get(key)
+    if draw is not None:
+        return draw
+    arrival_seq, service_seq = np.random.SeedSequence(seed).spawn(2)
+    arrival_rng = np.random.Generator(np.random.PCG64(arrival_seq))
+    service_rng = np.random.Generator(np.random.PCG64(service_seq))
+    draw = np.empty((2, n_arrivals))
+    np.cumsum(arrival.sample_n(arrival_rng, n_arrivals), out=draw[0])
+    draw[1] = service.sample_n(service_rng, n_arrivals)
+    draw.flags.writeable = False
+    _DRAWS[key] = draw
+    return draw
+
+
 def run_simulation(
     arrival: ArrivalProcess,
     service: ServiceDistribution,
@@ -265,19 +295,12 @@ def run_simulation(
     Service requirements are assigned once per packet, at arrival, and
     survive preemptions intact (preempt-resume).  Generation stops after
     n_arrivals packets and the backlog is drained, so every generated
-    packet is delivered.
+    packet is delivered.  The trace's gen_times and service_reqs are
+    read-only views of the draw it shares with coupled runs (see _draw).
     """
     check_run(n_arrivals, warmup_fraction, seed, min_kept=1)
     point = ExperimentPoint(arrival, service, discipline)
-
-    root = np.random.SeedSequence(seed)
-    arrival_seq, service_seq = root.spawn(2)
-    arrival_rng = np.random.Generator(np.random.PCG64(arrival_seq))
-    service_rng = np.random.Generator(np.random.PCG64(service_seq))
-
-    gen = np.cumsum(arrival.sample_n(arrival_rng, n_arrivals))
-    svc = service.sample_n(service_rng, n_arrivals)
-
+    gen, svc = _draw(arrival, service, n_arrivals, seed)
     recv = _serve(gen, svc, discipline)
     informative, bp_times, bp_ages = _mark_informative(gen, recv)
 

@@ -39,12 +39,19 @@ def _default_window(trace: "SimulationTrace") -> tuple[float, float]:
 
 
 def age_at(trace: "SimulationTrace", t) -> np.ndarray | float:
-    """Age value(s) just after time t; t may be a scalar or an array."""
+    """Age value(s) just after time t: a float for a scalar t, else an array of t's shape.
+
+    Computed in place, as age[j] + (t - time[j]) at the last breakpoint j at or before t.
+    """
     t_arr = np.asarray(t, dtype=float)
-    idx = np.searchsorted(trace.breakpoint_times, t_arr, side="right") - 1
-    idx = np.clip(idx, 0, None)
-    out = trace.breakpoint_ages[idx] + (t_arr - trace.breakpoint_times[idx])
-    return float(out) if np.isscalar(t) else out
+    ts = np.atleast_1d(t_arr)  # searchsorted gives a 0-d t a scalar index, which out= cannot take
+    idx = np.searchsorted(trace.breakpoint_times, ts, side="right")
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    out = trace.breakpoint_times[idx]
+    np.subtract(ts, out, out=out)
+    out += trace.breakpoint_ages[idx]
+    return float(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
 
 
 def _age_area_at(trace: "SimulationTrace", ts: np.ndarray) -> np.ndarray:

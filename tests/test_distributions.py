@@ -292,6 +292,22 @@ def test_pareto_expected_min_full_precision_near_alpha_one(alpha):
         assert abs(Decimal(d.truncated_mean_below(1e308)) / ref - 1) <= Decimal("1e-15")
 
 
+@pytest.mark.parametrize("mu", [1.0, MU])
+def test_exp_truncated_mean_full_precision(mu):
+    # E[S 1{S<x}] = (1 - e^-y (1 + y)) / mu, y = mu x, in 60-digit decimal from the double x and mu;
+    # the closed form cancels for small y, down to 4e-13 relative just above y = 1e-3
+    d = parse_service("exp", mu)
+    xs = np.logspace(-12, 3, 3001) / mu
+    got = d.truncated_mean_below(xs)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m = Decimal(mu)
+        for x, g in zip(xs.tolist(), got.tolist()):
+            y = Decimal(x) * m
+            ref = (1 - (-y).exp() * (1 + y)) / m
+            assert abs(Decimal(g) / ref - 1) <= Decimal("1e-15"), x * mu
+
+
 def test_pareto_truncated_closed_form_vs_quadrature():
     d = parse_service("pareto alpha=1.5", MU)
     th = d.pareto_scale

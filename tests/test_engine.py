@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from agedelay import (
     ServiceDistribution,
     StabilityError,
     busy_periods,
+    engine,
     parse_arrival,
     parse_service,
     run_simulation,
@@ -43,21 +47,70 @@ def test_single_packet_delay_is_service_time(discipline):
 
 @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)
 def test_same_seed_bit_identical(discipline):
+    # a live trace would lend the rerun its draw: keep copies and compare a fresh draw
     a = run_simulation(ARR, SVC, discipline, 5000, 0.1, 99)
+    gen, recv, bp_times, bp_ages = (
+        x.copy() for x in (a.gen_times, a.recv_times, a.breakpoint_times, a.breakpoint_ages)
+    )
+    del a
+    gc.collect()
+    assert not engine._DRAWS
     b = run_simulation(ARR, SVC, discipline, 5000, 0.1, 99)
-    assert np.array_equal(a.gen_times, b.gen_times)
-    assert np.array_equal(a.recv_times, b.recv_times)
-    assert np.array_equal(a.breakpoint_times, b.breakpoint_times)
-    assert np.array_equal(a.breakpoint_ages, b.breakpoint_ages)
+    assert np.array_equal(gen, b.gen_times)
+    assert np.array_equal(recv, b.recv_times)
+    assert np.array_equal(bp_times, b.breakpoint_times)
+    assert np.array_equal(bp_ages, b.breakpoint_ages)
 
 
 @pytest.mark.parametrize("discipline", SINGLE_SERVER, ids=lambda d: d.value)
 def test_coupled_inputs_across_disciplines(discipline):
-    # all disciplines must see the identical (X_i, S_i) streams per seed
+    # all disciplines must see the identical (X_i, S_i) streams per seed, drawn afresh or not
     base = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 3000, 0.1, 7)
+    gen, svc = base.gen_times.copy(), base.service_reqs.copy()
+    del base
+    gc.collect()
+    assert not engine._DRAWS
     other = run_simulation(ARR, SVC, discipline, 3000, 0.1, 7)
-    assert np.array_equal(base.gen_times, other.gen_times)
-    assert np.array_equal(base.service_reqs, other.service_reqs)
+    assert np.array_equal(gen, other.gen_times)
+    assert np.array_equal(svc, other.service_reqs)
+
+
+def test_coupled_runs_share_one_read_only_draw():
+    traces = [run_simulation(ARR, SVC, d, 3000, 0.1, 7) for d in ALL_DISCIPLINES]
+    for tr in traces[1:]:
+        assert np.shares_memory(tr.gen_times, traces[0].gen_times)
+        assert np.shares_memory(tr.service_reqs, traces[0].service_reqs)
+    for tr in traces:
+        with pytest.raises(ValueError, match="read-only"):
+            tr.gen_times[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            tr.service_reqs[-1] = 1.0
+    # another seed, length or law is another draw
+    others = [
+        run_simulation(ARR, SVC, Discipline.FCFS, 3000, 0.1, 8),
+        run_simulation(ARR, SVC, Discipline.FCFS, 3001, 0.1, 7),
+        run_simulation(ARR, parse_service("exp", 0.9), Discipline.FCFS, 3000, 0.1, 7),
+        run_simulation(parse_arrival("det", 0.5), SVC, Discipline.FCFS, 3000, 0.1, 7),
+    ]
+    for tr in others:
+        assert not np.shares_memory(tr.service_reqs, traces[0].service_reqs)
+    assert len(engine._DRAWS) == 1 + len(others)
+    del tr, traces, others
+    gc.collect()
+    assert not engine._DRAWS
+
+
+def test_coupled_traces_hold_one_draw():
+    # four traces that each kept their own 200,000-packet draw held 31.0 MB; one shared draw, 21.4 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traces = [run_simulation(ARR, SVC, d, 200_000, 0.1, 11) for d in ALL_DISCIPLINES]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 26e6, f"{len(traces)} coupled traces hold {held / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)

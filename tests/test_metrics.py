@@ -284,6 +284,29 @@ def test_age_at_scalar_and_vector_agree():
     assert math.isclose(age_at(tr, 0.0), 0.0)
 
 
+def _age_at_gathered(trace, t):
+    """age_at as one expression, which gathers and adds in new arrays."""
+    t_arr = np.asarray(t, dtype=float)
+    idx = np.clip(np.searchsorted(trace.breakpoint_times, t_arr, side="right") - 1, 0, None)
+    return trace.breakpoint_ages[idx] + (t_arr - trace.breakpoint_times[idx])
+
+
+def test_age_at_in_place_is_bit_identical():
+    tr = run_simulation(ARR, SVC, Discipline.LCFS_PREEMPTIVE, 2000, 0.0, 6)
+    end = float(tr.recv_times.max())
+    # the first breakpoint is at 0, so negative times take the clipped index
+    ts = np.concatenate(([-3.0, -1e-300, 0.0], np.linspace(0.0, 1.1 * end, 997), tr.breakpoint_times[:100]))
+    for t in (-2.5, 0.0, 0.7, end, float(tr.breakpoint_times[5]), np.float64(12.25)):
+        got = age_at(tr, t)
+        assert type(got) is float
+        assert got == float(_age_at_gathered(tr, t))
+    for t in (np.asarray(0.7), np.asarray(-1.0), ts, ts.reshape(20, 55), ts.reshape(-1, 2)[:, ::-1]):
+        got = age_at(tr, t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        assert np.array_equal(got, _age_at_gathered(tr, t))
+        assert not np.shares_memory(got, t)
+
+
 def test_t975_matches_scipy_quantile():
     dfs = [*range(1, 3001), 10**4, 10**6, 10**9]
     ours = np.array([_t975(df) for df in dfs])

@@ -45,48 +45,79 @@ def _or_inf(fn, *args: float) -> float:
         return math.inf
 
 
-def _gammainc(a: float, u: float) -> float:
-    """Regularized lower incomplete gamma P(a, u) for a > 0 and u >= 0 (u may be inf).
+def _gammainc(a: float, u: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, u) at each entry of u, for a > 0 and u >= 0 (u may be inf).
 
     Below u = a + 1, the power series for P; from there up, the continued
     fraction for 1 - P by the modified Lentz method.  Both are scaled by
-    u^a e^-u / Gamma(a).
+    u^a e^-u / Gamma(a), and each entry stops as it converges.
     """
-    if u == 0.0:
-        return 0.0
-    if math.isinf(u):
-        return 1.0
-    scale = math.exp(a * math.log(u) - u - math.lgamma(a))
-    if scale == 0.0:
-        # either sum would be scaled to nothing; near the top of the double range
-        # the continued fraction overflows to nan and would never converge
-        return 0.0 if u < a + 1.0 else 1.0
-    if u < a + 1.0:
-        # sum of u^n / (a (a+1) ... (a+n)); each term is below u / (a+1) < 1 times the last
-        term = total = 1.0 / a
-        n = a
-        while term > total * 1e-17:
-            n += 1.0
-            term *= u / n
-            total += term
-        return scale * total
-    # 1 / (u+1-a - 1(1-a) / (u+3-a - 2(2-a) / (u+5-a - ...))); tiny keeps a denominator off 0
+    shape = np.shape(u)
+    u = np.ravel(np.asarray(u, dtype=float))
+    below = u < a + 1.0
+    # u = 0 gives 0 and u = inf gives 1; so does an entry whose scale is 0, where either sum would
+    # be scaled to nothing and, near the top of the double range, the continued fraction
+    # overflows to nan and would never converge
+    p = np.where(below, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.exp(a * np.log(u) - u - math.lgamma(a))
+    live = (scale > 0.0) & (u < math.inf)
+    lo = np.flatnonzero(live & below)
+    hi = np.flatnonzero(live & ~below)
+    p[lo] = scale[lo] * _gamma_series(a, u[lo])
+    p[hi] = 1.0 - scale[hi] * _gamma_fraction(a, u[hi])
+    return p.reshape(shape)
+
+
+def _gamma_series(a: float, u: np.ndarray) -> np.ndarray:
+    """Sum of u^n / (a (a+1) ... (a+n)) at each entry of u < a + 1.
+
+    Each term is below u / (a+1) < 1 times the last; an entry stops once its
+    term falls to 1e-17 of its sum.
+    """
+    out = np.empty(u.shape)
+    live = np.arange(u.shape[0])
+    term = np.full(u.shape, 1.0 / a)
+    total = term.copy()
+    n = a
+    while live.size:
+        n += 1.0
+        term *= u / n
+        total += term
+        going = term > total * 1e-17
+        out[live[~going]] = total[~going]
+        live, u, term, total = live[going], u[going], term[going], total[going]
+    return out
+
+
+def _gamma_fraction(a: float, u: np.ndarray) -> np.ndarray:
+    """1 / (u+1-a - 1(1-a) / (u+3-a - 2(2-a) / (u+5-a - ...))) at each entry of u >= a + 1.
+
+    Modified Lentz: an entry stops once its step factor is within one
+    epsilon of 1; tiny keeps a denominator off 0.
+    """
     tiny = 1e-300
+    eps = sys.float_info.epsilon
+    out = np.empty(u.shape)
+    live = np.arange(u.shape[0])
     b = u + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    frac = d
+    c, d = np.full(u.shape, 1.0 / tiny), 1.0 / b
+    frac = d.copy()
     i = 0
-    while True:
+    while live.size:
         i += 1
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        d = 1.0 / np.where(np.abs(d) >= tiny, d, tiny)
         c = b + an / c
-        c = c if abs(c) >= tiny else tiny
-        frac *= c * d
-        if abs(c * d - 1.0) <= sys.float_info.epsilon:
-            return 1.0 - scale * frac
+        c = np.where(np.abs(c) >= tiny, c, tiny)
+        step = c * d
+        frac *= step
+        going = np.abs(step - 1.0) > eps
+        out[live[~going]] = frac[~going]
+        live, b, c, d, frac = live[going], b[going], c[going], d[going], frac[going]
+    return out
 
 
 def _over_thresholds(method):
@@ -263,7 +294,7 @@ class ServiceDistribution:
             return (1.0 / mu) * -np.expm1((1.0 - a) * np.maximum(np.log(x) - math.log(th), 0.0))
         b, k = self.weibull_scale, self.shape
         u = (x / b) ** k
-        return (1.0 / mu) * np.vectorize(_gammainc, otypes=[float])(1.0 + 1.0 / k, u)
+        return (1.0 / mu) * _gammainc(1.0 + 1.0 / k, u)
 
     # ---- sampling -------------------------------------------------------------
 

@@ -7,7 +7,8 @@ share one read-only copy of them), stops generation, drains the backlog
 completely, and returns the full trace.  Ties between a departure and an
 arrival at the same instant process the departure first.
 Each discipline has its own serve kernel: closed forms for fcfs, lcfs-p and
-inf, one pass over completions for lcfs-np.
+inf, one pass over completions for lcfs-np.  lcfs-p starts from the FCFS
+completions, which a live FCFS trace of the same draw lends it.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def _next_not_above(w: np.ndarray) -> np.ndarray:
     return nxt[:n]
 
 
-def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
-    """LCFS preempt-resume reception instants.
+def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """LCFS preempt-resume reception instants, from the FCFS completions c (computed if None).
 
     A packet's sojourn is the sub-busy-period its arrival starts: it ends
     when the unfinished work falls back to w_i, the work the packet found
@@ -169,7 +170,8 @@ def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
     (g_i + s_i) + (c_{k-1} - c_i), a packet never preempted gets exactly
     g_i + s_i.
     """
-    c = _fcfs(gen, svc)[0]
+    if c is None:
+        c = _fcfs(gen, svc)[0]
     w = np.empty_like(c)
     w[0] = 0.0
     np.maximum(c[:-1] - gen[1:], 0.0, out=w[1:])
@@ -207,14 +209,18 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
             return np.frombuffer(recv, dtype=float)
 
 
-def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline) -> np.ndarray:
-    """Reception time of every packet under the discipline."""
+def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.ndarray | None = None) -> np.ndarray:
+    """Reception time of every packet under the discipline.
+
+    fcfs, if given, is the path's FCFS completions: the FCFS reception
+    instants themselves, and the start of the lcfs-p kernel.
+    """
     if discipline is Discipline.INFINITE_SERVER:
         return gen + svc
     if discipline is Discipline.FCFS:
-        return _fcfs(gen, svc)[0]
+        return _fcfs(gen, svc)[0] if fcfs is None else fcfs
     if discipline is Discipline.LCFS_PREEMPTIVE:
-        return _serve_lcfs_preemptive(gen, svc)
+        return _serve_lcfs_preemptive(gen, svc, fcfs)
     return _serve_lcfs_nonpreemptive(gen, svc)
 
 
@@ -257,17 +263,20 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
 # Draws that some live trace still views, by (arrival, service, n_arrivals, seed).  A row view
 # keeps its draw alive, so an entry lasts exactly as long as some trace of it.
 _DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# FCFS completion instants that a live FCFS trace holds as its recv_times, keyed as in _DRAWS.
+_COMPLETIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _draw(arrival: ArrivalProcess, service: ServiceDistribution, n_arrivals: int, seed: int) -> np.ndarray:
-    """Generation times and service requirements of a run, as the rows of one read-only array.
+def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> np.ndarray:
+    """Generation times and service requirements of the run key names, as the rows of one read-only array.
 
-    The seed spawns separate arrival and service substreams, so every
-    discipline run at that seed sees the same (X_i, S_i).  Coupled runs
-    share the one array while any trace of it lives: it is read-only, so no
-    run can change another's path.
+    The key is (arrival, service, n_arrivals, seed).  The seed spawns
+    separate arrival and service substreams, so every discipline run at
+    that seed sees the same (X_i, S_i).  Coupled runs share the one array
+    while any trace of it lives: it is read-only, so no run can change
+    another's path.
     """
-    key = (arrival, service, int(n_arrivals), int(seed))
+    arrival, service, n_arrivals, seed = key
     draw = _DRAWS.get(key)
     if draw is not None:
         return draw
@@ -297,11 +306,17 @@ def run_simulation(
     n_arrivals packets and the backlog is drained, so every generated
     packet is delivered.  The trace's gen_times and service_reqs are
     read-only views of the draw it shares with coupled runs (see _draw).
+    An FCFS trace's recv_times is read-only too: while the trace lives,
+    coupled fcfs and lcfs-p runs reuse it rather than redo the FCFS pass.
     """
     check_run(n_arrivals, warmup_fraction, seed, min_kept=1)
     point = ExperimentPoint(arrival, service, discipline)
-    gen, svc = _draw(arrival, service, n_arrivals, seed)
-    recv = _serve(gen, svc, discipline)
+    key = (arrival, service, int(n_arrivals), int(seed))
+    gen, svc = _draw(key)
+    recv = _serve(gen, svc, discipline, _COMPLETIONS.get(key))
+    if discipline is Discipline.FCFS:
+        recv.flags.writeable = False
+        _COMPLETIONS[key] = recv
     informative, bp_times, bp_ages = _mark_informative(gen, recv)
 
     return SimulationTrace(

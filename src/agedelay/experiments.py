@@ -3,8 +3,9 @@
 A suite is a grid of points, each a discipline, a service law and an
 arrival process named by one grid line (the tag arrival=det is how the
 periodic-arrival baseline joins a Poisson suite).  Each point runs n_reps
-independent replications; the aggregated point carries its oracle
-columns so every result row is self-checking.
+independent replications, coupled with those of the other points of its
+(arrival, service) law; the aggregated point carries its oracle columns
+so every result row is self-checking.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .disciplines import Discipline
-from .distributions import format_shape
+from .distributions import ArrivalProcess, ServiceDistribution, format_shape
 from . import engine
 from .engine import ExperimentPoint, parse_grid_line
 from .errors import ParameterError
@@ -160,36 +161,62 @@ def _json_float(x):
     return x
 
 
-def _suite_worker(job: tuple[ExperimentPoint, int, float, int]) -> MetricsReport:
-    p, n_arrivals, warmup_fraction, seed = job
-    # looked up on the module at call time, so a wrapper patched onto engine applies
-    trace = engine.run_simulation(p.arrival, p.service, p.discipline, n_arrivals, warmup_fraction, seed)
-    return summarize(trace)
+def _law_worker(
+    job: tuple[ArrivalProcess, ServiceDistribution, tuple[Discipline, ...], int, float, int],
+) -> list[MetricsReport]:
+    """One replication of one law: a run and a report per discipline, in the order given."""
+    arrival, service, disciplines, n_arrivals, warmup_fraction, seed = job
+    # every trace lives to the end of the job, so the later runs share its draw and FCFS pass
+    traces, reports = [], []
+    for discipline in disciplines:
+        # looked up on the module at call time, so a wrapper patched onto engine applies
+        trace = engine.run_simulation(arrival, service, discipline, n_arrivals, warmup_fraction, seed)
+        traces.append(trace)
+        reports.append(summarize(trace))
+    return reports
 
 
 def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None = None) -> list[FrontierPoint]:
     """Run every grid point, aggregate replications, attach oracle columns.
 
-    Deterministic for a given config and base seed: point base seeds are
-    base_seed + index * n_reps and results come back in job order, (grid
-    index, rep), regardless of execution order.
+    The points that share a law (arrival, service) are coupled: law l, in
+    order of first appearance in the grid, runs replication r at seed
+    base_seed + l * n_reps + r for each of its disciplines, and every row
+    reports its law's base seed, base_seed + l * n_reps.  One job per (law,
+    rep) runs the law's disciplines, fcfs first, so they share one draw and
+    the lcfs-p kernel reuses the FCFS pass.  Deterministic for a given config
+    and base seed: results are gathered in (grid index, rep) order,
+    regardless of execution order.
     """
+    laws: dict[tuple[ArrivalProcess, ServiceDistribution], list[int]] = {}
+    for idx, point in enumerate(cfg.grid):
+        laws.setdefault((point.arrival, point.service), []).append(idx)
+    # each law's grid indices, fcfs first: its live trace lends the lcfs-p run the FCFS pass
+    members = [sorted(idxs, key=lambda i: cfg.grid[i].discipline is not Discipline.FCFS) for idxs in laws.values()]
+    law_seeds = [cfg.base_seed + law * cfg.n_reps for law in range(len(laws))]
     jobs = [
-        (point, cfg.n_arrivals, cfg.warmup_fraction, cfg.base_seed + idx * cfg.n_reps + rep)
-        for idx, point in enumerate(cfg.grid)
+        (arrival, service, tuple(cfg.grid[i].discipline for i in idxs), cfg.n_arrivals, cfg.warmup_fraction, seed + rep)
+        for (arrival, service), idxs, seed in zip(laws, members, law_seeds)
         for rep in range(cfg.n_reps)
     ]
 
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_suite_worker, jobs))
+            results = list(pool.map(_law_worker, jobs))
     else:
-        results = [_suite_worker(job) for job in jobs]
+        results = [_law_worker(job) for job in jobs]
+
+    # results[law * n_reps + rep] holds the law's reports in the order of members[law]
+    by_point: list[list[MetricsReport]] = [[] for _ in cfg.grid]
+    for job_idx, reports in enumerate(results):
+        for i, report in zip(members[job_idx // cfg.n_reps], reports):
+            by_point[i].append(report)
+    seeds = {i: seed for idxs, seed in zip(members, law_seeds) for i in idxs}
 
     oracle_cells = point_oracles(cfg.grid)
     points = []
     for idx, point in enumerate(cfg.grid):
-        reps = results[idx * cfg.n_reps : (idx + 1) * cfg.n_reps]
+        reps = by_point[idx]
         ages = [r.avg_age for r in reps]
         delays = [r.mean_delay for r in reps]
         variances = [r.delay_variance for r in reps]
@@ -207,7 +234,7 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
                 point=point,
                 n_arrivals=cfg.n_arrivals,
                 n_reps=cfg.n_reps,
-                seed=cfg.base_seed + idx * cfg.n_reps,
+                seed=seeds[idx],
                 avg_age=float(np.mean(ages)),
                 avg_age_ci=age_ci,
                 mean_delay=float(np.mean(delays)),

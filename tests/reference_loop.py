@@ -5,7 +5,8 @@ One server-state machine per discipline, driven packet by packet by
 `agedelay.engine` are tested against.  Ties between a departure and an
 arrival at the same instant process the departure first.  `AgeTracker`
 replays receptions one at a time; it is the reference for the engine's
-vectorised informative marking.
+vectorised informative marking.  `redraw` draws a run's path afresh, for
+comparison with the draw that coupled runs share.
 """
 
 from __future__ import annotations
@@ -193,3 +194,11 @@ class AgeTracker:
             self.ages.append(now - gen_time)
             return True
         return False
+
+
+def redraw(arrival, service, n_arrivals: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generation times and service requirements of a run at seed, drawn independently of the engine."""
+    arrival_seq, service_seq = np.random.SeedSequence(seed).spawn(2)
+    gen = np.cumsum(arrival.sample_n(np.random.Generator(np.random.PCG64(arrival_seq)), n_arrivals))
+    svc = service.sample_n(np.random.Generator(np.random.PCG64(service_seq)), n_arrivals)
+    return gen, svc

@@ -22,6 +22,7 @@ from scipy import integrate, stats
 import agedelay as ad
 from agedelay import Discipline
 from agedelay.metrics import age_at
+from reference_loop import redraw
 
 LAM, MU = 0.5, 0.8
 POISSON = ad.parse_arrival("exp", LAM)
@@ -130,9 +131,12 @@ def test_criterion_04_pathwise_age_lower_bound():
     for spec in ("exp", "pareto alpha=1.5"):
         service = ad.parse_service(spec, MU)
         inf_tr = ad.run_simulation(POISSON, service, Discipline.INFINITE_SERVER, 10_000, 0.1, 404)
+        # the live traces share one draw, so each is checked against an independent one
+        gen, svc = redraw(POISSON, service, 10_000, 404)
         for discipline in (Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE, Discipline.LCFS_PREEMPTIVE):
             one_tr = ad.run_simulation(POISSON, service, discipline, 10_000, 0.1, 404)
-            assert np.array_equal(inf_tr.service_reqs, one_tr.service_reqs)
+            for tr in (inf_tr, one_tr):
+                assert np.array_equal(tr.gen_times, gen) and np.array_equal(tr.service_reqs, svc)
             ts = np.union1d(inf_tr.breakpoint_times, one_tr.breakpoint_times)
             ok &= bool(np.all(age_at(inf_tr, ts) <= age_at(one_tr, ts) + 1e-9))
     report(4, ok, "A_inf(t) <= A_single(t) at every breakpoint, all disciplines, 1e4 packets")

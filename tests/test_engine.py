@@ -113,6 +113,34 @@ def test_coupled_traces_hold_one_draw():
     assert held < 26e6, f"{len(traces)} coupled traces hold {held / 1e6:.1f} MB"
 
 
+def test_lcfs_p_reuses_a_live_fcfs_pass(monkeypatch):
+    heavy = parse_service("pareto alpha=1.5", 0.8)
+    alone = run_simulation(ARR, heavy, Discipline.LCFS_PREEMPTIVE, 20_000, 0.1, 13)
+    recv = alone.recv_times.copy()
+    del alone
+    gc.collect()
+    assert not engine._COMPLETIONS
+    fcfs = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
+    with pytest.raises(ValueError, match="read-only"):
+        fcfs.recv_times[0] = 1.0
+    assert len(engine._COMPLETIONS) == 1
+
+    def no_fcfs_pass(gen, svc):
+        raise AssertionError("the FCFS pass ran again")
+
+    monkeypatch.setattr(engine, "_fcfs", no_fcfs_pass)
+    coupled = run_simulation(ARR, heavy, Discipline.LCFS_PREEMPTIVE, 20_000, 0.1, 13)
+    again = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
+    monkeypatch.undo()
+    # bit for bit the run without a live FCFS trace, and its own writable array
+    assert np.array_equal(coupled.recv_times, recv)
+    assert coupled.recv_times.flags.writeable
+    assert again.recv_times is fcfs.recv_times
+    del fcfs, coupled, again
+    gc.collect()
+    assert not engine._COMPLETIONS
+
+
 @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)
 def test_no_packet_finishes_early(discipline):
     tr = run_simulation(ARR, parse_service("pareto alpha=1.5", 0.8), discipline, 20_000, 0.1, 5)

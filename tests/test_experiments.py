@@ -156,8 +156,20 @@ def test_run_suite_point_per_grid_entry_and_determinism():
     assert a == b
     assert [p.point.discipline for p in a] == [Discipline.FCFS, Discipline.LCFS_PREEMPTIVE]
     assert all(p.n_reps == 2 for p in a)
-    assert a[0].seed == 5 and a[1].seed == 7
+    # one law (Poisson arrivals, exp service): both rows run, and report, its seeds 5 and 6
+    assert a[0].seed == 5 and a[1].seed == 5
     assert all(p.informative_frac == 1.0 for p in a if p.point.discipline is Discipline.FCFS)
+
+
+def test_run_suite_couples_the_disciplines_of_a_law():
+    cfg = small_config(points=("fcfs exp", "lcfs-np exp", "lcfs-p exp", "inf exp"), reps=3, seed=11)
+    points = run_suite(cfg, parallel=False)
+    assert [p.seed for p in points] == [11] * 4
+    # each replication runs all four on one path, so the infinite-server age bounds the others
+    # pathwise, and so in the mean over replications
+    inf = points[-1]
+    for p in points[:-1]:
+        assert p.avg_age >= inf.avg_age - 1e-9, p.label()
 
 
 def test_run_suite_serial_vs_parallel_identical():
@@ -281,19 +293,19 @@ def test_sweep_config_takes_numpy_integers():
 
 
 def test_run_suite_matches_run_simulation():
-    # replication rep of grid point idx runs seed base_seed + idx * n_reps + rep
-    cfg = small_config(reps=3, seed=40)
+    # replication rep of law l (in order of first appearance) runs seed base_seed + l * n_reps + rep
+    cfg = small_config(points=("lcfs-p exp", "fcfs pareto alpha=2", "fcfs exp"), reps=3, seed=40)
     points = run_suite(cfg, parallel=False)
-    for idx, (point, pt) in enumerate(zip(cfg.grid, points)):
+    for law, point, pt in zip((0, 1, 0), cfg.grid, points):
         reports = [
             summarize(
                 run_simulation(
                     point.arrival, point.service, point.discipline, cfg.n_arrivals, cfg.warmup_fraction, seed
                 )
             )
-            for seed in range(40 + 3 * idx, 40 + 3 * idx + 3)
+            for seed in range(40 + 3 * law, 40 + 3 * law + 3)
         ]
-        assert pt.seed == 40 + 3 * idx
+        assert pt.seed == 40 + 3 * law
         assert pt.mean_delay == float(np.mean([r.mean_delay for r in reports]))
         assert pt.avg_age == float(np.mean([r.avg_age for r in reports]))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 import sys
 import weakref
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +119,23 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     return informative, times, ages
 
 
+def _informative_receptions(gen: np.ndarray, recv: np.ndarray, discipline: Discipline):
+    """What _mark_informative returns, without its pass where the answer is known.
+
+    An FCFS server receives in generation order, and its recv is
+    nondecreasing, so where no generation time repeats every reception is
+    informative.  A repeated one (a zero gap, or a long periodic run whose
+    sum stalls) is stale and takes the marking pass.
+    """
+    if discipline is not Discipline.FCFS or not np.all(gen[1:] > gen[:-1]):
+        return _mark_informative(gen, recv)
+    times = np.concatenate(([0.0], recv))
+    ages = np.empty_like(times)
+    ages[0] = 0.0
+    np.subtract(recv, gen, out=ages[1:])
+    return np.ones(gen.shape[0], dtype=bool), times, ages
+
+
 def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """FCFS completion instants, and which packets find the server idle.
 
@@ -186,11 +202,11 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
     the same instant arrives just after the departure.
     """
     n = gen.shape[0]
-    # flat double buffers: no float object per packet
-    g = array("d", gen.tobytes())
-    g.append(_INF)  # sentinel: stops the push loop after the last arrival
-    s = array("d", svc.tobytes())
-    recv = array("d", bytes(8 * n))
+    # memoryviews read and write the arrays' doubles in place: no copies, no float object per packet
+    g = memoryview(np.append(gen, _INF))  # sentinel: stops the push loop after the last arrival
+    s = memoryview(svc)
+    out = np.empty(n)
+    recv = memoryview(out)
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     serving, t, i = 0, g[0] + s[0], 1
@@ -206,7 +222,7 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
             serving, t = i, g[i] + s[i]
             i += 1
         else:
-            return np.frombuffer(recv, dtype=float)
+            return out
 
 
 def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.ndarray | None = None) -> np.ndarray:
@@ -317,7 +333,7 @@ def run_simulation(
     if discipline is Discipline.FCFS:
         recv.flags.writeable = False
         _COMPLETIONS[key] = recv
-    informative, bp_times, bp_ages = _mark_informative(gen, recv)
+    informative, bp_times, bp_ages = _informative_receptions(gen, recv, discipline)
 
     return SimulationTrace(
         gen_times=gen,

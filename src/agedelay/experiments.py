@@ -13,9 +13,9 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import operator
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -66,6 +66,9 @@ class SweepConfig:
             raise ParameterError(f"n_reps must be >= 1, got {self.n_reps}")
         # every run is summarized, so it must keep two packets past its warm-up
         engine.check_run(self.n_arrivals, self.warmup_fraction, self.base_seed, min_kept=2)
+        # plain ints: a numpy integer's seed arithmetic can wrap, and json cannot write one
+        for name in ("n_arrivals", "n_reps", "base_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         nus = self.nu_grid
         if not nus or not all(0 <= nu < math.inf for nu in nus):
             raise ParameterError(f"nu_grid must be nonempty, finite and nonnegative, got {list(nus)}")
@@ -201,6 +204,11 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     ]
 
     if parallel and len(jobs) > 1:
+        # imported here, so that only a pooled suite pays for them; numpy.random is loaded once,
+        # before the fork, so that no worker imports it again on its first job
+        import numpy.random  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(_law_worker, jobs))
     else:

@@ -63,8 +63,26 @@ print([name for name in sys.modules if name == "scipy" or name.startswith("scipy
 """
 
 
-def test_runtime_never_loads_scipy():
-    # scipy is a test dependency only; a fresh interpreter, because this one has loaded it
+def run_fresh(script: str) -> str:
+    """stdout of script in a fresh interpreter, which has loaded only what the script loads."""
     env = {**os.environ, "PYTHONPATH": str(Path(agedelay.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT], check=True, env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", script], check=True, env=env, capture_output=True, text=True).stdout
+
+
+def test_runtime_never_loads_scipy():
+    # scipy is a test dependency only
+    assert run_fresh(RUNTIME_SCRIPT).strip() == "[]"
+
+
+# only a pooled suite needs these packages; importing them would slow every command's start
+IMPORT_SCRIPT = """
+import sys
+
+import agedelay
+pool_only = ("numpy.random", "concurrent.futures", "multiprocessing")
+print([name for name in sys.modules if any(name == p or name.startswith(p + ".") for p in pool_only)])
+"""
+
+
+def test_import_leaves_out_pool_modules():
+    assert run_fresh(IMPORT_SCRIPT).strip() == "[]"

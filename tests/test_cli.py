@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import warnings
@@ -526,7 +527,8 @@ def test_bad_suite_never_starts_a_pool(capsys, monkeypatch, setting, fragment):
     def pool(*args, **kwargs):
         raise AssertionError("a process pool started")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    # run_suite imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     with pytest.raises(ParameterError, match=fragment):
         experiments.load_preset("figure1", [setting])
     code, out, err = run_cli(capsys, "sweep", "figure1", "--set", setting)

@@ -290,6 +290,18 @@ def test_sweep_config_takes_numpy_integers():
     numpy_ints = run_suite(small_config(n=np.int64(2000), reps=np.int32(2), seed=np.uint8(5)), parallel=False)
     plain = run_suite(small_config(), parallel=False)
     assert [(p.avg_age, p.mean_delay) for p in numpy_ints] == [(p.avg_age, p.mean_delay) for p in plain]
+    # the config keeps plain ints, so law seeds cannot wrap in uint8 (a RuntimeWarning is an error here)
+    laws = ("fcfs exp", "fcfs det", "fcfs pareto alpha=2")
+    wide = run_suite(small_config(points=laws, n=200, reps=8, seed=np.uint8(250)), parallel=False)
+    assert [p.seed for p in wide] == [250, 258, 266]
+
+
+def test_run_and_emit_writes_json_for_numpy_integers(tmp_path):
+    cfg = small_config(n=np.int64(800), reps=np.int64(2), seed=np.int64(5))
+    _, json_path, _ = run_and_emit(cfg, tmp_path, parallel=False)
+    doc = json.loads(json_path.read_text(), parse_constant=_reject_constant)
+    assert [doc["config"][key] for key in ("n_arrivals", "n_reps", "base_seed")] == [800, 2, 5]
+    assert [(rec["n_arrivals"], rec["n_reps"], rec["seed"]) for rec in doc["points"]] == [(800, 2, 5)] * 2
 
 
 def test_run_suite_matches_run_simulation():

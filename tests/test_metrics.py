@@ -17,7 +17,7 @@ from agedelay import (
     summarize,
 )
 from agedelay.engine import _mark_informative
-from agedelay.metrics import _age_area_at, _default_window, _t975, age_at
+from agedelay.metrics import N_BATCHES, _age_area_at, _batch_means, _default_window, _t975, age_at
 from reference_loop import AgeTracker
 
 ARR = parse_arrival("exp", 0.5)
@@ -305,6 +305,34 @@ def test_age_at_in_place_is_bit_identical():
         assert isinstance(got, np.ndarray) and got.shape == t.shape
         assert np.array_equal(got, _age_at_gathered(tr, t))
         assert not np.shares_memory(got, t)
+
+
+def _age_area_concatenated(trace, ts):
+    """_age_area_at with the whole-trapezoid sums built in new arrays."""
+    idx = np.searchsorted(trace.breakpoint_times, ts, side="right") - 1
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    times = trace.breakpoint_times[lo:hi]
+    ages = trace.breakpoint_ages[lo:hi]
+    d = np.diff(times)
+    cum = np.concatenate(([0.0], np.cumsum(ages[:-1] * d + 0.5 * d * d)))
+    j = idx - lo
+    dt = ts - times[j]
+    return cum[j] + ages[j] * dt + 0.5 * dt * dt
+
+
+@pytest.mark.parametrize("discipline", list(Discipline), ids=lambda d: d.value)
+def test_age_area_in_place_is_bit_identical(discipline):
+    tr = run_simulation(ARR, parse_service("pareto alpha=1.5", 0.8), discipline, 20_000, 0.1, 8)
+    t_a, t_b = _default_window(tr)
+    for ts in (np.linspace(t_a, t_b, N_BATCHES + 1), tr.breakpoint_times[3:400], np.array([t_a, t_a])):
+        assert np.array_equal(_age_area_at(tr, ts), _age_area_concatenated(tr, ts))
+
+
+def test_batch_means_are_array_split_means():
+    values = np.random.default_rng(12).exponential(size=900_017)
+    for m in [*range(2 * N_BATCHES, 401), 900_017]:
+        expected = [b.mean() for b in np.array_split(values[:m], N_BATCHES)]
+        assert np.array_equal(_batch_means(values[:m]), expected), m
 
 
 def test_t975_matches_scipy_quantile():

@@ -8,7 +8,9 @@ g + s in the loop (fcfs: found the server idle; lcfs-p: never preempted)
 must get exactly g + s from the kernel too: a one-ulp mismatch there
 moves an age breakpoint across a coupled path's breakpoint.  On decimal
 paths, fcfs and lcfs-p still break some ties that hold exactly in floats;
-a strict xfail pins one example of each.
+a strict xfail pins one example of each.  An fcfs trace skips the
+informative-marking pass unless a generation time repeats; its flags and
+breakpoints must equal the pass's, bit for bit.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agedelay import ArrivalProcess, Discipline, ServiceDistribution
-from agedelay.engine import _mark_informative, _serve, busy_periods
+from agedelay import engine
+from agedelay.engine import _informative_receptions, _mark_informative, _serve, busy_periods
 from reference_loop import AgeTracker
 from reference_loop import serve as reference_serve
 
@@ -95,6 +98,65 @@ def test_kernel_matches_reference_loop_with_ties(discipline, path):
 @given(path=decimal_paths())
 def test_exact_kernels_match_reference_loop_on_decimal_paths(discipline, path):
     assert_matches_reference(*path, discipline)
+
+
+def assert_fcfs_marks_as_reference(gen, svc):
+    """An FCFS trace's informative flags and breakpoints are _mark_informative's, bit for bit."""
+    recv = _serve(gen, svc, Discipline.FCFS)
+    got = _informative_receptions(gen, recv, Discipline.FCFS)
+    for got_array, ref_array in zip(got, _mark_informative(gen, recv)):
+        assert got_array.dtype == ref_array.dtype
+        assert np.array_equal(got_array, ref_array)
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+@PROPERTY
+@given(data=st.data())
+def test_fcfs_breakpoints_match_marking_pass(family, data):
+    assert_fcfs_marks_as_reference(*data.draw(sampled_paths(family)))
+
+
+@PROPERTY
+@given(path=st.one_of(integer_paths(), decimal_paths()))
+def test_fcfs_breakpoints_match_marking_pass_with_ties(path):
+    assert_fcfs_marks_as_reference(*path)
+
+
+def count_marking_passes(monkeypatch) -> list:
+    """A list that gains an entry each time the engine runs _mark_informative."""
+    calls = []
+
+    def spy(gen, recv):
+        calls.append(1)
+        return _mark_informative(gen, recv)
+
+    monkeypatch.setattr(engine, "_mark_informative", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "gen, marked",
+    [([0.0, 1.0, 1.5, 2.0], False), ([0.0, 1.0, 1.0, 2.0], True), ([3.0, 3.0], True)],
+    ids=["increasing", "repeated", "all-repeated"],
+)
+def test_fcfs_marks_only_a_repeated_generation_time(monkeypatch, gen, marked):
+    # a repeated generation time is stale, so only then does the marking pass run
+    calls = count_marking_passes(monkeypatch)
+    gen = np.array(gen)
+    svc = np.full(gen.shape[0], 0.5)
+    assert_fcfs_marks_as_reference(gen, svc)
+    assert len(calls) == marked
+    flags = _informative_receptions(gen, _serve(gen, svc, Discipline.FCFS), Discipline.FCFS)[0]
+    assert flags.all() == (not marked)
+
+
+def test_simulated_fcfs_trace_skips_the_marking_pass(monkeypatch):
+    calls = count_marking_passes(monkeypatch)
+    trace = engine.run_simulation(ArrivalProcess("exp", 0.5), ServiceDistribution("exp", 0.8), Discipline.FCFS, 5000)
+    assert calls == []
+    ref = _mark_informative(trace.gen_times, trace.recv_times)
+    got = (trace.informative, trace.breakpoint_times, trace.breakpoint_ages)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 # fcfs and lcfs-p break some ties that hold exactly in floats; each example is the smallest seen

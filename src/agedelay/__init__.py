@@ -32,7 +32,6 @@ from .metrics import (
 )
 from .oracles import (
     gginf_age,
-    gginf_age_estimate,
     min_average_age,
     pk_delay,
     tail_decay_table,
@@ -56,7 +55,6 @@ __all__ = [
     "busy_periods",
     "emit_outputs",
     "gginf_age",
-    "gginf_age_estimate",
     "load_config",
     "load_preset",
     "min_average_age",

@@ -240,10 +240,6 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.nd
     return _serve_lcfs_nonpreemptive(gen, svc)
 
 
-# numpy caps an array at sys.maxsize bytes; a run keeps float64 arrays of n_arrivals entries.
-_MAX_ARRIVALS = sys.maxsize // 8
-
-
 def check_integer(name: str, value) -> None:
     """Raise ParameterError unless value is an integer (Python or numpy)."""
     try:
@@ -264,7 +260,7 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
         raise ParameterError(f"warmup_fraction must lie in [0, 0.5], got {warmup_fraction}")
     if n_arrivals > _MAX_ARRIVALS:
         raise ParameterError(
-            f"n_arrivals={n_arrivals} exceeds {_MAX_ARRIVALS}, the most float64 values one array holds"
+            f"n_arrivals={n_arrivals} exceeds {_MAX_ARRIVALS}, the most packets a run's draw can hold"
         )
     kept = n_arrivals - int(warmup_fraction * n_arrivals)
     if kept < min_kept:
@@ -281,6 +277,11 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
 _DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # FCFS completion instants that a live FCFS trace holds as its recv_times, keyed as in _DRAWS.
 _COMPLETIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# A draw is one float64 array of _DRAW_ROWS rows (generation times, service requirements) by
+# n_arrivals, and numpy caps an array at sys.maxsize bytes.
+_DRAW_ROWS = 2
+_MAX_ARRIVALS = sys.maxsize // (8 * _DRAW_ROWS)
 
 
 def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> np.ndarray:
@@ -299,7 +300,7 @@ def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> np.ndarr
     arrival_seq, service_seq = np.random.SeedSequence(seed).spawn(2)
     arrival_rng = np.random.Generator(np.random.PCG64(arrival_seq))
     service_rng = np.random.Generator(np.random.PCG64(service_seq))
-    draw = np.empty((2, n_arrivals))
+    draw = np.empty((_DRAW_ROWS, n_arrivals))
     np.cumsum(arrival.sample_n(arrival_rng, n_arrivals), out=draw[0])
     draw[1] = service.sample_n(service_rng, n_arrivals)
     draw.flags.writeable = False

@@ -37,9 +37,6 @@ from .oracles import gginf_age_estimate  # noqa: F401
 
 PRESETS = ("figure1", "tradeoff-sweep", "no-tradeoff")
 
-# Pareto sample means converge too slowly below this tail index for CI claims.
-SLOW_CONVERGENCE_ALPHA = 1.5
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -112,7 +109,6 @@ class FrontierPoint:
     a_min: float
     pk_delay: float | None
     gginf_age: float | None
-    slow_convergence: bool
 
     def label(self) -> str:
         return self.point.label()
@@ -128,7 +124,7 @@ class FrontierPoint:
 
 _COLUMNS = ("discipline", "family", "shape", "arrival", "lambda", "mu", *(f.name for f in fields(FrontierPoint)[1:]))
 # The CSV carries every other column, in order.
-_JSON_ONLY = ("delay_var_ci", "slow_convergence")
+_JSON_ONLY = ("delay_var_ci",)
 CSV_COLUMNS = tuple(name for name in _COLUMNS if name not in _JSON_ONLY)
 
 
@@ -251,9 +247,6 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
                 delay_var_ci=var_ci,
                 informative_frac=float(np.mean([r.informative_fraction for r in reps])),
                 **oracle_cells[idx],
-                slow_convergence=(
-                    point.service.family == "pareto" and point.service.shape < SLOW_CONVERGENCE_ALPHA
-                ),
             )
         )
     return points

@@ -22,6 +22,7 @@ from scipy import integrate, stats
 import agedelay as ad
 from agedelay import Discipline
 from agedelay.metrics import age_at
+from agedelay.oracles import gginf_age_estimate
 from reference_loop import redraw
 
 LAM, MU = 0.5, 0.8
@@ -109,7 +110,7 @@ def test_criterion_03_infinite_server_age_consistency():
             point = one_point_suite(arrival, service, Discipline.INFINITE_SERVER, 200_000, 6, 301)
             # the row's CI is the 6-replication t halfwidth; undo the t quantile
             se_sim = point.avg_age_ci / stats.t.ppf(0.975, 5)
-            est, se_mc = ad.gginf_age_estimate(arrival, service, 200_000, 977)
+            est, se_mc = gginf_age_estimate(arrival, service, 200_000, 977)
             gap = abs(point.avg_age - est)
             bound = 3.0 * math.hypot(se_sim, se_mc) + 5e-3
             exact_gap = abs(point.avg_age - point.gginf_age)

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "busy_periods",
     "emit_outputs",
     "gginf_age",
-    "gginf_age_estimate",
     "load_config",
     "load_preset",
     "min_average_age",

@@ -48,7 +48,6 @@ def fp(age, delay, var=1.0):
         a_min=2.0,
         pk_delay=None,
         gginf_age=None,
-        slow_convergence=False,
     )
 
 
@@ -225,12 +224,6 @@ def test_run_suite_estimates_gginf_once_per_law_per_call(tmp_path, monkeypatch):
         assert laws == [(p.arrival, p.service) for p in cfg.grid[:9]]
 
 
-def test_run_suite_flags_slow_convergence():
-    cfg = small_config(points=("lcfs-p pareto alpha=1.2",), n=500, reps=1)
-    (pt,) = run_suite(cfg, parallel=False)
-    assert pt.slow_convergence
-
-
 def test_run_suite_names_unstable_point():
     # the point checks itself, so no suite can hold an unstable one
     with pytest.raises(StabilityError, match=r"^fcfs exp: lambda=0\.9 >= mu=0\.8$"):
@@ -372,6 +365,16 @@ def test_csv_columns_are_the_published_layout():
         "discipline", "family", "shape", "arrival", "lambda", "mu", "n_arrivals", "n_reps", "seed",
         "avg_age", "avg_age_ci", "mean_delay", "mean_delay_ci", "delay_var", "informative_frac",
         "a_min", "pk_delay", "gginf_age",
+    )
+
+
+def test_json_records_are_the_published_layout():
+    # a written JSON record's keys, in order (test_outputs_name_each_point_by_its_grid_line):
+    # the CSV's columns with delay_var_ci after delay_var, and nothing else
+    assert _COLUMNS == (
+        "discipline", "family", "shape", "arrival", "lambda", "mu", "n_arrivals", "n_reps", "seed",
+        "avg_age", "avg_age_ci", "mean_delay", "mean_delay_ci", "delay_var", "delay_var_ci",
+        "informative_frac", "a_min", "pk_delay", "gginf_age",
     )
 
 

@@ -14,7 +14,6 @@ from agedelay import (
     ServiceDistribution,
     StabilityError,
     gginf_age,
-    gginf_age_estimate,
     min_average_age,
     parse_arrival,
     parse_service,
@@ -24,7 +23,7 @@ from agedelay import (
     tail_decay_table,
 )
 from agedelay.engine import parse_grid_line
-from agedelay.oracles import _gauss_legendre, _pending_minima
+from agedelay.oracles import _gauss_legendre, _pending_minima, gginf_age_estimate
 
 MU = 0.8
 POISSON = parse_arrival("exp", 0.5)

@@ -7,8 +7,11 @@ share one read-only copy of them), stops generation, drains the backlog
 completely, and returns the full trace.  Ties between a departure and an
 arrival at the same instant process the departure first.
 Each discipline has its own serve kernel: closed forms for fcfs, lcfs-p and
-inf, one pass over completions for lcfs-np.  lcfs-p starts from the FCFS
-completions, which a live FCFS trace of the same draw lends it.
+inf; for lcfs-np, a vectorised walk of each busy period's FCFS-order prefix,
+and a stack loop from where the walks stop.  A draw owns its FCFS
+completions: its first single-server run computes them, and they are freed
+with it.  They are the fcfs receptions, the start of the lcfs-p kernel and
+the busy-period hints of the lcfs-np kernel.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .distributions import ArrivalProcess, ServiceDistribution, parse_arrival, p
 from .errors import ParameterError, StabilityError
 
 _INF = float("inf")
+# Steps that the lcfs-np kernel walks all busy periods' FCFS-order prefixes at once, before its loop.
+_PREFIX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     n = recv.shape[0]
     later_min = np.empty(n)
     later_min[-1] = _INF
-    later_min[:-1] = np.minimum.accumulate(recv[:0:-1])[::-1]
+    np.minimum.accumulate(recv[:0:-1], out=later_min[-2::-1])
     cand = np.flatnonzero(recv <= later_min)
     g = gen[cand]
     fresh = np.empty(cand.shape[0], dtype=bool)
@@ -195,33 +200,96 @@ def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | Non
     return (gen + svc) + (c[k - 1] - c)
 
 
-def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
-    """LCFS non-preemptive reception instants: one pass over service completions.
+def _walk_fcfs_prefixes(g: np.ndarray, svc: np.ndarray, starts: np.ndarray, out: np.ndarray):
+    """Walk every busy period's FCFS-identical prefix at once; return the loop's states where each walk stopped.
+
+    starts are hinted busy-period starts, each with g[i] + s[i] as its
+    first completion; g carries two infinite sentinels.  While exactly one
+    packet waits at a completion (g[k+1] < t <= g[k+2]), the LCFS-NP loop
+    serves packet k+1 next, as FCFS does, and the walk does the loop's own
+    float operations: out[k] = t, then t += s[k+1].  A walk that ends its
+    period at its hinted end is done.  Any other walk stops at packet k in
+    service with completion t: where two or more packets wait, where its
+    period ends elsewhere than hinted or runs past the next hinted start,
+    or after _PREFIX_STEPS steps.  Returns those (k, t), sorted by k.
+    """
+    n = out.shape[0]
+    k = starts
+    last = np.append(starts[1:], n) - 1  # each period's hinted last packet
+    t = g[starts] + svc[starts]
+    stopped_k, stopped_t = [], []
+    for _ in range(_PREFIX_STEPS):
+        if not k.size:
+            break
+        out[k] = t
+        nxt = k + 1
+        waits = g[nxt] < t
+        inner = k < last
+        goes = waits & inner & (t <= g[nxt + 1])
+        stops = ~goes & (waits | inner)  # not a step, and not the hinted end
+        stopped_k.append(k[stops])
+        stopped_t.append(t[stops])
+        k, last = nxt[goes], last[goes]
+        t = t[goes] + svc[k]
+    stopped_k.append(k)
+    stopped_t.append(t)
+    k, t = np.concatenate(stopped_k), np.concatenate(stopped_t)
+    order = np.argsort(k)
+    return k[order], t[order]
+
+
+def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """LCFS non-preemptive reception instants, from the FCFS completions c (computed if None).
 
     Arrivals strictly before the current completion join the stack; one at
-    the same instant arrives just after the departure.
+    the same instant arrives just after the departure.  Until a completion
+    leaves two or more packets waiting, a busy period is served in FCFS
+    order; _walk_fcfs_prefixes does those steps for every period at once,
+    from the starts that c hints.  The stack loop runs only from the states
+    where a walk stopped.  When its stack empties at a hinted start i, the
+    walk from i was the loop's own path, so the loop jumps to the first
+    stopped state at or after i.  Each reception is the loop's own sum, so
+    a wrong hint costs time, never a bit.
     """
     n = gen.shape[0]
-    # memoryviews read and write the arrays' doubles in place: no copies, no float object per packet
-    g = memoryview(np.append(gen, _INF))  # sentinel: stops the push loop after the last arrival
-    s = memoryview(svc)
+    if c is None:
+        c = _fcfs(gen, svc)[0]
+    hinted = np.empty(n, dtype=bool)
+    hinted[0] = True
+    np.greater_equal(gen[1:], c[:-1], out=hinted[1:])
+    ext = np.append(gen, (_INF, _INF))  # sentinels: stop the walk and the push loop after the last arrival
     out = np.empty(n)
-    recv = memoryview(out)
+    stopped_k, stopped_t = _walk_fcfs_prefixes(ext, svc, np.flatnonzero(hinted), out)
+    # memoryviews read and write the arrays' doubles in place: no copies, no float object per packet
+    g, s, recv, hint = memoryview(ext), memoryview(svc), memoryview(out), memoryview(hinted)
+    rk, rt = stopped_k.tolist(), stopped_t.tolist()
+    m = len(rk)
     stack: list[int] = []
     push, pop = stack.append, stack.pop
-    serving, t, i = 0, g[0] + s[0], 1
+    i = p = 0
     while True:
-        while g[i] < t:
-            push(i)
-            i += 1
-        recv[serving] = t
-        if stack:
-            serving = pop()
-            t += s[serving]
-        elif i < n:
+        # the stack is empty and packet i arrives to an idle server
+        if hint[i]:
+            while p < m and rk[p] < i:
+                p += 1
+            if p == m:
+                return out
+            serving, t = rk[p], rt[p]
+            i = serving + 1
+            p += 1
+        else:
             serving, t = i, g[i] + s[i]
             i += 1
-        else:
+        while True:
+            while g[i] < t:
+                push(i)
+                i += 1
+            recv[serving] = t
+            if not stack:
+                break
+            serving = pop()
+            t += s[serving]
+        if i == n:
             return out
 
 
@@ -229,7 +297,8 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.nd
     """Reception time of every packet under the discipline.
 
     fcfs, if given, is the path's FCFS completions: the FCFS reception
-    instants themselves, and the start of the lcfs-p kernel.
+    instants themselves, the start of the lcfs-p kernel, and the busy-period
+    hints of the lcfs-np kernel.
     """
     if discipline is Discipline.INFINITE_SERVER:
         return gen + svc
@@ -237,7 +306,7 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.nd
         return _fcfs(gen, svc)[0] if fcfs is None else fcfs
     if discipline is Discipline.LCFS_PREEMPTIVE:
         return _serve_lcfs_preemptive(gen, svc, fcfs)
-    return _serve_lcfs_nonpreemptive(gen, svc)
+    return _serve_lcfs_nonpreemptive(gen, svc, fcfs)
 
 
 def check_integer(name: str, value) -> None:
@@ -275,8 +344,8 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
 # Draws that some live trace still views, by (arrival, service, n_arrivals, seed).  A row view
 # keeps its draw alive, so an entry lasts exactly as long as some trace of it.
 _DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# FCFS completion instants that a live FCFS trace holds as its recv_times, keyed as in _DRAWS.
-_COMPLETIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The read-only FCFS completions of a draw in _DRAWS, keyed alike; an entry goes with its draw.
+_COMPLETIONS: dict[tuple, np.ndarray] = {}
 
 # A draw is one float64 array of _DRAW_ROWS rows (generation times, service requirements) by
 # n_arrivals, and numpy caps an array at sys.maxsize bytes.
@@ -305,7 +374,18 @@ def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> np.ndarr
     draw[1] = service.sample_n(service_rng, n_arrivals)
     draw.flags.writeable = False
     _DRAWS[key] = draw
+    weakref.finalize(draw, _COMPLETIONS.pop, key, None)
     return draw
+
+
+def _completions(key: tuple[ArrivalProcess, ServiceDistribution, int, int], gen: np.ndarray, svc: np.ndarray):
+    """The FCFS completions of the draw key names, read-only: computed by its first single-server run."""
+    c = _COMPLETIONS.get(key)
+    if c is None:
+        c = _fcfs(gen, svc)[0]
+        c.flags.writeable = False
+        _COMPLETIONS[key] = c
+    return c
 
 
 def run_simulation(
@@ -323,17 +403,16 @@ def run_simulation(
     n_arrivals packets and the backlog is drained, so every generated
     packet is delivered.  The trace's gen_times and service_reqs are
     read-only views of the draw it shares with coupled runs (see _draw).
-    An FCFS trace's recv_times is read-only too: while the trace lives,
-    coupled fcfs and lcfs-p runs reuse it rather than redo the FCFS pass.
+    The draw's first single-server run computes its FCFS completions, and
+    every later one reuses them while the draw lives; an FCFS trace's
+    recv_times is that read-only array.
     """
     check_run(n_arrivals, warmup_fraction, seed, min_kept=1)
     point = ExperimentPoint(arrival, service, discipline)
     key = (arrival, service, int(n_arrivals), int(seed))
     gen, svc = _draw(key)
-    recv = _serve(gen, svc, discipline, _COMPLETIONS.get(key))
-    if discipline is Discipline.FCFS:
-        recv.flags.writeable = False
-        _COMPLETIONS[key] = recv
+    fcfs = _completions(key, gen, svc) if discipline.single_server else None
+    recv = _serve(gen, svc, discipline, fcfs)
     informative, bp_times, bp_ages = _informative_receptions(gen, recv, discipline)
 
     return SimulationTrace(

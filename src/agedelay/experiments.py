@@ -165,7 +165,7 @@ def _law_worker(
 ) -> list[MetricsReport]:
     """One replication of one law: a run and a report per discipline, in the order given."""
     arrival, service, disciplines, n_arrivals, warmup_fraction, seed = job
-    # every trace lives to the end of the job, so the later runs share its draw and FCFS pass
+    # every trace lives to the end of the job, so the later runs share the law's draw and FCFS completions
     traces, reports = [], []
     for discipline in disciplines:
         # looked up on the module at call time, so a wrapper patched onto engine applies
@@ -182,16 +182,15 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     order of first appearance in the grid, runs replication r at seed
     base_seed + l * n_reps + r for each of its disciplines, and every row
     reports its law's base seed, base_seed + l * n_reps.  One job per (law,
-    rep) runs the law's disciplines, fcfs first, so they share one draw and
-    the lcfs-p kernel reuses the FCFS pass.  Deterministic for a given config
+    rep) runs the law's disciplines in grid order; they share one draw and
+    its FCFS completions.  Deterministic for a given config
     and base seed: results are gathered in (grid index, rep) order,
     regardless of execution order.
     """
     laws: dict[tuple[ArrivalProcess, ServiceDistribution], list[int]] = {}
     for idx, point in enumerate(cfg.grid):
         laws.setdefault((point.arrival, point.service), []).append(idx)
-    # each law's grid indices, fcfs first: its live trace lends the lcfs-p run the FCFS pass
-    members = [sorted(idxs, key=lambda i: cfg.grid[i].discipline is not Discipline.FCFS) for idxs in laws.values()]
+    members = list(laws.values())
     law_seeds = [cfg.base_seed + law * cfg.n_reps for law in range(len(laws))]
     jobs = [
         (arrival, service, tuple(cfg.grid[i].discipline for i in idxs), cfg.n_arrivals, cfg.warmup_fraction, seed + rep)

@@ -113,6 +113,19 @@ def test_coupled_traces_hold_one_draw():
     assert held < 26e6, f"{len(traces)} coupled traces hold {held / 1e6:.1f} MB"
 
 
+def count_fcfs_passes(monkeypatch) -> list:
+    """A list that gains an entry each time the engine runs its FCFS pass."""
+    calls = []
+    fcfs = engine._fcfs
+
+    def spy(gen, svc):
+        calls.append(1)
+        return fcfs(gen, svc)
+
+    monkeypatch.setattr(engine, "_fcfs", spy)
+    return calls
+
+
 def test_lcfs_p_reuses_a_live_fcfs_pass(monkeypatch):
     heavy = parse_service("pareto alpha=1.5", 0.8)
     alone = run_simulation(ARR, heavy, Discipline.LCFS_PREEMPTIVE, 20_000, 0.1, 13)
@@ -120,23 +133,61 @@ def test_lcfs_p_reuses_a_live_fcfs_pass(monkeypatch):
     del alone
     gc.collect()
     assert not engine._COMPLETIONS
+    calls = count_fcfs_passes(monkeypatch)
     fcfs = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
     with pytest.raises(ValueError, match="read-only"):
         fcfs.recv_times[0] = 1.0
     assert len(engine._COMPLETIONS) == 1
-
-    def no_fcfs_pass(gen, svc):
-        raise AssertionError("the FCFS pass ran again")
-
-    monkeypatch.setattr(engine, "_fcfs", no_fcfs_pass)
     coupled = run_simulation(ARR, heavy, Discipline.LCFS_PREEMPTIVE, 20_000, 0.1, 13)
     again = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
-    monkeypatch.undo()
-    # bit for bit the run without a live FCFS trace, and its own writable array
+    assert len(calls) == 1
+    # bit for bit the run with a draw of its own, and its own writable array
     assert np.array_equal(coupled.recv_times, recv)
     assert coupled.recv_times.flags.writeable
     assert again.recv_times is fcfs.recv_times
     del fcfs, coupled, again
+    gc.collect()
+    assert not engine._COMPLETIONS
+
+
+def test_the_draw_owns_its_fcfs_pass(monkeypatch):
+    calls = count_fcfs_passes(monkeypatch)
+    fcfs = run_simulation(ARR, SVC, Discipline.FCFS, 20_000, 0.1, 17)
+    completions = fcfs.recv_times
+    keep = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 20_000, 0.1, 17)
+    del fcfs
+    gc.collect()
+    # the inf trace keeps the draw alive, and with it the completions
+    assert engine._COMPLETIONS[ARR, SVC, 20_000, 17] is completions
+    del completions
+    traces = [run_simulation(ARR, SVC, d, 20_000, 0.1, 17) for d in SINGLE_SERVER]
+    assert len(calls) == 1
+    assert traces[0].recv_times is engine._COMPLETIONS[ARR, SVC, 20_000, 17]
+    del keep, traces
+    gc.collect()
+    assert not engine._DRAWS
+    assert not engine._COMPLETIONS
+
+
+def test_a_lone_inf_run_skips_the_fcfs_pass(monkeypatch):
+    calls = count_fcfs_passes(monkeypatch)
+    trace = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 20_000, 0.1, 19)
+    assert calls == []
+    # while the trace keeps its draw alive, the draw has no completions either
+    assert (ARR, SVC, 20_000, 19) in engine._DRAWS
+    assert (ARR, SVC, 20_000, 19) not in engine._COMPLETIONS
+    del trace
+
+
+def test_one_fcfs_pass_per_law_when_only_the_latest_trace_lives(monkeypatch):
+    # as a benchmark pass that keeps only its latest trace runs each law's disciplines
+    calls = count_fcfs_passes(monkeypatch)
+    trace = None
+    for service in (SVC, parse_service("pareto alpha=1.5", 0.8)):
+        for discipline in ALL_DISCIPLINES:  # fcfs, lcfs-np, lcfs-p, inf
+            trace = run_simulation(ARR, service, discipline, 20_000, 0.1, 23)
+    assert len(calls) == 2
+    del trace
     gc.collect()
     assert not engine._COMPLETIONS
 

@@ -8,7 +8,9 @@ g + s in the loop (fcfs: found the server idle; lcfs-p: never preempted)
 must get exactly g + s from the kernel too: a one-ulp mismatch there
 moves an age breakpoint across a coupled path's breakpoint.  On decimal
 paths, fcfs and lcfs-p still break some ties that hold exactly in floats;
-a strict xfail pins one example of each.  An fcfs trace skips the
+a strict xfail pins one example of each.  lcfs-np walks busy periods from
+starts that the FCFS completions only hint at: long paths, a walk past
+its step cap and hints one ulp off must not move a bit.  An fcfs trace skips the
 informative-marking pass unless a generation time repeats; its flags and
 breakpoints must equal the pass's, bit for bit.
 """
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from agedelay import ArrivalProcess, Discipline, ServiceDistribution
 from agedelay import engine
-from agedelay.engine import _informative_receptions, _mark_informative, _serve, busy_periods
+from agedelay.engine import _PREFIX_STEPS, _fcfs, _informative_receptions, _mark_informative, _serve, busy_periods
 from reference_loop import AgeTracker
 from reference_loop import serve as reference_serve
 
@@ -98,6 +100,48 @@ def test_kernel_matches_reference_loop_with_ties(discipline, path):
 @given(path=decimal_paths())
 def test_exact_kernels_match_reference_loop_on_decimal_paths(discipline, path):
     assert_matches_reference(*path, discipline)
+
+
+@pytest.mark.parametrize("load", [0.3, 0.625, 0.95])
+@pytest.mark.parametrize("family, shape", [("exp", None), ("pareto", 1.05), ("weibull", 0.3)])
+def test_lcfs_np_matches_reference_loop_on_long_paths(family, shape, load):
+    # thousands of busy periods: most walks stop, many run to their hinted end
+    rng = np.random.default_rng(17)
+    gen = np.cumsum(ArrivalProcess("exp", load).sample_n(rng, 20_000))
+    svc = ServiceDistribution(family, 1.0, shape).sample_n(rng, 20_000)
+    assert_matches_reference(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
+
+
+def test_lcfs_np_walk_outlasting_its_step_cap():
+    # service a little longer than the gap: one packet waits at each of about 1000 completions,
+    # so the walk from packet 0 stops at its step cap and the loop takes over there
+    gen = np.cumsum(np.full(3000, 1.0))
+    svc = np.full(3000, 1 / 0.999)
+    ext = np.append(gen, (np.inf, np.inf))
+    stopped = engine._walk_fcfs_prefixes(ext, svc, np.array([0]), np.empty(3000))[0]
+    assert stopped.tolist() == [_PREFIX_STEPS]
+    assert_matches_reference(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
+
+
+@pytest.mark.parametrize(
+    "gen, svc, packet",
+    [
+        # the FCFS completions read 0.7000000000000002 as packet 3 arrives at 0.7000000000000001;
+        # the loop ends packet 2 at 0.7000000000000001, so packet 3 starts a busy period the hints miss
+        ([0.30000000000000004, 0.6000000000000001, 0.6000000000000001, 0.7000000000000001], [0.1, 0.1, 0.0, 0.0], 3),
+        # the FCFS completions read 1.0 as packet 3 arrives at 1.0; the loop ends packet 2 at
+        # 1.0000000000000002, so packet 3 waits, and the busy period the hints start there is none
+        ([0.30000000000000004, 0.6000000000000001, 0.8, 1.0], [0.0, 0.30000000000000004, 0.1, 0.0], 3),
+    ],
+    ids=["missed-start", "false-start"],
+)
+def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):
+    gen, svc = np.array(gen), np.array(svc)
+    ref = reference_serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
+    starts = gen[packet] >= ref[:packet].max()
+    hinted = gen[packet] >= _fcfs(gen, svc)[0][packet - 1]
+    assert starts != hinted
+    assert_matches_reference(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
 
 
 def assert_fcfs_marks_as_reference(gen, svc):

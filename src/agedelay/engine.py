@@ -7,8 +7,10 @@ share one read-only copy of them), stops generation, drains the backlog
 completely, and returns the full trace.  Ties between a departure and an
 arrival at the same instant process the departure first.
 Each discipline has its own serve kernel: closed forms for fcfs, lcfs-p and
-inf; for lcfs-np, a vectorised walk of each busy period's FCFS-order prefix,
-and a stack loop from where the walks stop.  A draw owns its FCFS
+inf; for lcfs-np, a vectorised walk that serves every busy period at once,
+one stack per lane, while at least _LANE_FLOOR periods are live, and a
+stack loop that resumes each lane where the walk stopped it, its stack
+rebuilt from the walk's links.  A draw owns its FCFS
 completions: its first single-server run computes them, and they are freed
 with it.  They are the fcfs receptions, the start of the lcfs-p kernel and
 the busy-period hints of the lcfs-np kernel.
@@ -28,8 +30,10 @@ from .distributions import ArrivalProcess, ServiceDistribution, parse_arrival, p
 from .errors import ParameterError, StabilityError
 
 _INF = float("inf")
-# Steps that the lcfs-np kernel walks all busy periods' FCFS-order prefixes at once, before its loop.
-_PREFIX_STEPS = 64
+# The lcfs-np walk runs while at least this many busy periods are live; the stack loop does the rest.
+_LANE_FLOOR = 256
+# Gathers that count a walking lane's arrivals before it calls searchsorted.
+_GATHERS = 4
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,14 @@ class SimulationTrace:
     point: ExperimentPoint = field(repr=False)
 
 
+def _later_min(recv: np.ndarray) -> np.ndarray:
+    """min(recv[i+1:]) for each i, inf for the last."""
+    later_min = np.empty(recv.shape[0])
+    later_min[-1] = _INF
+    np.minimum.accumulate(recv[:0:-1], out=later_min[-2::-1])
+    return later_min
+
+
 def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     """Informative flags plus age breakpoints, from the reception order.
 
@@ -107,10 +119,7 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     is stale.  The breakpoints come out already sorted by time.
     """
     n = recv.shape[0]
-    later_min = np.empty(n)
-    later_min[-1] = _INF
-    np.minimum.accumulate(recv[:0:-1], out=later_min[-2::-1])
-    cand = np.flatnonzero(recv <= later_min)
+    cand = np.flatnonzero(recv <= _later_min(recv))
     g = gen[cand]
     fresh = np.empty(cand.shape[0], dtype=bool)
     fresh[0] = True
@@ -125,20 +134,35 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
 
 
 def _informative_receptions(gen: np.ndarray, recv: np.ndarray, discipline: Discipline):
-    """What _mark_informative returns, without its pass where the answer is known.
+    """What _mark_informative returns, without its gathers where no generation time repeats.
 
-    An FCFS server receives in generation order, and its recv is
-    nondecreasing, so where no generation time repeats every reception is
-    informative.  A repeated one (a zero gap, or a long periodic run whose
-    sum stalls) is stale and takes the marking pass.
+    Then every candidate recv[i] <= min(recv[i+1:]) is fresh, so the flags
+    are the candidates, and the breakpoints are the flagged receptions and
+    their generation times, in index order.  An FCFS server receives in
+    generation order, and its recv is nondecreasing, so every flag is set
+    without the running minimum.  A repeated generation time (a zero gap,
+    or a long periodic run whose sum stalls) may be stale and takes the
+    marking pass.
     """
-    if discipline is not Discipline.FCFS or not np.all(gen[1:] > gen[:-1]):
+    if not np.all(gen[1:] > gen[:-1]):
         return _mark_informative(gen, recv)
-    times = np.concatenate(([0.0], recv))
-    ages = np.empty_like(times)
-    ages[0] = 0.0
-    np.subtract(recv, gen, out=ages[1:])
-    return np.ones(gen.shape[0], dtype=bool), times, ages
+    n = recv.shape[0]
+    if discipline is Discipline.FCFS:
+        informative = np.ones(n, dtype=bool)
+    else:
+        informative = recv <= _later_min(recv)
+    m = np.count_nonzero(informative)
+    times = np.empty(m + 1)
+    ages = np.empty(m + 1)
+    times[0] = ages[0] = 0.0
+    if m == n:
+        times[1:] = recv
+        np.subtract(recv, gen, out=ages[1:])
+    else:
+        np.compress(informative, recv, out=times[1:])
+        np.compress(informative, gen, out=ages[1:])
+        np.subtract(times[1:], ages[1:], out=ages[1:])
+    return informative, times, ages
 
 
 def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +176,15 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below c_{i-1} where s_i is tiny; a running maximum restores the FIFO
     order, and leaves a path without such an inversion bit for bit.
     """
-    cs = np.cumsum(svc)
-    c = cs + np.maximum.accumulate(gen - (cs - svc))
+    c = np.cumsum(svc)
+    w = c - svc
+    np.subtract(gen, w, out=w)
+    np.maximum.accumulate(w, out=w)
+    c += w
     idle = np.empty(gen.shape[0], dtype=bool)
     idle[0] = True
     np.greater_equal(gen[1:], c[:-1], out=idle[1:])
-    c[idle] = gen[idle] + svc[idle]
+    np.add(gen, svc, out=c, where=idle)
     np.maximum.accumulate(c, out=c)
     return c, idle
 
@@ -200,56 +227,90 @@ def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | Non
     return (gen + svc) + (c[k - 1] - c)
 
 
-def _walk_fcfs_prefixes(g: np.ndarray, svc: np.ndarray, starts: np.ndarray, out: np.ndarray):
-    """Walk every busy period's FCFS-identical prefix at once; return the loop's states where each walk stopped.
+def _walk_lcfs_periods(g: np.ndarray, svc: np.ndarray, starts: np.ndarray, out: np.ndarray, below: np.ndarray):
+    """Serve every hinted busy period in LCFS-NP order at once; return the loop's states where lanes stopped.
 
-    starts are hinted busy-period starts, each with g[i] + s[i] as its
-    first completion; g carries two infinite sentinels.  While exactly one
-    packet waits at a completion (g[k+1] < t <= g[k+2]), the LCFS-NP loop
-    serves packet k+1 next, as FCFS does, and the walk does the loop's own
-    float operations: out[k] = t, then t += s[k+1].  A walk that ends its
-    period at its hinted end is done.  Any other walk stops at packet k in
-    service with completion t: where two or more packets wait, where its
-    period ends elsewhere than hinted or runs past the next hinted start,
-    or after _PREFIX_STEPS steps.  Returns those (k, t), sorted by k.
+    Each hinted start is a lane, with state (serving k, its completion t,
+    next arrival a, stack top, next hinted start h, its own start); an
+    empty stack's top is -1.  g carries _GATHERS infinite sentinels.
+    below[x] is the packet under x on its lane's stack.  It starts as
+    arange(-1, n), so pushing a run a..j-1 writes only below[a]; its last
+    entry takes the link of an arrival that never comes.  A step does the
+    loop's own operations: out[k] = t; the arrivals a..j-1 before t go on
+    the stack, or none arrive; the top is popped into service, and
+    t += s[k].  Arrivals are counted by gathers at a, a + 1, ...; only a
+    lane still counting after _GATHERS of them calls searchsorted.  A lane
+    whose stack empties at its hinted end is done.  A lane stops unchanged
+    where packet h arrives before t or its stack empties before h; all
+    others stop where they are once fewer than _LANE_FLOOR lanes are live.
+    Returns the stopped lanes' int rows (k, a, top, h, start) and their t,
+    sorted by start.
     """
     n = out.shape[0]
-    k = starts
-    last = np.append(starts[1:], n) - 1  # each period's hinted last packet
+    lanes = np.empty((5, starts.shape[0]), dtype=np.intp)
+    lanes[0] = starts
+    np.add(starts, 1, out=lanes[1])
+    lanes[2] = -1
+    lanes[3, :-1] = starts[1:]
+    lanes[3, -1] = n
+    lanes[4] = starts
     t = g[starts] + svc[starts]
-    stopped_k, stopped_t = [], []
-    for _ in range(_PREFIX_STEPS):
-        if not k.size:
-            break
+    shifted = [g[d:] for d in range(_GATHERS)]  # shifted[d][a] is g[a + d]
+    stopped, stopped_t = [], []
+
+    def drop(ends, stops, lanes, t, *rest):
+        """Record the lanes that stop, and keep the ones that do not end, in every array given."""
+        if stops.any():
+            stopped.append(lanes.compress(stops, axis=1))
+            stopped_t.append(t.compress(stops))
+        live = ~ends
+        return [x.compress(live, axis=-1) for x in (lanes, t, *rest)]
+
+    while lanes.shape[1] >= _LANE_FLOOR:
+        k, a, top, h = lanes[:4]
         out[k] = t
-        nxt = k + 1
-        waits = g[nxt] < t
-        inner = k < last
-        goes = waits & inner & (t <= g[nxt + 1])
-        stops = ~goes & (waits | inner)  # not a step, and not the hinted end
-        stopped_k.append(k[stops])
-        stopped_t.append(t[stops])
-        k, last = nxt[goes], last[goes]
-        t = t[goes] + svc[k]
-    stopped_k.append(k)
+        arrived = shifted[0][a] < t
+        empty = (top + arrived) < 0  # nothing arrived and the stack is empty
+        if empty.any():
+            # a period that ends before its hinted end stops; one that ends there is done
+            lanes, t, arrived = drop(empty, empty & (a != h), lanes, t, arrived)
+            k, a, top, h = lanes[:4]
+        j = a + arrived
+        counting = arrived
+        for gd in shifted[1:]:
+            counting = gd[a] < t
+            j += counting
+        deep = np.flatnonzero(counting)
+        if deep.size:
+            j[deep] = np.searchsorted(g, t[deep])
+        over = j > h  # packet h arrives before t: the hint is wrong
+        if over.any():
+            lanes, t, arrived, j = drop(over, over, lanes, t, arrived, j)
+            k, a, top, h = lanes[:4]
+        below[a] = top  # bottom of the run a..j-1; where none arrived, a's link is rewritten when it does
+        k[:] = np.where(arrived, j - 1, top)
+        np.take(below, k, out=top)
+        np.copyto(a, j)
+        t += svc[k]
+    stopped.append(lanes)
     stopped_t.append(t)
-    k, t = np.concatenate(stopped_k), np.concatenate(stopped_t)
-    order = np.argsort(k)
-    return k[order], t[order]
+    lanes, t = np.concatenate(stopped, axis=1), np.concatenate(stopped_t)
+    order = np.argsort(lanes[4])
+    return lanes[:, order], t[order]
 
 
 def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """LCFS non-preemptive reception instants, from the FCFS completions c (computed if None).
 
     Arrivals strictly before the current completion join the stack; one at
-    the same instant arrives just after the departure.  Until a completion
-    leaves two or more packets waiting, a busy period is served in FCFS
-    order; _walk_fcfs_prefixes does those steps for every period at once,
-    from the starts that c hints.  The stack loop runs only from the states
-    where a walk stopped.  When its stack empties at a hinted start i, the
-    walk from i was the loop's own path, so the loop jumps to the first
-    stopped state at or after i.  Each reception is the loop's own sum, so
-    a wrong hint costs time, never a bit.
+    the same instant arrives just after the departure.  The busy periods
+    start where c hints, and _walk_lcfs_periods serves them all at once,
+    one stack per lane.  The stack loop runs only from the states where a
+    lane stopped, its stack rebuilt from below.  When the loop's stack
+    empties at a hinted start i, the lane from i was the loop's own path,
+    so the loop jumps to the first stopped lane that starts at or after i.
+    Each reception is the loop's own sum, so a wrong hint costs time,
+    never a bit.
     """
     n = gen.shape[0]
     if c is None:
@@ -257,26 +318,31 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | 
     hinted = np.empty(n, dtype=bool)
     hinted[0] = True
     np.greater_equal(gen[1:], c[:-1], out=hinted[1:])
-    ext = np.append(gen, (_INF, _INF))  # sentinels: stop the walk and the push loop after the last arrival
+    ext = np.append(gen, np.full(_GATHERS, _INF))  # sentinels: no arrival after the last
     out = np.empty(n)
-    stopped_k, stopped_t = _walk_fcfs_prefixes(ext, svc, np.flatnonzero(hinted), out)
-    # memoryviews read and write the arrays' doubles in place: no copies, no float object per packet
-    g, s, recv, hint = memoryview(ext), memoryview(svc), memoryview(out), memoryview(hinted)
-    rk, rt = stopped_k.tolist(), stopped_t.tolist()
-    m = len(rk)
+    below = np.arange(-1, n)
+    lanes, lane_t = _walk_lcfs_periods(ext, svc, np.flatnonzero(hinted), out, below)
+    # memoryviews read and write the arrays in place: no copies, no object per packet
+    g, s, recv, hint, down = memoryview(ext), memoryview(svc), memoryview(out), memoryview(hinted), memoryview(below)
+    rk, ra, rtop, _, rstart = lanes.tolist()
+    rt = lane_t.tolist()
+    m = len(rt)
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     i = p = 0
     while True:
         # the stack is empty and packet i arrives to an idle server
         if hint[i]:
-            while p < m and rk[p] < i:
+            while p < m and rstart[p] < i:
                 p += 1
             if p == m:
                 return out
-            serving, t = rk[p], rt[p]
-            i = serving + 1
+            serving, t, i, x = rk[p], rt[p], ra[p], rtop[p]
             p += 1
+            while x >= 0:
+                push(x)
+                x = down[x]
+            stack.reverse()
         else:
             serving, t = i, g[i] + s[i]
             i += 1

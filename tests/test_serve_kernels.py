@@ -9,10 +9,12 @@ must get exactly g + s from the kernel too: a one-ulp mismatch there
 moves an age breakpoint across a coupled path's breakpoint.  On decimal
 paths, fcfs and lcfs-p still break some ties that hold exactly in floats;
 a strict xfail pins one example of each.  lcfs-np walks busy periods from
-starts that the FCFS completions only hint at: long paths, a walk past
-its step cap and hints one ulp off must not move a bit.  An fcfs trace skips the
-informative-marking pass unless a generation time repeats; its flags and
-breakpoints must equal the pass's, bit for bit.
+starts that the FCFS completions only hint at, and its loop resumes where
+the walk stopped: long paths, hints one ulp off, and every path again at
+a lane floor of 1 (so that short paths enter the walk too) must not move
+a bit, and the loop must serve no packet the walk served.  A trace skips
+the informative-marking pass unless a generation time repeats; its flags
+and breakpoints must equal the pass's, bit for bit.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from agedelay import ArrivalProcess, Discipline, ServiceDistribution
 from agedelay import engine
-from agedelay.engine import _PREFIX_STEPS, _fcfs, _informative_receptions, _mark_informative, _serve, busy_periods
+from agedelay.engine import _fcfs, _informative_receptions, _mark_informative, _serve, busy_periods
 from reference_loop import AgeTracker
 from reference_loop import serve as reference_serve
 
@@ -46,6 +48,11 @@ def assert_matches_reference(gen, svc, discipline):
     ref = reference_serve(gen, svc, discipline)
     if discipline in EXACT_KERNELS:
         assert np.array_equal(got, ref)
+        if discipline is Discipline.LCFS_NONPREEMPTIVE:
+            # at the default floor, a path with fewer busy periods than it never enters the walk
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "_LANE_FLOOR", 1)
+                assert np.array_equal(_serve(gen, svc, discipline), ref)
         return
     assert np.max(np.abs(got - ref)) <= REL_TOL * ref.max()
     if discipline is Discipline.FCFS:
@@ -112,15 +119,74 @@ def test_lcfs_np_matches_reference_loop_on_long_paths(family, shape, load):
     assert_matches_reference(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
 
 
-def test_lcfs_np_walk_outlasting_its_step_cap():
-    # service a little longer than the gap: one packet waits at each of about 1000 completions,
-    # so the walk from packet 0 stops at its step cap and the loop takes over there
-    gen = np.cumsum(np.full(3000, 1.0))
-    svc = np.full(3000, 1 / 0.999)
-    ext = np.append(gen, (np.inf, np.inf))
-    stopped = engine._walk_fcfs_prefixes(ext, svc, np.array([0]), np.empty(3000))[0]
-    assert stopped.tolist() == [_PREFIX_STEPS]
+SENTINEL = -1.0
+
+
+def sentinel_walk(monkeypatch) -> list:
+    """Wrap the lcfs-np walk so that every packet it served reads SENTINEL; each call appends its walked mask."""
+    walk = engine._walk_lcfs_periods
+    calls = []
+
+    def wrapped(g, svc, starts, out, below):
+        lanes, t = walk(g, svc, starts, out, below)
+        walked = np.ones(out.shape[0], dtype=bool)  # a period that no stopped lane names was served whole
+        end_of = dict(zip(starts.tolist(), np.append(starts[1:], out.shape[0]).tolist()))
+        for k, a, top, _, start in lanes.T.tolist():
+            walked[a:end_of[start]] = False  # a stopped lane served all that arrived, but k and its stack
+            walked[k] = False
+            while top >= 0:
+                walked[top] = False
+                top = below[top]
+        out[walked] = SENTINEL
+        calls.append(walked)
+        return lanes, t
+
+    monkeypatch.setattr(engine, "_walk_lcfs_periods", wrapped)
+    return calls
+
+
+def assert_loop_skips_walked_packets(monkeypatch, gen, svc):
+    """The loop serves every packet the walk did not, as the reference does, and no other; returns the walked mask."""
+    ref = reference_serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
+    # each hinted start is a real one, so every walked packet was served on the loop's own path
+    assert np.array_equal(_fcfs(gen, svc)[1], np.concatenate(([True], gen[1:] >= np.maximum.accumulate(ref)[:-1])))
+    calls = sentinel_walk(monkeypatch)
+    got = _serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
+    (walked,) = calls
+    assert np.all(got[walked] == SENTINEL)
+    assert np.array_equal(got[~walked], ref[~walked])
+    return walked
+
+
+@pytest.mark.parametrize("floor", [engine._LANE_FLOOR, 1])
+@pytest.mark.parametrize("load", [0.625, 0.95])
+def test_lcfs_np_loop_jumps_over_walked_periods(monkeypatch, load, floor):
+    # a loop that redid a walked period, or restarted a stopped lane from its start, would overwrite the sentinels
+    rng = np.random.default_rng(29)
+    gen = np.cumsum(ArrivalProcess("exp", load).sample_n(rng, 20_000))
+    svc = ServiceDistribution("exp", 1.0).sample_n(rng, 20_000)
+    monkeypatch.setattr(engine, "_LANE_FLOOR", floor)
+    walked = assert_loop_skips_walked_packets(monkeypatch, gen, svc)
+    assert walked.any()
+
+
+@pytest.mark.parametrize(
+    "gen, svc, floor, walked",
+    [
+        # once packet 0's period ends, fewer than 2 lanes are live: the walk stops in packet 1's,
+        # with packet 4 in service and packets 2 and 3 on the stack, and the loop serves those three
+        ([0.0, 10.0, 10.5, 11.0, 11.5], [1.0, 3.0, 1.0, 1.0, 1.0], 2, [0, 1]),
+        # det/det at load 1.001: one busy period whose stack grows by a packet every thousand or so;
+        # the default floor leaves it to the loop, and a floor of 1 to the walk
+        (np.arange(3000.0), np.full(3000, 1.001), 1, list(range(3000))),
+    ],
+    ids=["stacked", "det-det-1.001"],
+)
+def test_lcfs_np_loop_resumes_where_the_walk_stopped(monkeypatch, gen, svc, floor, walked):
+    gen, svc = np.array(gen), np.array(svc)
     assert_matches_reference(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
+    monkeypatch.setattr(engine, "_LANE_FLOOR", floor)
+    assert np.flatnonzero(assert_loop_skips_walked_packets(monkeypatch, gen, svc)).tolist() == walked
 
 
 @pytest.mark.parametrize(
@@ -132,8 +198,11 @@ def test_lcfs_np_walk_outlasting_its_step_cap():
         # the FCFS completions read 1.0 as packet 3 arrives at 1.0; the loop ends packet 2 at
         # 1.0000000000000002, so packet 3 waits, and the busy period the hints start there is none
         ([0.30000000000000004, 0.6000000000000001, 0.8, 1.0], [0.0, 0.30000000000000004, 0.1, 0.0], 3),
+        # the loop ends packet 2 at 0.9000000000000001, so packet 3 arrives in the period that packet 1
+        # starts: that lane must stop there, or the lane hinted at packet 3 serves packet 3 too, at 1.3
+        ([0.2, 0.4, 0.6000000000000001, 0.9, 0.9], [0.0, 0.30000000000000004, 0.2, 0.4, 0.1], 3),
     ],
-    ids=["missed-start", "false-start"],
+    ids=["missed-start", "false-start", "false-start-mid-period"],
 )
 def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):
     gen, svc = np.array(gen), np.array(svc)
@@ -144,26 +213,28 @@ def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):
     assert_matches_reference(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
 
 
-def assert_fcfs_marks_as_reference(gen, svc):
-    """An FCFS trace's informative flags and breakpoints are _mark_informative's, bit for bit."""
-    recv = _serve(gen, svc, Discipline.FCFS)
-    got = _informative_receptions(gen, recv, Discipline.FCFS)
-    for got_array, ref_array in zip(got, _mark_informative(gen, recv)):
-        assert got_array.dtype == ref_array.dtype
-        assert np.array_equal(got_array, ref_array)
+def assert_marks_as_reference(gen, svc):
+    """Every discipline's informative flags and breakpoints are _mark_informative's, bit for bit."""
+    for discipline in ALL_DISCIPLINES:
+        recv = _serve(gen, svc, discipline)
+        got = _informative_receptions(gen, recv, discipline)
+        for got_array, ref_array in zip(got, _mark_informative(gen, recv)):
+            assert got_array.dtype == ref_array.dtype
+            assert np.array_equal(got_array, ref_array), discipline
 
 
+# the fcfs shortcut now covers every discipline, so these check all four
 @pytest.mark.parametrize("family", sorted(SHAPES))
 @PROPERTY
 @given(data=st.data())
 def test_fcfs_breakpoints_match_marking_pass(family, data):
-    assert_fcfs_marks_as_reference(*data.draw(sampled_paths(family)))
+    assert_marks_as_reference(*data.draw(sampled_paths(family)))
 
 
 @PROPERTY
 @given(path=st.one_of(integer_paths(), decimal_paths()))
 def test_fcfs_breakpoints_match_marking_pass_with_ties(path):
-    assert_fcfs_marks_as_reference(*path)
+    assert_marks_as_reference(*path)
 
 
 def count_marking_passes(monkeypatch) -> list:
@@ -184,23 +255,25 @@ def count_marking_passes(monkeypatch) -> list:
     ids=["increasing", "repeated", "all-repeated"],
 )
 def test_fcfs_marks_only_a_repeated_generation_time(monkeypatch, gen, marked):
-    # a repeated generation time is stale, so only then does the marking pass run
+    # a repeated generation time may be stale, so only then does the marking pass run, for any discipline
     calls = count_marking_passes(monkeypatch)
     gen = np.array(gen)
     svc = np.full(gen.shape[0], 0.5)
-    assert_fcfs_marks_as_reference(gen, svc)
-    assert len(calls) == marked
+    assert_marks_as_reference(gen, svc)
+    assert len(calls) == marked * len(ALL_DISCIPLINES)
     flags = _informative_receptions(gen, _serve(gen, svc, Discipline.FCFS), Discipline.FCFS)[0]
     assert flags.all() == (not marked)
 
 
 def test_simulated_fcfs_trace_skips_the_marking_pass(monkeypatch):
+    # and so do the other disciplines' traces
     calls = count_marking_passes(monkeypatch)
-    trace = engine.run_simulation(ArrivalProcess("exp", 0.5), ServiceDistribution("exp", 0.8), Discipline.FCFS, 5000)
+    for discipline in ALL_DISCIPLINES:
+        trace = engine.run_simulation(ArrivalProcess("exp", 0.5), ServiceDistribution("exp", 0.8), discipline, 5000)
+        ref = _mark_informative(trace.gen_times, trace.recv_times)
+        got = (trace.informative, trace.breakpoint_times, trace.breakpoint_ages)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), discipline
     assert calls == []
-    ref = _mark_informative(trace.gen_times, trace.recv_times)
-    got = (trace.informative, trace.breakpoint_times, trace.breakpoint_ages)
-    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 # fcfs and lcfs-p break some ties that hold exactly in floats; each example is the smallest seen

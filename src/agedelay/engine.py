@@ -12,8 +12,13 @@ one stack per lane, while at least _LANE_FLOOR periods are live, and a
 stack loop that resumes each lane where the walk stopped it, its stack
 rebuilt from the walk's links.  A draw owns its FCFS
 completions: its first single-server run computes them, and they are freed
-with it.  They are the fcfs receptions, the start of the lcfs-p kernel and
-the busy-period hints of the lcfs-np kernel.
+with it.  They sit in one read-only buffer of n_arrivals + 1 floats whose
+first entry is the initial breakpoint 0.0.  The kernels read the
+completions as buf[1:]: the fcfs receptions, the start of the lcfs-p kernel
+and the busy-period hints of the lcfs-np kernel.  An fcfs trace's
+recv_times is that view and, where no generation time repeats, its
+breakpoint_times the whole buffer, so the trace holds no second copy of
+its receptions.
 """
 
 from __future__ import annotations
@@ -83,7 +88,10 @@ class SimulationTrace:
     (generation order).  Age breakpoints are the points where the age
     process drops: entry j says the age equals breakpoint_ages[j] just
     after time breakpoint_times[j] and then grows at slope one.  The
-    leading breakpoint (0, 0) is the initial condition.
+    leading breakpoint (0, 0) is the initial condition.  gen_times and
+    service_reqs are read-only views of the draw that coupled runs share.
+    An fcfs trace's recv_times is read-only too; where no generation time
+    repeats, it is breakpoint_times[1:], and breakpoint_times is read-only.
     """
 
     gen_times: np.ndarray
@@ -133,7 +141,7 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     return informative, times, ages
 
 
-def _informative_receptions(gen: np.ndarray, recv: np.ndarray, discipline: Discipline):
+def _informative_receptions(gen: np.ndarray, recv: np.ndarray, discipline: Discipline, padded=None):
     """What _mark_informative returns, without its gathers where no generation time repeats.
 
     Then every candidate recv[i] <= min(recv[i+1:]) is fresh, so the flags
@@ -142,7 +150,8 @@ def _informative_receptions(gen: np.ndarray, recv: np.ndarray, discipline: Disci
     generation order, and its recv is nondecreasing, so every flag is set
     without the running minimum.  A repeated generation time (a zero gap,
     or a long periodic run whose sum stalls) may be stale and takes the
-    marking pass.
+    marking pass.  padded, if given, is one buffer [0.0, *recv]; where
+    every reception is informative it is the breakpoint times, not a copy.
     """
     if not np.all(gen[1:] > gen[:-1]):
         return _mark_informative(gen, recv)
@@ -152,13 +161,18 @@ def _informative_receptions(gen: np.ndarray, recv: np.ndarray, discipline: Disci
     else:
         informative = recv <= _later_min(recv)
     m = np.count_nonzero(informative)
-    times = np.empty(m + 1)
     ages = np.empty(m + 1)
-    times[0] = ages[0] = 0.0
+    ages[0] = 0.0
     if m == n:
-        times[1:] = recv
+        times = padded
+        if times is None:
+            times = np.empty(n + 1)
+            times[0] = 0.0
+            times[1:] = recv
         np.subtract(recv, gen, out=ages[1:])
     else:
+        times = np.empty(m + 1)
+        times[0] = 0.0
         np.compress(informative, recv, out=times[1:])
         np.compress(informative, gen, out=ages[1:])
         np.subtract(times[1:], ages[1:], out=ages[1:])
@@ -174,9 +188,13 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     leaves first), and starts a busy period; it is given exactly g_i + s_i,
     as a sequential run would.  The unrolled sums can round c_i one step
     below c_{i-1} where s_i is tiny; a running maximum restores the FIFO
-    order, and leaves a path without such an inversion bit for bit.
+    order, and leaves a path without such an inversion bit for bit.  c is
+    the view [1:] of one buffer, c.base, whose first entry is 0.0: the age
+    path's initial breakpoint, so an FCFS trace's breakpoint times are c.base.
     """
-    c = np.cumsum(svc)
+    buf = np.empty(gen.shape[0] + 1)
+    buf[0] = 0.0
+    c = np.cumsum(svc, out=buf[1:])
     w = c - svc
     np.subtract(gen, w, out=w)
     np.maximum.accumulate(w, out=w)
@@ -445,11 +463,14 @@ def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> np.ndarr
 
 
 def _completions(key: tuple[ArrivalProcess, ServiceDistribution, int, int], gen: np.ndarray, svc: np.ndarray):
-    """The FCFS completions of the draw key names, read-only: computed by its first single-server run."""
+    """The FCFS completions of the draw key names, read-only, as is their buffer .base.
+
+    The draw's first single-server run computes them.
+    """
     c = _COMPLETIONS.get(key)
     if c is None:
         c = _fcfs(gen, svc)[0]
-        c.flags.writeable = False
+        c.base.flags.writeable = c.flags.writeable = False
         _COMPLETIONS[key] = c
     return c
 
@@ -471,7 +492,8 @@ def run_simulation(
     read-only views of the draw it shares with coupled runs (see _draw).
     The draw's first single-server run computes its FCFS completions, and
     every later one reuses them while the draw lives; an FCFS trace's
-    recv_times is that read-only array.
+    recv_times is that read-only array, and its breakpoint_times their
+    buffer (see SimulationTrace).
     """
     check_run(n_arrivals, warmup_fraction, seed, min_kept=1)
     point = ExperimentPoint(arrival, service, discipline)
@@ -479,7 +501,8 @@ def run_simulation(
     gen, svc = _draw(key)
     fcfs = _completions(key, gen, svc) if discipline.single_server else None
     recv = _serve(gen, svc, discipline, fcfs)
-    informative, bp_times, bp_ages = _informative_receptions(gen, recv, discipline)
+    padded = fcfs.base if discipline is Discipline.FCFS else None
+    informative, bp_times, bp_ages = _informative_receptions(gen, recv, discipline, padded)
 
     return SimulationTrace(
         gen_times=gen,

@@ -6,6 +6,11 @@ exact sum of trapezoid areas with no discretization error.  Delay metrics
 window packets by generation time, so long-delay packets near the horizon
 are attributed to the window in which they were generated (the tradeoff is
 driven by exactly those rare packets).
+
+A summary needs the age path to have left its initial condition: a window
+after a warm-up must follow at least one age drop, and every window must
+hold at least _MIN_WINDOW_DROPS of them, or summarize raises
+DegenerateSampleError.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ if TYPE_CHECKING:
 
 # Batch-means sub-windows (age) and contiguous delay batches per summary.
 N_BATCHES = 32
+# Age drops a summary window must hold, so that each age batch can hold one.
+_MIN_WINDOW_DROPS = N_BATCHES
+# Query points age_at evaluates per step; its index and gather temporaries hold this many.
+_AGE_CHUNK = 1 << 16
 
 
 def _default_window(trace: "SimulationTrace") -> tuple[float, float]:
@@ -41,16 +50,21 @@ def _default_window(trace: "SimulationTrace") -> tuple[float, float]:
 def age_at(trace: "SimulationTrace", t) -> np.ndarray | float:
     """Age value(s) just after time t: a float for a scalar t, else an array of t's shape.
 
-    Computed in place, as age[j] + (t - time[j]) at the last breakpoint j at or before t.
+    Computed in place, as (t - time[j]) + age[j] at the last breakpoint j
+    at or before t, _AGE_CHUNK query points at a time: besides the array
+    it returns, it holds only chunk-sized temporaries.
     """
     t_arr = np.asarray(t, dtype=float)
-    ts = np.atleast_1d(t_arr)  # searchsorted gives a 0-d t a scalar index, which out= cannot take
-    idx = np.searchsorted(trace.breakpoint_times, ts, side="right")
-    idx -= 1
-    np.maximum(idx, 0, out=idx)
-    out = trace.breakpoint_times[idx]
-    np.subtract(ts, out, out=out)
-    out += trace.breakpoint_ages[idx]
+    ts = t_arr.reshape(-1)
+    out = np.empty(ts.shape[0])
+    for lo in range(0, ts.shape[0], _AGE_CHUNK):
+        q, o = ts[lo:lo + _AGE_CHUNK], out[lo:lo + _AGE_CHUNK]
+        idx = np.searchsorted(trace.breakpoint_times, q, side="right")
+        idx -= 1
+        # "clip" reads a t before the first breakpoint (idx -1) at breakpoint 0, and writes out unbuffered
+        np.take(trace.breakpoint_times, idx, out=o, mode="clip")
+        np.subtract(q, o, out=o)
+        o += np.take(trace.breakpoint_ages, idx, mode="clip")
     return float(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
 
 
@@ -182,33 +196,51 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
     generation and splits into N_BATCHES equal-length sub-windows for the
     age CI.  Delays count every packet generated in that window, however
     late the drain delivers it, and split into N_BATCHES contiguous batches
-    by generation order.
+    by generation order.  A window after a warm-up must follow an age
+    drop, so that its first segment descends from a real reception and not
+    from the initial (0, 0); one from the first generation (no warm-up)
+    starts from (0, 0) by choice.  Every window must hold at least
+    _MIN_WINDOW_DROPS drops.  A horizon short against the service times
+    fails these, and raises DegenerateSampleError.
     """
     t_a, t_b = _default_window(trace)
     lo = int(np.searchsorted(trace.gen_times, t_a, side="left"))
     delays = trace.recv_times[lo:] - trace.gen_times[lo:]
-    if delays.shape[0] < 2:
+    n = delays.shape[0]
+    if n < 2:
         raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
     if not t_a < t_b:
         raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
+    # breakpoint 0 is the initial condition, not a drop
+    before = int(np.searchsorted(trace.breakpoint_times, t_a, side="right")) - 1
+    inside = int(np.searchsorted(trace.breakpoint_times, t_b, side="right")) - 1 - before
+    need_before = int(lo > 0)
+    if before < need_before or inside < _MIN_WINDOW_DROPS:
+        raise DegenerateSampleError(
+            f"metrics window [{t_a:.6g}, {t_b:.6g}] follows {before} age drops and holds {inside}; "
+            f"need >= {need_before} before it and >= {_MIN_WINDOW_DROPS} in it: raise n_arrivals"
+        )
     edges = np.linspace(t_a, t_b, N_BATCHES + 1)
     area = _age_area_at(trace, edges)
     avg_age = float(area[-1] - area[0]) / (t_b - t_a)
     ci_age = t_halfwidth(np.diff(area) / np.diff(edges))
 
-    mean_delay = float(delays.mean())
-    delay_var = float(delays.var(ddof=1))
-    if delays.shape[0] >= 2 * N_BATCHES:
+    # delays.mean() and delays.var(ddof=1) bit for bit, the variance's squares written over delays
+    mean = delays.sum() / n
+    if n >= 2 * N_BATCHES:
         ci_delay = t_halfwidth(_batch_means(delays))
     else:
         ci_delay = t_halfwidth(delays)
+    delays -= mean
+    np.multiply(delays, delays, out=delays)
+    delay_var = delays.sum() / (n - 1)
 
     return MetricsReport(
         avg_age=avg_age,
-        mean_delay=mean_delay,
-        delay_variance=delay_var,
-        informative_fraction=float(trace.informative[lo:].mean()),
-        n_counted=int(delays.shape[0]),
+        mean_delay=float(mean),
+        delay_variance=float(delay_var),
+        informative_fraction=int(np.count_nonzero(trace.informative[lo:])) / n,
+        n_counted=n,
         ci_halfwidth_age=ci_age,
         ci_halfwidth_delay=ci_delay,
     )

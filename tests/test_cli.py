@@ -553,6 +553,43 @@ def test_bad_suite_never_starts_a_pool(capsys, monkeypatch, setting, fragment):
     assert err.count("\n") == 1 and err.startswith("error:") and fragment in err
 
 
+def test_simulate_refuses_a_window_without_age_drops(capsys):
+    # 2000 packets in 2e-9 time units, each served for about 1.25: every age drop comes in the drain,
+    # and the summary would report the ramp from (0, 0), 1.1e-9 against the exact 1.4e-6
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "inf exp", "--lam", "1e12", "--mu", "0.8", "--n-arrivals", "2000", "--n-reps", "2", "--serial",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: metrics window") and "holds 0" in err
+
+
+@pytest.mark.parametrize("serial", [True, False], ids=["serial", "pooled"])
+@pytest.mark.parametrize(
+    "suite, setting",
+    [("figure1", "run.n_arrivals=20"), ("inf.ini", "arrival.rate=1e12")],
+    ids=["figure1-20-arrivals", "inf-lambda-1e12"],
+)
+def test_sweep_refuses_a_window_without_enough_age_drops_before_any_output(tmp_path, capsys, suite, setting, serial):
+    if suite == "inf.ini":
+        suite = tmp_path / "inf.ini"
+        suite.write_text(
+            "[arrival]\nrate = 0.5\n"
+            "[service]\nrate = 0.8\n"
+            "[run]\nn_arrivals = 2000\nn_reps = 2\nbase_seed = 4\nwarmup_fraction = 0.1\n"
+            "[grid]\npoints =\n    inf exp\n    inf det\n"
+            "[scalarization]\nnu_grid = 0\n"
+        )
+    out_dir = tmp_path / "out"
+    argv = ("sweep", str(suite), "--set", setting, "--out-dir", str(out_dir)) + (("--serial",) if serial else ())
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: metrics window") and "age drops" in err
+    assert not out_dir.exists()
+
+
 def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(

@@ -20,6 +20,7 @@ from agedelay import (
 from agedelay.distributions import ARRIVAL_FAMILIES, SERVICE_FAMILIES
 from agedelay.engine import parse_grid_line
 from agedelay.metrics import age_at
+from reference_loop import serve as reference_serve
 
 ARR = parse_arrival("exp", 0.5)
 SVC = parse_service("exp", 0.8)
@@ -111,6 +112,38 @@ def test_coupled_traces_hold_one_draw():
     finally:
         tracemalloc.stop()
     assert held < 26e6, f"{len(traces)} coupled traces hold {held / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("service", [SVC, parse_service("pareto alpha=1.5", 0.8)], ids=["exp", "pareto"])
+def test_fcfs_trace_holds_its_receptions_once(service):
+    # the age path's times are [0.0, *receptions]: one read-only buffer, the draw's FCFS completions
+    n = 200_000
+    run_simulation(ARR, service, Discipline.FCFS, 1000, 0.1, 29)  # first-call imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = run_simulation(ARR, service, Discipline.FCFS, n, 0.1, 29)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tr.breakpoint_times[0] == 0.0
+    assert np.shares_memory(tr.recv_times, tr.breakpoint_times[1:])
+    assert tr.recv_times.ctypes.data == tr.breakpoint_times[1:].ctypes.data
+    for a in (tr.recv_times, tr.breakpoint_times):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[-1] = 1.0
+    # draw 16n, completions 8n, ages 8n and flags n bytes; a copy of the receptions would add 8n
+    assert held < 37 * n, f"an fcfs trace holds {held / n:.1f} bytes per packet"
+    # the values a trace with its own copies holds: the FCFS completions, every one an age drop
+    gen, svc = tr.gen_times.copy(), tr.service_reqs.copy()
+    recv = engine._fcfs(gen, svc)[0]
+    assert np.array_equal(tr.recv_times, recv)
+    assert np.allclose(recv, reference_serve(gen, svc, Discipline.FCFS), rtol=1e-12, atol=0)
+    for got, ref in zip((tr.informative, tr.breakpoint_times, tr.breakpoint_ages), engine._mark_informative(gen, recv)):
+        assert np.array_equal(got, ref)
+    assert tr.informative.all()
 
 
 def count_fcfs_passes(monkeypatch) -> list:

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from agedelay import (
     run_simulation,
     summarize,
 )
+import agedelay.metrics as metrics
 from agedelay.engine import _mark_informative
 from agedelay.metrics import N_BATCHES, _age_area_at, _batch_means, _default_window, _t975, age_at
 from reference_loop import AgeTracker
@@ -48,6 +51,12 @@ def make_trace(gen, recv, svc=None, warmup=0.0):
     )
 
 
+@pytest.fixture
+def toy_window(monkeypatch):
+    """Let summarize take a toy trace: its window holds fewer age drops than a run's must."""
+    monkeypatch.setattr(metrics, "_MIN_WINDOW_DROPS", 0)
+
+
 # ---- age tracking -------------------------------------------------------------
 
 
@@ -76,7 +85,7 @@ def test_tracker_first_reception_drops_from_initial_ramp():
     assert t.ages == [0.0, 1.25]
 
 
-def test_four_packet_out_of_order_scenario_fraction():
+def test_four_packet_out_of_order_scenario_fraction(toy_window):
     gen = [1.0, 2.0, 3.0, 4.0]
     recv = [1.8, 4.4, 3.9, 5.0]  # 3 overtakes 2
     tr = make_trace(gen, recv)
@@ -174,7 +183,7 @@ def test_age_window_validation():
 # ---- delay statistics --------------------------------------------------------------
 
 
-def test_two_point_delay_sample():
+def test_two_point_delay_sample(toy_window):
     tr = make_trace([0.5, 1.0], [1.5, 4.0])  # delays 1 and 3
     rep = summarize(tr)
     assert rep.n_counted == 2
@@ -182,7 +191,7 @@ def test_two_point_delay_sample():
     assert rep.delay_variance == pytest.approx(2.0)
 
 
-def test_delay_stats_window_by_generation_time():
+def test_delay_stats_window_by_generation_time(toy_window):
     gen = [1.0, 2.0, 3.0]
     recv = [2.0, 9.0, 3.5]  # delays 1, 7, 0.5
     tr = make_trace(gen, recv, warmup=0.4)  # window [2, 9]; packet 0 is received at 2
@@ -222,6 +231,44 @@ def test_infinite_server_delay_variance_equals_service_variance():
 # ---- summaries --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.76])
+@pytest.mark.parametrize("spec", ["exp", "pareto alpha=1.5"])
+def test_summarize_delay_moments_are_numpys(spec, lam):
+    # summarize sums once for the mean, squares over its own delays and counts the flags
+    for discipline in Discipline:
+        tr = run_simulation(parse_arrival("exp", lam), parse_service(spec, 0.8), discipline, 100_000, 0.1, 41)
+        lo = int(np.searchsorted(tr.gen_times, _default_window(tr)[0], side="left"))
+        delays = tr.recv_times[lo:] - tr.gen_times[lo:]
+        rep = summarize(tr)
+        assert rep.mean_delay == float(delays.mean())
+        assert rep.delay_variance == float(delays.var(ddof=1))
+        assert rep.informative_fraction == float(tr.informative[lo:].mean())
+        assert type(rep.mean_delay) is type(rep.delay_variance) is type(rep.informative_fraction) is float
+
+
+@pytest.mark.parametrize("n, refused", [(32, True), (33, False)])
+def test_summary_window_needs_enough_age_drops(n, refused):
+    # no warm-up: the window [1, n] may start from (0, 0), and holds the n - 1 drops at 1.5, ..., n - 0.5
+    gen = np.arange(1.0, n + 1.0)
+    tr = make_trace(gen, gen + 0.5)
+    if refused:
+        with pytest.raises(DegenerateSampleError, match=f"holds {N_BATCHES - 1}; need >= 0 before it and >= 32 in it"):
+            summarize(tr)
+    else:
+        assert summarize(tr).n_counted == n
+
+
+def test_summary_window_after_a_warm_up_needs_a_drop_before_it():
+    # the 4 warm-up packets land after the window opens, stale: the window would descend from (0, 0)
+    gen = np.arange(1.0, 41.0)
+    recv = gen + 0.5
+    recv[:4] += 10.0
+    with pytest.raises(DegenerateSampleError, match="follows 0 age drops and holds 35; need >= 1 before it"):
+        summarize(make_trace(gen, recv, warmup=0.1))
+    recv[0] = 4.75  # one of them lands before packet 4 is generated
+    assert summarize(make_trace(gen, recv, warmup=0.1)).n_counted == 36
+
+
 def test_summarize_fields_and_window():
     tr = run_simulation(ARR, SVC, Discipline.FCFS, 50_000, 0.1, 3)
     rep = summarize(tr)
@@ -235,7 +282,7 @@ def test_summarize_fields_and_window():
     assert rep.mean_delay >= tr.service_reqs.min()
 
 
-def test_drain_after_last_generation_leaves_age_unchanged():
+def test_drain_after_last_generation_leaves_age_unchanged(toy_window):
     # a huge service on the last packet only lengthens the drain; the age up
     # to the last generation, as in an endless run, does not depend on it
     gen = [1.0, 2.0, 3.0, 4.0]
@@ -305,6 +352,23 @@ def test_age_at_in_place_is_bit_identical():
         assert isinstance(got, np.ndarray) and got.shape == t.shape
         assert np.array_equal(got, _age_at_gathered(tr, t))
         assert not np.shares_memory(got, t)
+
+
+def test_age_at_allocates_only_its_output():
+    # a 10^6-point query on a 10^6-packet trace, over several chunks; the gathers it replaced held 3x the output
+    tr = run_simulation(ARR, SVC, Discipline.LCFS_PREEMPTIVE, 1_000_000, 0.1, 6)
+    ts = np.linspace(-1.0, 1.01 * float(tr.breakpoint_times[-1]), 1_000_000)
+    age_at(tr, ts[:10])  # first-call caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = age_at(tr, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    margin = 4 * 8 * metrics._AGE_CHUNK  # the index and gather temporaries of one chunk, twice over
+    assert peak <= got.nbytes + margin, f"age_at peaked at {peak / got.nbytes:.2f}x its output"
+    assert np.array_equal(got, _age_at_gathered(tr, ts))
 
 
 def _age_area_concatenated(trace, ts):

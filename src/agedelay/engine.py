@@ -13,9 +13,10 @@ stack loop that resumes each lane where the walk stopped it, its stack
 rebuilt from the walk's links.  A draw owns its FCFS
 completions: its first single-server run computes them, and they are freed
 with it.  They sit in one read-only buffer of n_arrivals + 1 floats whose
-first entry is the initial breakpoint 0.0.  The kernels read the
-completions as buf[1:]: the fcfs receptions, the start of the lcfs-p kernel
-and the busy-period hints of the lcfs-np kernel.  An fcfs trace's
+first entry is the initial breakpoint 0.0.  Every single-server kernel
+takes the completions as buf[1:]: the fcfs receptions, the start of the
+lcfs-p kernel and the busy-period hints of the lcfs-np kernel.  One pass
+marks every discipline's informative receptions.  An fcfs trace's
 recv_times is that view and, where no generation time repeats, its
 breakpoint_times the whole buffer, so the trace holds no second copy of
 its receptions.
@@ -90,6 +91,7 @@ class SimulationTrace:
     after time breakpoint_times[j] and then grows at slope one.  The
     leading breakpoint (0, 0) is the initial condition.  gen_times and
     service_reqs are read-only views of the draw that coupled runs share.
+    Every discipline's flags and breakpoints come from one marking pass.
     An fcfs trace's recv_times is read-only too; where no generation time
     repeats, it is breakpoint_times[1:], and breakpoint_times is read-only.
     """
@@ -106,15 +108,7 @@ class SimulationTrace:
     point: ExperimentPoint = field(repr=False)
 
 
-def _later_min(recv: np.ndarray) -> np.ndarray:
-    """min(recv[i+1:]) for each i, inf for the last."""
-    later_min = np.empty(recv.shape[0])
-    later_min[-1] = _INF
-    np.minimum.accumulate(recv[:0:-1], out=later_min[-2::-1])
-    return later_min
-
-
-def _mark_informative(gen: np.ndarray, recv: np.ndarray):
+def _informative_receptions(gen: np.ndarray, recv: np.ndarray, padded=None):
     """Informative flags plus age breakpoints, from the reception order.
 
     A reception is informative iff its generation time exceeds the largest
@@ -124,42 +118,24 @@ def _mark_informative(gen: np.ndarray, recv: np.ndarray):
     informative only if no later packet is received before it:
     recv[i] <= min(recv[i+1:]).  Those candidates are received in index
     order, and one whose generation time equals the previous candidate's
-    is stale.  The breakpoints come out already sorted by time.
+    is stale; where no generation time repeats, every candidate is fresh.
+    padded, if given, is one buffer [0.0, *recv] of FCFS receptions, which
+    never decrease, so every packet is a candidate; where every reception
+    is informative it is the breakpoint times, not a copy.  The breakpoints
+    come out already sorted by time.
     """
     n = recv.shape[0]
-    cand = np.flatnonzero(recv <= _later_min(recv))
-    g = gen[cand]
-    fresh = np.empty(cand.shape[0], dtype=bool)
-    fresh[0] = True
-    np.greater(g[1:], g[:-1], out=fresh[1:])
-    kept = cand[fresh]
-    informative = np.zeros(n, dtype=bool)
-    informative[kept] = True
-    bp_t = recv[kept]
-    times = np.concatenate(([0.0], bp_t))
-    ages = np.concatenate(([0.0], bp_t - gen[kept]))
-    return informative, times, ages
-
-
-def _informative_receptions(gen: np.ndarray, recv: np.ndarray, discipline: Discipline, padded=None):
-    """What _mark_informative returns, without its gathers where no generation time repeats.
-
-    Then every candidate recv[i] <= min(recv[i+1:]) is fresh, so the flags
-    are the candidates, and the breakpoints are the flagged receptions and
-    their generation times, in index order.  An FCFS server receives in
-    generation order, and its recv is nondecreasing, so every flag is set
-    without the running minimum.  A repeated generation time (a zero gap,
-    or a long periodic run whose sum stalls) may be stale and takes the
-    marking pass.  padded, if given, is one buffer [0.0, *recv]; where
-    every reception is informative it is the breakpoint times, not a copy.
-    """
-    if not np.all(gen[1:] > gen[:-1]):
-        return _mark_informative(gen, recv)
-    n = recv.shape[0]
-    if discipline is Discipline.FCFS:
-        informative = np.ones(n, dtype=bool)
+    if padded is None:
+        later_min = np.empty(n)
+        later_min[-1] = _INF
+        np.minimum.accumulate(recv[:0:-1], out=later_min[-2::-1])
+        informative = recv <= later_min
     else:
-        informative = recv <= _later_min(recv)
+        informative = np.ones(n, dtype=bool)
+    if not np.all(gen[1:] > gen[:-1]):
+        cand = np.flatnonzero(informative)
+        g = gen[cand]
+        informative[cand[1:][g[1:] <= g[:-1]]] = False
     m = np.count_nonzero(informative)
     ages = np.empty(m + 1)
     ages[0] = 0.0
@@ -225,8 +201,8 @@ def _next_not_above(w: np.ndarray) -> np.ndarray:
     return nxt[:n]
 
 
-def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """LCFS preempt-resume reception instants, from the FCFS completions c (computed if None).
+def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """LCFS preempt-resume reception instants, from the FCFS completions c.
 
     A packet's sojourn is the sub-busy-period its arrival starts: it ends
     when the unfinished work falls back to w_i, the work the packet found
@@ -236,8 +212,6 @@ def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | Non
     (g_i + s_i) + (c_{k-1} - c_i), a packet never preempted gets exactly
     g_i + s_i.
     """
-    if c is None:
-        c = _fcfs(gen, svc)[0]
     w = np.empty_like(c)
     w[0] = 0.0
     np.maximum(c[:-1] - gen[1:], 0.0, out=w[1:])
@@ -317,8 +291,8 @@ def _walk_lcfs_periods(g: np.ndarray, svc: np.ndarray, starts: np.ndarray, out: 
     return lanes[:, order], t[order]
 
 
-def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """LCFS non-preemptive reception instants, from the FCFS completions c (computed if None).
+def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """LCFS non-preemptive reception instants, from the FCFS completions c.
 
     Arrivals strictly before the current completion join the stack; one at
     the same instant arrives just after the departure.  The busy periods
@@ -331,8 +305,6 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | 
     never a bit.
     """
     n = gen.shape[0]
-    if c is None:
-        c = _fcfs(gen, svc)[0]
     hinted = np.empty(n, dtype=bool)
     hinted[0] = True
     np.greater_equal(gen[1:], c[:-1], out=hinted[1:])
@@ -380,14 +352,16 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray | 
 def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.ndarray | None = None) -> np.ndarray:
     """Reception time of every packet under the discipline.
 
-    fcfs, if given, is the path's FCFS completions: the FCFS reception
-    instants themselves, the start of the lcfs-p kernel, and the busy-period
-    hints of the lcfs-np kernel.
+    fcfs is the path's FCFS completions, computed here if not given: the
+    FCFS reception instants themselves, the start of the lcfs-p kernel, and
+    the busy-period hints of the lcfs-np kernel.
     """
     if discipline is Discipline.INFINITE_SERVER:
         return gen + svc
+    if fcfs is None:
+        fcfs = _fcfs(gen, svc)[0]
     if discipline is Discipline.FCFS:
-        return _fcfs(gen, svc)[0] if fcfs is None else fcfs
+        return fcfs
     if discipline is Discipline.LCFS_PREEMPTIVE:
         return _serve_lcfs_preemptive(gen, svc, fcfs)
     return _serve_lcfs_nonpreemptive(gen, svc, fcfs)
@@ -502,7 +476,7 @@ def run_simulation(
     fcfs = _completions(key, gen, svc) if discipline.single_server else None
     recv = _serve(gen, svc, discipline, fcfs)
     padded = fcfs.base if discipline is Discipline.FCFS else None
-    informative, bp_times, bp_ages = _informative_receptions(gen, recv, discipline, padded)
+    informative, bp_times, bp_ages = _informative_receptions(gen, recv, padded)
 
     return SimulationTrace(
         gen_times=gen,

@@ -10,13 +10,16 @@ driven by exactly those rare packets).
 A summary needs the age path to have left its initial condition: a window
 after a warm-up must follow at least one age drop, and every window must
 hold at least _MIN_WINDOW_DROPS of them, or summarize raises
-DegenerateSampleError.
+DegenerateSampleError.  It also needs the delays to survive rounding:
+where the float spacing at the last generation time passes
+_ROUNDING_SHARE of the mean service time, summarize raises ParameterError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,6 +36,8 @@ N_BATCHES = 32
 _MIN_WINDOW_DROPS = N_BATCHES
 # Query points age_at evaluates per step; its index and gather temporaries hold this many.
 _AGE_CHUNK = 1 << 16
+# The largest share of the mean service time that the float spacing at the horizon may put into a delay.
+_ROUNDING_SHARE = 1e-6
 
 
 def _default_window(trace: "SimulationTrace") -> tuple[float, float]:
@@ -201,9 +206,18 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
     from the initial (0, 0); one from the first generation (no warm-up)
     starts from (0, 0) by choice.  Every window must hold at least
     _MIN_WINDOW_DROPS drops.  A horizon short against the service times
-    fails these, and raises DegenerateSampleError.
+    fails these, and raises DegenerateSampleError.  One so long that
+    eps * t_b, the float spacing near its end, passes _ROUNDING_SHARE of
+    E[S] rounds every delay recv - gen, and raises ParameterError.
     """
     t_a, t_b = _default_window(trace)
+    point, spacing = trace.point, sys.float_info.epsilon * t_b
+    if spacing > _ROUNDING_SHARE * point.service.mean():
+        raise ParameterError(
+            f"delays at lambda={point.arrival.lam:g}, mu={point.service.mu:g}, n_arrivals={trace.n_generated} "
+            f"are lost to rounding: the float spacing eps * t = {spacing:.3g} at the horizon t = {t_b:.6g} "
+            f"passes {_ROUNDING_SHARE:g} of E[S] = {point.service.mean():.6g}"
+        )
     lo = int(np.searchsorted(trace.gen_times, t_a, side="left"))
     delays = trace.recv_times[lo:] - trace.gen_times[lo:]
     n = delays.shape[0]

@@ -4,8 +4,9 @@ One server-state machine per discipline, driven packet by packet by
 `serve`: the straightforward simulation that the closed-form kernels in
 `agedelay.engine` are tested against.  Ties between a departure and an
 arrival at the same instant process the departure first.  `AgeTracker`
-replays receptions one at a time; it is the reference for the engine's
-vectorised informative marking.  `redraw` draws a run's path afresh, for
+replays receptions one at a time, and `track_ages` replays a whole path
+through it: the reference for the engine's vectorised informative
+marking.  `redraw` draws a run's path afresh, for
 comparison with the draw that coupled runs share.
 """
 
@@ -194,6 +195,19 @@ class AgeTracker:
             self.ages.append(now - gen_time)
             return True
         return False
+
+
+def track_ages(gen, recv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AgeTracker replayed over the receptions in time order, equal instants in generation order.
+
+    Returns the informative flags by packet id, and the breakpoint times and ages.
+    """
+    gen_l, recv_l = np.asarray(gen, dtype=float).tolist(), np.asarray(recv, dtype=float).tolist()
+    tracker = AgeTracker()
+    informative = [False] * len(gen_l)
+    for i in np.argsort(recv_l, kind="stable").tolist():
+        informative[i] = tracker.on_reception(gen_l[i], recv_l[i])
+    return np.array(informative, dtype=bool), np.asarray(tracker.times), np.asarray(tracker.ages)
 
 
 def redraw(arrival, service, n_arrivals: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

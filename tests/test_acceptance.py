@@ -127,21 +127,26 @@ def test_criterion_03_infinite_server_age_consistency():
 
 def test_criterion_04_pathwise_age_lower_bound():
     """Under coupled seeds the infinite-server age path lower-bounds every
-    single-server discipline at every breakpoint, exactly."""
-    ok = True
-    for spec in ("exp", "pareto alpha=1.5"):
-        service = ad.parse_service(spec, MU)
-        inf_tr = ad.run_simulation(POISSON, service, Discipline.INFINITE_SERVER, 10_000, 0.1, 404)
+    single-server discipline at every breakpoint, exactly, on every
+    (arrival, service) law of the three presets."""
+    laws = {}  # a dict keeps the presets' order of first appearance
+    for preset in ("figure1", "tradeoff-sweep", "no-tradeoff"):
+        for point in ad.load_preset(preset).grid:
+            laws[point.arrival, point.service] = None
+    failed = []
+    for arrival, service in laws:
+        inf_tr = ad.run_simulation(arrival, service, Discipline.INFINITE_SERVER, 10_000, 0.1, 404)
         # the live traces share one draw, so each is checked against an independent one
-        gen, svc = redraw(POISSON, service, 10_000, 404)
+        gen, svc = redraw(arrival, service, 10_000, 404)
         for discipline in (Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE, Discipline.LCFS_PREEMPTIVE):
-            one_tr = ad.run_simulation(POISSON, service, discipline, 10_000, 0.1, 404)
+            one_tr = ad.run_simulation(arrival, service, discipline, 10_000, 0.1, 404)
             for tr in (inf_tr, one_tr):
                 assert np.array_equal(tr.gen_times, gen) and np.array_equal(tr.service_reqs, svc)
             ts = np.union1d(inf_tr.breakpoint_times, one_tr.breakpoint_times)
-            ok &= bool(np.all(age_at(inf_tr, ts) <= age_at(one_tr, ts) + 1e-9))
-    report(4, ok, "A_inf(t) <= A_single(t) at every breakpoint, all disciplines, 1e4 packets")
-    assert ok
+            if not np.all(age_at(inf_tr, ts) <= age_at(one_tr, ts) + 1e-9):
+                failed.append(f"{discipline.value} {service.label()} arrival={arrival.family}")
+    detail = f"A_inf(t) <= A_single(t) at every breakpoint, all disciplines, {len(laws)} preset laws, 1e4 packets"
+    assert report(4, not failed, detail), failed
 
 
 def test_criterion_05_age_floor(figure1_points, tradeoff_points, notradeoff_points):

@@ -463,6 +463,28 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             ("oracle", "point", "inf exp arrival=det", "--lam", "1e10", "--mu", "0.8"),
             "lambda=1e+10, mu=0.8 needs more than 10000 terms",
         ),
+        # past eps * t_b > 1e-6 E[S], recv - gen rounds: these printed mean_delay 0 and 0.414, not 1.25 and 1.2557
+        (
+            (
+                "simulate", "inf exp", "--lam", "1e-100", "--mu", "0.8", "--n-arrivals", "2000", "--n-reps", "2",
+                "--serial",
+            ),
+            "lambda=1e-100, mu=0.8, n_arrivals=2000 are lost to rounding",
+        ),
+        (
+            (
+                "simulate", "fcfs exp", "--lam", "1e-12", "--mu", "0.8", "--n-arrivals", "100000", "--n-reps", "2",
+                "--serial",
+            ),
+            "lambda=1e-12, mu=0.8, n_arrivals=100000 are lost to rounding",
+        ),
+        (
+            (
+                "sweep", "figure1", "--set", "arrival.rate=1e-12", "--set", "run.n_arrivals=2000",
+                "--set", "run.n_reps=2", "--serial",
+            ),
+            "lambda=1e-12, mu=0.8, n_arrivals=2000 are lost to rounding",
+        ),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -494,6 +516,9 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "tiny-x-under-tiny-inverse-lambda",
         "huge-lambda-simulate",
         "periodic-gginf-past-its-terms",
+        "inf-delays-lost-to-rounding",
+        "fcfs-delays-lost-to-rounding",
+        "sweep-delays-lost-to-rounding",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):

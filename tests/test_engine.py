@@ -21,6 +21,7 @@ from agedelay.distributions import ARRIVAL_FAMILIES, SERVICE_FAMILIES
 from agedelay.engine import parse_grid_line
 from agedelay.metrics import age_at
 from reference_loop import serve as reference_serve
+from reference_loop import track_ages
 
 ARR = parse_arrival("exp", 0.5)
 SVC = parse_service("exp", 0.8)
@@ -141,7 +142,7 @@ def test_fcfs_trace_holds_its_receptions_once(service):
     recv = engine._fcfs(gen, svc)[0]
     assert np.array_equal(tr.recv_times, recv)
     assert np.allclose(recv, reference_serve(gen, svc, Discipline.FCFS), rtol=1e-12, atol=0)
-    for got, ref in zip((tr.informative, tr.breakpoint_times, tr.breakpoint_ages), engine._mark_informative(gen, recv)):
+    for got, ref in zip((tr.informative, tr.breakpoint_times, tr.breakpoint_ages), track_ages(gen, recv)):
         assert np.array_equal(got, ref)
     assert tr.informative.all()
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,9 @@ from agedelay import (
     summarize,
 )
 import agedelay.metrics as metrics
-from agedelay.engine import _mark_informative
+from agedelay.engine import _informative_receptions
 from agedelay.metrics import N_BATCHES, _age_area_at, _batch_means, _default_window, _t975, age_at
-from reference_loop import AgeTracker
+from reference_loop import AgeTracker, track_ages
 
 ARR = parse_arrival("exp", 0.5)
 SVC = parse_service("exp", 0.8)
@@ -32,18 +33,14 @@ def make_trace(gen, recv, svc=None, warmup=0.0):
     gen = np.asarray(gen, dtype=float)
     recv = np.asarray(recv, dtype=float)
     svc = np.zeros_like(gen) if svc is None else np.asarray(svc, dtype=float)
-    order = np.argsort(recv, kind="stable")
-    tracker = AgeTracker()
-    informative = np.zeros(gen.shape[0], dtype=bool)
-    for i in order:
-        informative[i] = tracker.on_reception(float(gen[i]), float(recv[i]))
+    informative, times, ages = track_ages(gen, recv)
     return SimulationTrace(
         gen_times=gen,
         service_reqs=svc,
         recv_times=recv,
         informative=informative,
-        breakpoint_times=np.asarray(tracker.times),
-        breakpoint_ages=np.asarray(tracker.ages),
+        breakpoint_times=times,
+        breakpoint_ages=ages,
         n_generated=gen.shape[0],
         seed=0,
         warmup_fraction=warmup,
@@ -96,15 +93,12 @@ def test_four_packet_out_of_order_scenario_fraction(toy_window):
 def test_informative_single_packet():
     tr = make_trace([1.0], [2.0])
     assert tr.informative.mean() == 1.0
-    assert np.array_equal(_mark_informative(tr.gen_times, tr.recv_times)[0], [True])
+    assert np.array_equal(_informative_receptions(tr.gen_times, tr.recv_times)[0], [True])
 
 
 def assert_marking_matches_tracker(gen, recv):
-    informative, times, ages = _mark_informative(gen, recv)
-    rebuilt = make_trace(gen, recv)
-    assert np.array_equal(informative, rebuilt.informative)
-    assert np.array_equal(times, rebuilt.breakpoint_times)
-    assert np.array_equal(ages, rebuilt.breakpoint_ages)
+    for got, ref in zip(_informative_receptions(gen, recv), track_ages(gen, recv)):
+        assert np.array_equal(got, ref)
 
 
 def test_engine_vectorized_marking_matches_tracker():
@@ -199,6 +193,20 @@ def test_delay_stats_window_by_generation_time(toy_window):
     # only packets generated in the window count, however late they land
     assert rep.n_counted == 2
     assert rep.mean_delay == pytest.approx((7.0 + 0.5) / 2)
+
+
+@pytest.mark.parametrize("scale", [0.99, 1.01], ids=["inside", "past"])
+def test_summarize_refuses_delays_lost_to_rounding(toy_window, scale):
+    # the last generation time where the float spacing eps * t_b is the stated share of E[S] = 1.25
+    edge = metrics._ROUNDING_SHARE * SVC.mean() / sys.float_info.epsilon
+    gen = scale * edge + np.arange(-99.0, 1.0)  # one time unit apart, up to t_b = scale * edge
+    tr = make_trace(gen, gen + SVC.mean())
+    if scale > 1:
+        with pytest.raises(ParameterError, match="lambda=0.5, mu=0.8, n_arrivals=100 are lost to rounding"):
+            summarize(tr)
+        return
+    # inside the limit, each delay keeps its share: fl(gen + 1.25) - gen errs by half a spacing at most
+    assert abs(summarize(tr).mean_delay - SVC.mean()) <= metrics._ROUNDING_SHARE * SVC.mean()
 
 
 def test_delay_stats_degenerate():

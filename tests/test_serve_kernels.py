@@ -12,9 +12,10 @@ a strict xfail pins one example of each.  lcfs-np walks busy periods from
 starts that the FCFS completions only hint at, and its loop resumes where
 the walk stopped: long paths, hints one ulp off, and every path again at
 a lane floor of 1 (so that short paths enter the walk too) must not move
-a bit, and the loop must serve no packet the walk served.  A trace skips
-the informative-marking pass unless a generation time repeats; its flags
-and breakpoints must equal the pass's, bit for bit.
+a bit, and the loop must serve no packet the walk served.  Every
+discipline's informative flags and breakpoints must equal the event-loop
+tracker's, bit for bit, with repeated generation times too, and for fcfs
+also where the marking reads the FCFS completions buffer.
 """
 
 import numpy as np
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 
 from agedelay import ArrivalProcess, Discipline, ServiceDistribution
 from agedelay import engine
-from agedelay.engine import _fcfs, _informative_receptions, _mark_informative, _serve, busy_periods
-from reference_loop import AgeTracker
+from agedelay.engine import _fcfs, _informative_receptions, _serve, busy_periods
 from reference_loop import serve as reference_serve
+from reference_loop import track_ages
 
 REL_TOL = 1e-13
 
@@ -214,66 +215,35 @@ def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):
 
 
 def assert_marks_as_reference(gen, svc):
-    """Every discipline's informative flags and breakpoints are _mark_informative's, bit for bit."""
+    """Every discipline's informative flags and breakpoints are the tracker's, bit for bit."""
     for discipline in ALL_DISCIPLINES:
         recv = _serve(gen, svc, discipline)
-        got = _informative_receptions(gen, recv, discipline)
-        for got_array, ref_array in zip(got, _mark_informative(gen, recv)):
-            assert got_array.dtype == ref_array.dtype
-            assert np.array_equal(got_array, ref_array), discipline
+        ref = track_ages(gen, recv)
+        # an fcfs trace marks its receptions from the completions buffer [0.0, *recv]
+        paddings = (None, recv.base) if discipline is Discipline.FCFS else (None,)
+        for padded in paddings:
+            got = _informative_receptions(gen, recv, padded)
+            for got_array, ref_array in zip(got, ref):
+                assert got_array.dtype == ref_array.dtype
+                assert np.array_equal(got_array, ref_array), (discipline, padded is None)
 
 
-# the fcfs shortcut now covers every discipline, so these check all four
 @pytest.mark.parametrize("family", sorted(SHAPES))
 @PROPERTY
 @given(data=st.data())
 def test_fcfs_breakpoints_match_marking_pass(family, data):
+    # all four disciplines, not fcfs alone, against the tracker
     assert_marks_as_reference(*data.draw(sampled_paths(family)))
 
 
 @PROPERTY
 @given(path=st.one_of(integer_paths(), decimal_paths()))
+# strictly increasing generation times, one repeated (packet 2 is stale), and all of them repeated
+@example(path=(np.array([0.0, 1.0, 1.5, 2.0]), np.full(4, 0.5)))
+@example(path=(np.array([0.0, 1.0, 1.0, 2.0]), np.full(4, 0.5)))
+@example(path=(np.array([3.0, 3.0]), np.full(2, 0.5)))
 def test_fcfs_breakpoints_match_marking_pass_with_ties(path):
     assert_marks_as_reference(*path)
-
-
-def count_marking_passes(monkeypatch) -> list:
-    """A list that gains an entry each time the engine runs _mark_informative."""
-    calls = []
-
-    def spy(gen, recv):
-        calls.append(1)
-        return _mark_informative(gen, recv)
-
-    monkeypatch.setattr(engine, "_mark_informative", spy)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "gen, marked",
-    [([0.0, 1.0, 1.5, 2.0], False), ([0.0, 1.0, 1.0, 2.0], True), ([3.0, 3.0], True)],
-    ids=["increasing", "repeated", "all-repeated"],
-)
-def test_fcfs_marks_only_a_repeated_generation_time(monkeypatch, gen, marked):
-    # a repeated generation time may be stale, so only then does the marking pass run, for any discipline
-    calls = count_marking_passes(monkeypatch)
-    gen = np.array(gen)
-    svc = np.full(gen.shape[0], 0.5)
-    assert_marks_as_reference(gen, svc)
-    assert len(calls) == marked * len(ALL_DISCIPLINES)
-    flags = _informative_receptions(gen, _serve(gen, svc, Discipline.FCFS), Discipline.FCFS)[0]
-    assert flags.all() == (not marked)
-
-
-def test_simulated_fcfs_trace_skips_the_marking_pass(monkeypatch):
-    # and so do the other disciplines' traces
-    calls = count_marking_passes(monkeypatch)
-    for discipline in ALL_DISCIPLINES:
-        trace = engine.run_simulation(ArrivalProcess("exp", 0.5), ServiceDistribution("exp", 0.8), discipline, 5000)
-        ref = _mark_informative(trace.gen_times, trace.recv_times)
-        got = (trace.informative, trace.breakpoint_times, trace.breakpoint_ages)
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), discipline
-    assert calls == []
 
 
 # fcfs and lcfs-p break some ties that hold exactly in floats; each example is the smallest seen
@@ -326,12 +296,9 @@ def test_small_k_weibull_informative_flags_match_reference(seed):
     gen = np.cumsum(ArrivalProcess("exp", 0.5).sample_n(rng, 20_000))
     svc = ServiceDistribution("weibull", 0.8, 0.2).sample_n(rng, 20_000)
     for discipline in (Discipline.FCFS, Discipline.LCFS_PREEMPTIVE, Discipline.LCFS_NONPREEMPTIVE):
-        flags = _mark_informative(gen, _serve(gen, svc, discipline))[0]
-        recv = reference_serve(gen, svc, discipline)
-        tracker = AgeTracker()
-        expected = np.zeros(gen.shape[0], dtype=bool)
-        for i in np.argsort(recv, kind="stable").tolist():  # equal instants in generation order
-            expected[i] = tracker.on_reception(gen[i], recv[i])
+        recv = _serve(gen, svc, discipline)
+        flags = _informative_receptions(gen, recv, recv.base if discipline is Discipline.FCFS else None)[0]
+        expected = track_ages(gen, reference_serve(gen, svc, discipline))[0]
         assert np.array_equal(flags, expected), discipline
         if discipline is Discipline.FCFS:
             assert flags.all()  # first in, first out: every packet is fresher than the last

@@ -96,11 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Age-of-information vs. delay simulator and oracle toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rates = argparse.ArgumentParser(add_help=False)
+    rates.add_argument("--lam", "--lambda", dest="lam", type=float, required=True, help="generation rate")
+    rates.add_argument("--mu", type=float, required=True, help="service rate")
 
-    sim = sub.add_parser("simulate", help="run one configuration point")
+    sim = sub.add_parser("simulate", parents=[rates], help="run one configuration point")
     sim.add_argument("point", help="grid line, e.g. 'lcfs-p pareto alpha=1.5' or 'fcfs det arrival=det'")
-    sim.add_argument("--lam", "--lambda", dest="lam", type=float, required=True, help="generation rate")
-    sim.add_argument("--mu", type=float, required=True, help="service rate")
     sim.add_argument("--n-arrivals", type=int, default=100_000)
     sim.add_argument("--n-reps", type=int, default=4)
     sim.add_argument("--base-seed", type=int, default=0)
@@ -123,18 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     okind = oracle.add_subparsers(dest="oracle_kind", required=True)
 
     pt = okind.add_parser(
-        "point", help="the oracle columns of one grid point's result row: a_min, pk_delay, exact gginf_age"
+        "point",
+        parents=[rates],
+        help="the oracle columns of one grid point's result row: a_min, pk_delay, exact gginf_age",
     )
     pt.add_argument("point", help="grid line, e.g. 'fcfs det arrival=det'")
-    pt.add_argument("--lam", "--lambda", dest="lam", type=float, required=True, help="generation rate")
-    pt.add_argument("--mu", type=float, required=True, help="service rate")
 
-    tail = okind.add_parser("tail-table", help="second-moment, tail and truncated-mean sweep table")
+    tail = okind.add_parser("tail-table", parents=[rates], help="second-moment, tail and truncated-mean sweep table")
     tail.add_argument("--family", required=True)
     tail.add_argument("--shapes", default="", help="shape grid, ordered toward the limit")
     tail.add_argument("--xs", required=True, help="thresholds, each >= 1/lambda")
-    tail.add_argument("--mu", type=float, required=True)
-    tail.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
 
     oracle.set_defaults(func=_cmd_oracle)
     return parser

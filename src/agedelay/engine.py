@@ -15,7 +15,8 @@ completions: its first single-server run computes them, and they are freed
 with it.  They sit in one read-only buffer of n_arrivals + 1 floats whose
 first entry is the initial breakpoint 0.0.  Every single-server kernel
 takes the completions as buf[1:]: the fcfs receptions, the start of the
-lcfs-p kernel and the busy-period hints of the lcfs-np kernel.  One pass
+lcfs-p kernel and the busy-period hints of the lcfs-np kernel, which
+_period_starts, the one rule for where a period starts, marks.  One pass
 marks every discipline's informative receptions.  An fcfs trace's
 recv_times is that view and, where no generation time repeats, its
 breakpoint_times the whole buffer, so the trace holds no second copy of
@@ -155,18 +156,25 @@ def _informative_receptions(gen: np.ndarray, recv: np.ndarray, padded=None):
     return informative, times, ages
 
 
-def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FCFS completion instants, and which packets find the server idle.
+def _period_starts(gen: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which packets find the server idle: g_i >= c_{i-1} (departures go first), and packet 0."""
+    starts = np.empty(gen.shape[0], dtype=bool)
+    starts[0] = True
+    np.greater_equal(gen[1:], c[:-1], out=starts[1:])
+    return starts
+
+
+def _fcfs(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
+    """FCFS completion instants.
 
     The Lindley recursion c_i = max(c_{i-1}, g_i) + s_i unrolls to
-    c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  Packet i finds
-    the server idle iff g_i >= c_{i-1} (a departure at its arrival instant
-    leaves first), and starts a busy period; it is given exactly g_i + s_i,
-    as a sequential run would.  The unrolled sums can round c_i one step
-    below c_{i-1} where s_i is tiny; a running maximum restores the FIFO
-    order, and leaves a path without such an inversion bit for bit.  c is
-    the view [1:] of one buffer, c.base, whose first entry is 0.0: the age
-    path's initial breakpoint, so an FCFS trace's breakpoint times are c.base.
+    c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  A packet the
+    unrolled sums show idle (_period_starts) is given exactly g_i + s_i, as
+    a sequential run would.  The unrolled sums can round c_i one step below
+    c_{i-1} where s_i is tiny; a running maximum restores the FIFO order,
+    and leaves a path without such an inversion bit for bit.  c is the view
+    [1:] of one buffer, c.base, whose first entry is 0.0: the age path's
+    initial breakpoint, so an FCFS trace's breakpoint times are c.base.
     """
     buf = np.empty(gen.shape[0] + 1)
     buf[0] = 0.0
@@ -175,12 +183,9 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(gen, w, out=w)
     np.maximum.accumulate(w, out=w)
     c += w
-    idle = np.empty(gen.shape[0], dtype=bool)
-    idle[0] = True
-    np.greater_equal(gen[1:], c[:-1], out=idle[1:])
-    np.add(gen, svc, out=c, where=idle)
+    np.add(gen, svc, out=c, where=_period_starts(gen, c))
     np.maximum.accumulate(c, out=c)
-    return c, idle
+    return c
 
 
 def _next_not_above(w: np.ndarray) -> np.ndarray:
@@ -305,9 +310,7 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -
     never a bit.
     """
     n = gen.shape[0]
-    hinted = np.empty(n, dtype=bool)
-    hinted[0] = True
-    np.greater_equal(gen[1:], c[:-1], out=hinted[1:])
+    hinted = _period_starts(gen, c)
     ext = np.append(gen, np.full(_GATHERS, _INF))  # sentinels: no arrival after the last
     out = np.empty(n)
     below = np.arange(-1, n)
@@ -359,7 +362,7 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.nd
     if discipline is Discipline.INFINITE_SERVER:
         return gen + svc
     if fcfs is None:
-        fcfs = _fcfs(gen, svc)[0]
+        fcfs = _fcfs(gen, svc)
     if discipline is Discipline.FCFS:
         return fcfs
     if discipline is Discipline.LCFS_PREEMPTIVE:
@@ -443,7 +446,7 @@ def _completions(key: tuple[ArrivalProcess, ServiceDistribution, int, int], gen:
     """
     c = _COMPLETIONS.get(key)
     if c is None:
-        c = _fcfs(gen, svc)[0]
+        c = _fcfs(gen, svc)
         c.base.flags.writeable = c.flags.writeable = False
         _COMPLETIONS[key] = c
     return c
@@ -497,11 +500,13 @@ def busy_periods(gen: np.ndarray, svc: np.ndarray) -> list[tuple[float, float]]:
 
     Depends only on the workload sample path, so this is a discipline-free
     oracle: any non-idling single-server policy finishes each busy period's
-    work exactly at its end.  A period starts at each packet that finds the
-    FCFS server idle, with the engine's tie rule: a packet arriving just as
-    the server empties starts a new period.
+    work exactly at its end.  A period starts at each packet that
+    _period_starts marks on the FCFS completions, as the lcfs-np hints do:
+    one arriving just as the server empties starts a new period.  At a
+    float tie a completion can sit one ulp from a sequential run's, and so
+    can a period end, or the packet that starts one.
     """
-    c, idle = _fcfs(gen, svc)
-    starts = np.flatnonzero(idle)
+    c = _fcfs(gen, svc)
+    starts = np.flatnonzero(_period_starts(gen, c))
     ends = np.append(starts[1:], gen.shape[0]) - 1
     return list(zip(gen[starts].tolist(), c[ends].tolist()))

@@ -343,16 +343,20 @@ def emit_outputs(
     out_dir: Path,
     cfg: SweepConfig,
     scalarized: dict[float, FrontierPoint],
-    csv_name: str = SweepConfig.csv_name,
-    json_name: str = SweepConfig.json_name,
-    plot_name: str = SweepConfig.plot_name,
+    csv_name: str | None = None,
+    json_name: str | None = None,
+    plot_name: str | None = None,
 ) -> list[Path]:
     """Write the CSV/JSON/plot-script triple; returns the written paths.
 
-    Reruns with the same inputs produce byte-identical files (there is no
-    timestamp or other ambient state in any output).
+    A name left None is cfg's [output] name.  Reruns with the same inputs
+    produce byte-identical files (there is no timestamp or other ambient
+    state in any output).
     """
     out_dir = Path(out_dir)
+    csv_name = cfg.csv_name if csv_name is None else csv_name
+    json_name = cfg.json_name if json_name is None else json_name
+    plot_name = cfg.plot_name if plot_name is None else plot_name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / csv_name
@@ -378,16 +382,7 @@ def run_and_emit(cfg: SweepConfig, out_dir: Path, parallel: bool = True) -> list
     points = run_suite(cfg, parallel=parallel)
     frontier = pareto_frontier(points)
     picks = {nu: scalarized_pick(points, nu) for nu in cfg.nu_grid}
-    return emit_outputs(
-        points,
-        frontier,
-        out_dir,
-        cfg=cfg,
-        scalarized=picks,
-        csv_name=cfg.csv_name,
-        json_name=cfg.json_name,
-        plot_name=cfg.plot_name,
-    )
+    return emit_outputs(points, frontier, out_dir, cfg=cfg, scalarized=picks)
 
 
 # ---- configuration files ----------------------------------------------------

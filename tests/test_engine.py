@@ -139,7 +139,7 @@ def test_fcfs_trace_holds_its_receptions_once(service):
     assert held < 37 * n, f"an fcfs trace holds {held / n:.1f} bytes per packet"
     # the values a trace with its own copies holds: the FCFS completions, every one an age drop
     gen, svc = tr.gen_times.copy(), tr.service_reqs.copy()
-    recv = engine._fcfs(gen, svc)[0]
+    recv = engine._fcfs(gen, svc)
     assert np.array_equal(tr.recv_times, recv)
     assert np.allclose(recv, reference_serve(gen, svc, Discipline.FCFS), rtol=1e-12, atol=0)
     for got, ref in zip((tr.informative, tr.breakpoint_times, tr.breakpoint_ages), track_ages(gen, recv)):

@@ -343,6 +343,13 @@ def test_emit_outputs_files_and_determinism(tmp_path):
     for p in points:
         assert f"{p.point.discipline.value} {p.point.service.family}" in plot
 
+    # a name left out is cfg's [output] name, and the plot script reads the CSV by it
+    preset = load_preset("figure1")
+    named = emit_outputs(points, front, tmp_path / "c", cfg=preset, scalarized=picks)
+    names = [preset.csv_name, preset.json_name, preset.plot_name]
+    assert [p.name for p in named] == names == ["figure1.csv", "figure1.json", "figure1.gp"]
+    assert f'"{preset.csv_name}" using' in named[2].read_text()
+
 
 def test_emit_outputs_header_only_for_no_points(tmp_path):
     paths = emit_outputs([], [], tmp_path, cfg=small_config(), scalarized={})

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from agedelay import ArrivalProcess, Discipline, ServiceDistribution
 from agedelay import engine
-from agedelay.engine import _fcfs, _informative_receptions, _serve, busy_periods
+from agedelay.engine import _fcfs, _informative_receptions, _period_starts, _serve, busy_periods
 from reference_loop import serve as reference_serve
 from reference_loop import track_ages
 
@@ -57,7 +57,7 @@ def assert_matches_reference(gen, svc, discipline):
         return
     assert np.max(np.abs(got - ref)) <= REL_TOL * ref.max()
     if discipline is Discipline.FCFS:
-        exact = np.concatenate(([True], gen[1:] >= ref[:-1]))  # found the server idle
+        exact = _period_starts(gen, ref)  # found the server idle
     else:
         exact = np.concatenate((ref[:-1] <= gen[1:], [True]))  # done before the next arrival
     assert np.array_equal(got[exact], gen[exact] + svc[exact])
@@ -149,8 +149,9 @@ def sentinel_walk(monkeypatch) -> list:
 def assert_loop_skips_walked_packets(monkeypatch, gen, svc):
     """The loop serves every packet the walk did not, as the reference does, and no other; returns the walked mask."""
     ref = reference_serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
-    # each hinted start is a real one, so every walked packet was served on the loop's own path
-    assert np.array_equal(_fcfs(gen, svc)[1], np.concatenate(([True], gen[1:] >= np.maximum.accumulate(ref)[:-1])))
+    # the kernel walks from these hints, each a real start: every walked packet was on the loop's own path
+    hinted = _period_starts(gen, _fcfs(gen, svc))
+    assert np.array_equal(hinted, _period_starts(gen, np.maximum.accumulate(ref)))
     calls = sentinel_walk(monkeypatch)
     got = _serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
     (walked,) = calls
@@ -208,8 +209,8 @@ def test_lcfs_np_loop_resumes_where_the_walk_stopped(monkeypatch, gen, svc, floo
 def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):
     gen, svc = np.array(gen), np.array(svc)
     ref = reference_serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
-    starts = gen[packet] >= ref[:packet].max()
-    hinted = gen[packet] >= _fcfs(gen, svc)[0][packet - 1]
+    starts = _period_starts(gen, np.maximum.accumulate(ref))[packet]
+    hinted = _period_starts(gen, _fcfs(gen, svc))[packet]
     assert starts != hinted
     assert_matches_reference(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
 
@@ -272,12 +273,22 @@ def test_busy_periods_start_where_reference_server_is_idle(path):
     # a packet arriving at the instant the server empties finds it idle (departures go first)
     gen, svc = path
     ref = reference_serve(gen, svc, Discipline.FCFS)
-    idle = np.concatenate(([True], gen[1:] >= ref[:-1]))
+    idle = _period_starts(gen, ref)
     periods = busy_periods(gen, svc)
     assert [start for start, _ in periods] == gen[idle].tolist()
     # each period ends when its last packet leaves
     last = np.append(np.flatnonzero(idle)[1:], gen.shape[0]) - 1
     assert [end for _, end in periods] == ref[last].tolist()
+
+
+def test_busy_periods_start_where_a_tie_empties_the_server():
+    # packet 1 leaves at 0.5 + 0.1 == 0.6 as packet 2 arrives, so packet 2 starts a third period: the
+    # unrolled FCFS sums read 0.6000000000000001 there, the completions 0.6.  Only the starts are pinned;
+    # the kernel ends the third period one ulp after the loop's 0.7 (the fcfs xfail)
+    gen, svc = np.array([0.2, 0.5, 0.6]), np.full(3, 0.1)
+    ref = reference_serve(gen, svc, Discipline.FCFS)
+    starts = [start for start, _ in busy_periods(gen, svc)]
+    assert starts == gen[_period_starts(gen, ref)].tolist() == [0.2, 0.5, 0.6]
 
 
 def test_lcfs_preemptive_heavy_tail_stress():

@@ -122,8 +122,9 @@ def _informative_receptions(gen: np.ndarray, recv: np.ndarray, padded=None):
     is stale; where no generation time repeats, every candidate is fresh.
     padded, if given, is one buffer [0.0, *recv] of FCFS receptions, which
     never decrease, so every packet is a candidate; where every reception
-    is informative it is the breakpoint times, not a copy.  The breakpoints
-    come out already sorted by time.
+    is informative it is the breakpoint times, not a copy.  Every other
+    path compresses its breakpoints out of recv and gen.  They come out
+    already sorted by time.
     """
     n = recv.shape[0]
     if padded is None:
@@ -140,12 +141,8 @@ def _informative_receptions(gen: np.ndarray, recv: np.ndarray, padded=None):
     m = np.count_nonzero(informative)
     ages = np.empty(m + 1)
     ages[0] = 0.0
-    if m == n:
+    if m == n and padded is not None:
         times = padded
-        if times is None:
-            times = np.empty(n + 1)
-            times[0] = 0.0
-            times[1:] = recv
         np.subtract(recv, gen, out=ages[1:])
     else:
         times = np.empty(m + 1)
@@ -352,17 +349,15 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -
             return out
 
 
-def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.ndarray | None = None) -> np.ndarray:
+def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.ndarray | None) -> np.ndarray:
     """Reception time of every packet under the discipline.
 
-    fcfs is the path's FCFS completions, computed here if not given: the
-    FCFS reception instants themselves, the start of the lcfs-p kernel, and
-    the busy-period hints of the lcfs-np kernel.
+    fcfs is the path's FCFS completions, which inf alone does not read and
+    may take as None: the FCFS reception instants themselves, the start of
+    the lcfs-p kernel, and the busy-period hints of the lcfs-np kernel.
     """
     if discipline is Discipline.INFINITE_SERVER:
         return gen + svc
-    if fcfs is None:
-        fcfs = _fcfs(gen, svc)
     if discipline is Discipline.FCFS:
         return fcfs
     if discipline is Discipline.LCFS_PREEMPTIVE:

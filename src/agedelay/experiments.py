@@ -185,8 +185,10 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     rep) runs the law's disciplines in grid order; they share one draw and
     its FCFS completions.  Deterministic for a given config
     and base seed: results are gathered in (grid index, rep) order,
-    regardless of execution order.
+    regardless of execution order.  The oracle cells come first, so an
+    oracle that refuses a point stops the suite before any replication.
     """
+    oracle_cells = point_oracles(cfg.grid)
     laws: dict[tuple[ArrivalProcess, ServiceDistribution], list[int]] = {}
     for idx, point in enumerate(cfg.grid):
         laws.setdefault((point.arrival, point.service), []).append(idx)
@@ -216,7 +218,6 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
             by_point[i].append(report)
     seeds = {i: seed for idxs, seed in zip(members, law_seeds) for i in idxs}
 
-    oracle_cells = point_oracles(cfg.grid)
     points = []
     for idx, point in enumerate(cfg.grid):
         reps = by_point[idx]

@@ -73,15 +73,16 @@ def age_at(trace: "SimulationTrace", t) -> np.ndarray | float:
     return float(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
 
 
-def _age_area_at(trace: "SimulationTrace", ts: np.ndarray) -> np.ndarray:
+def _age_area_at(trace: "SimulationTrace", ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Exact age area from the segment holding ts[0] up to each time in ts.
 
-    ts must be nondecreasing.  One cumsum over the whole trapezoids between
+    ts must be nondecreasing, and idx[j] the segment that holds ts[j]: the
+    last breakpoint at or before it, as searchsorted(breakpoint_times, ts,
+    side="right") - 1 reads.  One cumsum over the whole trapezoids between
     breakpoints, then the partial trapezoid up to each query time; area
     over [ts[j], ts[k]] is the difference of entries k and j.  Starting the
     sum at the first query keeps its rounding on the window's scale.
     """
-    idx = np.searchsorted(trace.breakpoint_times, ts, side="right") - 1
     lo, hi = int(idx[0]), int(idx[-1]) + 1
     times = trace.breakpoint_times[lo:hi]
     ages = trace.breakpoint_ages[lo:hi]
@@ -225,17 +226,17 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
         raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
     if not t_a < t_b:
         raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
-    # breakpoint 0 is the initial condition, not a drop
-    before = int(np.searchsorted(trace.breakpoint_times, t_a, side="right")) - 1
-    inside = int(np.searchsorted(trace.breakpoint_times, t_b, side="right")) - 1 - before
+    edges = np.linspace(t_a, t_b, N_BATCHES + 1)
+    # the segment of each edge; breakpoint 0 is the initial condition, not a drop
+    idx = np.searchsorted(trace.breakpoint_times, edges, side="right") - 1
+    before, inside = int(idx[0]), int(idx[-1] - idx[0])
     need_before = int(lo > 0)
     if before < need_before or inside < _MIN_WINDOW_DROPS:
         raise DegenerateSampleError(
             f"metrics window [{t_a:.6g}, {t_b:.6g}] follows {before} age drops and holds {inside}; "
             f"need >= {need_before} before it and >= {_MIN_WINDOW_DROPS} in it: raise n_arrivals"
         )
-    edges = np.linspace(t_a, t_b, N_BATCHES + 1)
-    area = _age_area_at(trace, edges)
+    area = _age_area_at(trace, edges, idx)
     avg_age = float(area[-1] - area[0]) / (t_b - t_a)
     ci_age = t_halfwidth(np.diff(area) / np.diff(edges))
 

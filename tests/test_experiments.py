@@ -27,7 +27,7 @@ from agedelay import (
     scalarized_pick,
     summarize,
 )
-from agedelay import experiments
+from agedelay import engine, experiments
 from agedelay.engine import parse_grid_line
 from agedelay.experiments import _COLUMNS, CSV_COLUMNS, PRESETS
 
@@ -222,6 +222,24 @@ def test_run_suite_estimates_gginf_once_per_law_per_call(tmp_path, monkeypatch):
         laws.clear()
         run_and_emit(cfg, tmp_path, parallel=False)
         assert laws == [(p.arrival, p.service) for p in cfg.grid[:9]]
+
+
+def test_run_suite_checks_its_oracles_before_it_simulates(monkeypatch):
+    # the periodic gginf sum at lambda/mu = 2.5e6 is refused, and a refusal must cost no replication
+    def simulate(*args, **kwargs):
+        pytest.fail("run_suite simulated a point whose oracle refuses it")
+
+    monkeypatch.setattr(engine, "run_simulation", simulate)
+    cfg = SweepConfig(
+        grid=(parse_grid_line("inf pareto alpha=3 arrival=det", 0.8, 2e6),),
+        n_arrivals=2000,
+        n_reps=2,
+        base_seed=0,
+        warmup_fraction=0.0,
+        nu_grid=(0.0,),
+    )
+    with pytest.raises(ParameterError, match="needs more than 10000 terms"):
+        run_suite(cfg, parallel=False)
 
 
 def test_run_suite_names_unstable_point():

@@ -120,7 +120,8 @@ def test_engine_vectorized_marking_matches_tracker():
 def average_age(trace, window=None):
     """Time-average age over the window (default: summarize's), from the exact area integral."""
     t_a, t_b = window if window is not None else _default_window(trace)
-    area_a, area_b = _age_area_at(trace, np.array([t_a, t_b], dtype=float))
+    ts = np.array([t_a, t_b], dtype=float)
+    area_a, area_b = _age_area_at(trace, ts, np.searchsorted(trace.breakpoint_times, ts, side="right") - 1)
     return float(area_b - area_a) / (t_b - t_a)
 
 
@@ -397,7 +398,8 @@ def test_age_area_in_place_is_bit_identical(discipline):
     tr = run_simulation(ARR, parse_service("pareto alpha=1.5", 0.8), discipline, 20_000, 0.1, 8)
     t_a, t_b = _default_window(tr)
     for ts in (np.linspace(t_a, t_b, N_BATCHES + 1), tr.breakpoint_times[3:400], np.array([t_a, t_a])):
-        assert np.array_equal(_age_area_at(tr, ts), _age_area_concatenated(tr, ts))
+        idx = np.searchsorted(tr.breakpoint_times, ts, side="right") - 1
+        assert np.array_equal(_age_area_at(tr, ts, idx), _age_area_concatenated(tr, ts))
 
 
 def test_batch_means_are_array_split_means():

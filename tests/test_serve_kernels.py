@@ -45,7 +45,8 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 
 
 def assert_matches_reference(gen, svc, discipline):
-    got = _serve(gen, svc, discipline)
+    c = _fcfs(gen, svc)
+    got = _serve(gen, svc, discipline, c)
     ref = reference_serve(gen, svc, discipline)
     if discipline in EXACT_KERNELS:
         assert np.array_equal(got, ref)
@@ -53,7 +54,7 @@ def assert_matches_reference(gen, svc, discipline):
             # at the default floor, a path with fewer busy periods than it never enters the walk
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(engine, "_LANE_FLOOR", 1)
-                assert np.array_equal(_serve(gen, svc, discipline), ref)
+                assert np.array_equal(_serve(gen, svc, discipline, c), ref)
         return
     assert np.max(np.abs(got - ref)) <= REL_TOL * ref.max()
     if discipline is Discipline.FCFS:
@@ -150,10 +151,11 @@ def assert_loop_skips_walked_packets(monkeypatch, gen, svc):
     """The loop serves every packet the walk did not, as the reference does, and no other; returns the walked mask."""
     ref = reference_serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
     # the kernel walks from these hints, each a real start: every walked packet was on the loop's own path
-    hinted = _period_starts(gen, _fcfs(gen, svc))
+    c = _fcfs(gen, svc)
+    hinted = _period_starts(gen, c)
     assert np.array_equal(hinted, _period_starts(gen, np.maximum.accumulate(ref)))
     calls = sentinel_walk(monkeypatch)
-    got = _serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE)
+    got = _serve(gen, svc, Discipline.LCFS_NONPREEMPTIVE, c)
     (walked,) = calls
     assert np.all(got[walked] == SENTINEL)
     assert np.array_equal(got[~walked], ref[~walked])
@@ -218,7 +220,7 @@ def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):
 def assert_marks_as_reference(gen, svc):
     """Every discipline's informative flags and breakpoints are the tracker's, bit for bit."""
     for discipline in ALL_DISCIPLINES:
-        recv = _serve(gen, svc, discipline)
+        recv = _serve(gen, svc, discipline, _fcfs(gen, svc))
         ref = track_ages(gen, recv)
         # an fcfs trace marks its receptions from the completions buffer [0.0, *recv]
         paddings = (None, recv.base) if discipline is Discipline.FCFS else (None,)
@@ -307,7 +309,7 @@ def test_small_k_weibull_informative_flags_match_reference(seed):
     gen = np.cumsum(ArrivalProcess("exp", 0.5).sample_n(rng, 20_000))
     svc = ServiceDistribution("weibull", 0.8, 0.2).sample_n(rng, 20_000)
     for discipline in (Discipline.FCFS, Discipline.LCFS_PREEMPTIVE, Discipline.LCFS_NONPREEMPTIVE):
-        recv = _serve(gen, svc, discipline)
+        recv = _serve(gen, svc, discipline, _fcfs(gen, svc))
         flags = _informative_receptions(gen, recv, recv.base if discipline is Discipline.FCFS else None)[0]
         expected = track_ages(gen, reference_serve(gen, svc, discipline))[0]
         assert np.array_equal(flags, expected), discipline

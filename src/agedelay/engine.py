@@ -10,17 +10,16 @@ Each discipline has its own serve kernel: closed forms for fcfs, lcfs-p and
 inf; for lcfs-np, a vectorised walk that serves every busy period at once,
 one stack per lane, while at least _LANE_FLOOR periods are live, and a
 stack loop that resumes each lane where the walk stopped it, its stack
-rebuilt from the walk's links.  A draw owns its FCFS
-completions: its first single-server run computes them, and they are freed
-with it.  They sit in one read-only buffer of n_arrivals + 1 floats whose
-first entry is the initial breakpoint 0.0.  Every single-server kernel
-takes the completions as buf[1:]: the fcfs receptions, the start of the
-lcfs-p kernel and the busy-period hints of the lcfs-np kernel, which
-_period_starts, the one rule for where a period starts, marks.  One pass
-marks every discipline's informative receptions.  An fcfs trace's
-recv_times is that view and, where no generation time repeats, its
-breakpoint_times the whole buffer, so the trace holds no second copy of
-its receptions.
+rebuilt from the walk's links.  A draw is one read-only buffer of
+3 n_arrivals + 1 floats: the generation times, the service requirements,
+then the initial breakpoint 0.0 and the FCFS completions, so the
+completions live exactly as long as the draw.  Every single-server kernel
+takes them: the fcfs receptions, the start of the lcfs-p kernel and the
+busy-period hints of the lcfs-np kernel, which _period_starts, the one
+rule for where a period starts, marks.  One pass marks every discipline's
+informative receptions.  An fcfs trace's recv_times is the completions'
+view and, where no generation time repeats, its breakpoint_times the view
+from the 0.0 on, so the trace holds no second copy of its receptions.
 """
 
 from __future__ import annotations
@@ -120,11 +119,11 @@ def _informative_receptions(gen: np.ndarray, recv: np.ndarray, padded=None):
     recv[i] <= min(recv[i+1:]).  Those candidates are received in index
     order, and one whose generation time equals the previous candidate's
     is stale; where no generation time repeats, every candidate is fresh.
-    padded, if given, is one buffer [0.0, *recv] of FCFS receptions, which
-    never decrease, so every packet is a candidate; where every reception
-    is informative it is the breakpoint times, not a copy.  Every other
-    path compresses its breakpoints out of recv and gen.  They come out
-    already sorted by time.
+    padded, if given, is [0.0, *recv] in one array, recv being the FCFS
+    receptions, which never decrease, so every packet is a candidate; where
+    every reception is informative it is the breakpoint times, not a copy.
+    Every other path compresses its breakpoints out of recv and gen.  They
+    come out already sorted by time.
     """
     n = recv.shape[0]
     if padded is None:
@@ -161,19 +160,21 @@ def _period_starts(gen: np.ndarray, c: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _fcfs(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
-    """FCFS completion instants.
+def _fcfs(gen: np.ndarray, svc: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """FCFS completion instants, as the view [1:] of buf, n + 1 floats.
 
     The Lindley recursion c_i = max(c_{i-1}, g_i) + s_i unrolls to
     c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  A packet the
     unrolled sums show idle (_period_starts) is given exactly g_i + s_i, as
     a sequential run would.  The unrolled sums can round c_i one step below
     c_{i-1} where s_i is tiny; a running maximum restores the FIFO order,
-    and leaves a path without such an inversion bit for bit.  c is the view
-    [1:] of one buffer, c.base, whose first entry is 0.0: the age path's
-    initial breakpoint, so an FCFS trace's breakpoint times are c.base.
+    and leaves a path without such an inversion bit for bit.  buf[0] is set
+    to 0.0, the age path's initial breakpoint, so an FCFS trace's
+    breakpoint times are buf.  _draw passes the tail of the draw's buffer;
+    without one, _fcfs allocates its own.
     """
-    buf = np.empty(gen.shape[0] + 1)
+    if buf is None:
+        buf = np.empty(gen.shape[0] + 1)
     buf[0] = 0.0
     c = np.cumsum(svc, out=buf[1:])
     w = c - svc
@@ -186,20 +187,21 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray) -> np.ndarray:
 
 
 def _next_not_above(w: np.ndarray) -> np.ndarray:
-    """For each i, the first k > i with w[k] <= w[i], or len(w) if none.
+    """For each i < n, the first k > i with w[k] <= w[i], where w holds n + 1 values.
 
-    Vectorised pointer jumping: while w[nxt[i]] > w[i], every element
-    between i and nxt[nxt[i]] exceeds w[i] too, so nxt[i] may skip there.
+    w[n] must be -inf, a sentinel below every other entry, so k = n where
+    no entry qualifies.  Vectorised pointer jumping: while w[nxt[i]] > w[i],
+    every element between i and nxt[nxt[i]] exceeds w[i] too, so nxt[i]
+    may skip there.
     """
-    n = w.shape[0]
-    ext = np.append(w, -_INF)
+    n = w.shape[0] - 1
     nxt = np.arange(1, n + 2)
     nxt[n] = n
-    active = np.flatnonzero(ext[1:] > w)
+    active = np.flatnonzero(w[1:] > w[:-1])
     while active.size:
         jumped = nxt[nxt[active]]
         nxt[active] = jumped
-        active = active[ext[jumped] > w[active]]
+        active = active[w[jumped] > w[active]]
     return nxt[:n]
 
 
@@ -214,9 +216,11 @@ def _serve_lcfs_preemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -> n
     (g_i + s_i) + (c_{k-1} - c_i), a packet never preempted gets exactly
     g_i + s_i.
     """
-    w = np.empty_like(c)
+    n = gen.shape[0]
+    w = np.empty(n + 1)
     w[0] = 0.0
-    np.maximum(c[:-1] - gen[1:], 0.0, out=w[1:])
+    np.maximum(c[:-1] - gen[1:], 0.0, out=w[1:n])
+    w[n] = -_INF
     k = _next_not_above(w)
     return (gen + svc) + (c[k - 1] - c)
 
@@ -355,6 +359,7 @@ def _serve(gen: np.ndarray, svc: np.ndarray, discipline: Discipline, fcfs: np.nd
     fcfs is the path's FCFS completions, which inf alone does not read and
     may take as None: the FCFS reception instants themselves, the start of
     the lcfs-p kernel, and the busy-period hints of the lcfs-np kernel.
+    run_simulation passes the draw's own (see _draw).
     """
     if discipline is Discipline.INFINITE_SERVER:
         return gen + svc
@@ -397,54 +402,40 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
-# Draws that some live trace still views, by (arrival, service, n_arrivals, seed).  A row view
-# keeps its draw alive, so an entry lasts exactly as long as some trace of it.
+# Draws that some live trace still views, by (arrival, service, n_arrivals, seed).  A view keeps
+# its draw alive, so an entry lasts exactly as long as some trace of it.
 _DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# The read-only FCFS completions of a draw in _DRAWS, keyed alike; an entry goes with its draw.
-_COMPLETIONS: dict[tuple, np.ndarray] = {}
 
-# A draw is one float64 array of _DRAW_ROWS rows (generation times, service requirements) by
-# n_arrivals, and numpy caps an array at sys.maxsize bytes.
-_DRAW_ROWS = 2
-_MAX_ARRIVALS = sys.maxsize // (8 * _DRAW_ROWS)
+# A draw is one float64 buffer of 3 n_arrivals + 1 entries, and numpy caps an array at
+# sys.maxsize bytes.
+_MAX_ARRIVALS = (sys.maxsize // 8 - 1) // 3
 
 
-def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> np.ndarray:
-    """Generation times and service requirements of the run key names, as the rows of one read-only array.
+def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generation times, service requirements and [0.0, *FCFS completions] of the run key names.
 
     The key is (arrival, service, n_arrivals, seed).  The seed spawns
     separate arrival and service substreams, so every discipline run at
-    that seed sees the same (X_i, S_i).  Coupled runs share the one array
+    that seed sees the same (X_i, S_i).  The three are read-only views of
+    one buffer of 3 n_arrivals + 1 floats, which _DRAWS holds; the FCFS
+    pass (see _fcfs) fills its tail when it is made, so the first run of a
+    draw pays for it, inf included.  Coupled runs share the one buffer
     while any trace of it lives: it is read-only, so no run can change
     another's path.
     """
-    arrival, service, n_arrivals, seed = key
+    arrival, service, n, seed = key
     draw = _DRAWS.get(key)
-    if draw is not None:
-        return draw
-    arrival_seq, service_seq = np.random.SeedSequence(seed).spawn(2)
-    arrival_rng = np.random.Generator(np.random.PCG64(arrival_seq))
-    service_rng = np.random.Generator(np.random.PCG64(service_seq))
-    draw = np.empty((_DRAW_ROWS, n_arrivals))
-    np.cumsum(arrival.sample_n(arrival_rng, n_arrivals), out=draw[0])
-    draw[1] = service.sample_n(service_rng, n_arrivals)
-    draw.flags.writeable = False
-    _DRAWS[key] = draw
-    weakref.finalize(draw, _COMPLETIONS.pop, key, None)
-    return draw
-
-
-def _completions(key: tuple[ArrivalProcess, ServiceDistribution, int, int], gen: np.ndarray, svc: np.ndarray):
-    """The FCFS completions of the draw key names, read-only, as is their buffer .base.
-
-    The draw's first single-server run computes them.
-    """
-    c = _COMPLETIONS.get(key)
-    if c is None:
-        c = _fcfs(gen, svc)
-        c.base.flags.writeable = c.flags.writeable = False
-        _COMPLETIONS[key] = c
-    return c
+    if draw is None:
+        arrival_seq, service_seq = np.random.SeedSequence(seed).spawn(2)
+        arrival_rng = np.random.Generator(np.random.PCG64(arrival_seq))
+        service_rng = np.random.Generator(np.random.PCG64(service_seq))
+        draw = np.empty(3 * n + 1)
+        np.cumsum(arrival.sample_n(arrival_rng, n), out=draw[:n])
+        draw[n : 2 * n] = service.sample_n(service_rng, n)
+        _fcfs(draw[:n], draw[n : 2 * n], draw[2 * n :])
+        draw.flags.writeable = False
+        _DRAWS[key] = draw
+    return draw[:n], draw[n : 2 * n], draw[2 * n :]
 
 
 def run_simulation(
@@ -461,20 +452,18 @@ def run_simulation(
     survive preemptions intact (preempt-resume).  Generation stops after
     n_arrivals packets and the backlog is drained, so every generated
     packet is delivered.  The trace's gen_times and service_reqs are
-    read-only views of the draw it shares with coupled runs (see _draw).
-    The draw's first single-server run computes its FCFS completions, and
-    every later one reuses them while the draw lives; an FCFS trace's
-    recv_times is that read-only array, and its breakpoint_times their
-    buffer (see SimulationTrace).
+    read-only views of the draw it shares with coupled runs, and every
+    kernel reads the FCFS completions the draw holds (see _draw); an FCFS
+    trace's recv_times is their read-only view, and its breakpoint_times
+    the view from the 0.0 before them (see SimulationTrace).
     """
     check_run(n_arrivals, warmup_fraction, seed, min_kept=1)
     point = ExperimentPoint(arrival, service, discipline)
-    key = (arrival, service, int(n_arrivals), int(seed))
-    gen, svc = _draw(key)
-    fcfs = _completions(key, gen, svc) if discipline.single_server else None
-    recv = _serve(gen, svc, discipline, fcfs)
-    padded = fcfs.base if discipline is Discipline.FCFS else None
-    informative, bp_times, bp_ages = _informative_receptions(gen, recv, padded)
+    gen, svc, padded = _draw((arrival, service, int(n_arrivals), int(seed)))
+    recv = _serve(gen, svc, discipline, padded[1:])
+    informative, bp_times, bp_ages = _informative_receptions(
+        gen, recv, padded if discipline is Discipline.FCFS else None
+    )
 
     return SimulationTrace(
         gen_times=gen,
@@ -497,7 +486,8 @@ def busy_periods(gen: np.ndarray, svc: np.ndarray) -> list[tuple[float, float]]:
     oracle: any non-idling single-server policy finishes each busy period's
     work exactly at its end.  A period starts at each packet that
     _period_starts marks on the FCFS completions, as the lcfs-np hints do:
-    one arriving just as the server empties starts a new period.  At a
+    one arriving just as the server empties starts a new period.  It runs
+    its own FCFS pass, so any arrays serve, not only a draw's.  At a
     float tie a completion can sit one ulp from a sequential run's, and so
     can a period end, or the packet that starts one.
     """

@@ -14,6 +14,7 @@ import configparser
 import json
 import math
 import operator
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -187,6 +188,9 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     and base seed: results are gathered in (grid index, rep) order,
     regardless of execution order.  The oracle cells come first, so an
     oracle that refuses a point stops the suite before any replication.
+    A parallel suite runs min(len(jobs), max_workers) workers, max_workers
+    being by default the CPUs this process may run on, and runs serially
+    where that leaves one.
     """
     oracle_cells = point_oracles(cfg.grid)
     laws: dict[tuple[ArrivalProcess, ServiceDistribution], list[int]] = {}
@@ -200,13 +204,16 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
         for rep in range(cfg.n_reps)
     ]
 
-    if parallel and len(jobs) > 1:
+    if max_workers is None:  # the CPUs this process may run on
+        max_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(jobs), max_workers)
+    if parallel and workers > 1:
         # imported here, so that only a pooled suite pays for them; numpy.random is loaded once,
         # before the fork, so that no worker imports it again on its first job
         import numpy.random  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_law_worker, jobs))
     else:
         results = [_law_worker(job) for job in jobs]

@@ -419,7 +419,8 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         ),
         (("simulate", "fcfs exp", "--lam", "0.9", "--mu", "0.8", "--serial"), "fcfs exp: lambda=0.9 >= mu=0.8"),
         (("sweep", "figure1", "--set", "arrival.rate=0.9", "--serial"), "fcfs det: lambda=0.9 >= mu=0.8"),
-        # past sys.maxsize // 16 no run's (2, n_arrivals) float64 draw exists; numpy would raise ValueError
+        # past (sys.maxsize // 8 - 1) // 3 no run's draw of 3 n_arrivals + 1 float64s exists; numpy would raise
+        # ValueError
         (
             ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", str(10**20), "--serial"),
             "n_arrivals=100000000000000000000 exceeds",
@@ -430,11 +431,15 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         ),
         (
             ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", str(2**59), "--serial"),
-            "n_arrivals=576460752303423488 exceeds 576460752303423487",
+            "n_arrivals=576460752303423488 exceeds 384307168202282324",
+        ),
+        (
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", str(2**59 - 1), "--serial"),
+            "n_arrivals=576460752303423487 exceeds 384307168202282324",
         ),
         # the largest size check_run admits reaches the draw; numpy refuses its 8 EiB at once
         (
-            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", str(2**59 - 1), "--serial"),
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", "384307168202282324", "--serial"),
             "error: out of memory",
         ),
         (
@@ -447,7 +452,7 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         ),
         (
             ("sweep", "figure1", "--set", f"run.n_arrivals={2**59}", "--set", "run.n_reps=1", "--serial"),
-            "n_arrivals=576460752303423488 exceeds 576460752303423487",
+            "n_arrivals=576460752303423488 exceeds 384307168202282324",
         ),
         (
             ("oracle", "tail-table", "--family", "exp", "--xs", "2", "--mu", "1e300", "--lam", "0.5"),
@@ -509,6 +514,7 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "n-arrivals-2^60-simulate",
         "n-arrivals-2^59-simulate",
         "n-arrivals-2^59-1-simulate",
+        "n-arrivals-cap-simulate",
         "n-arrivals-10^20-sweep",
         "n-arrivals-2^60-sweep",
         "n-arrivals-2^59-sweep",

@@ -152,9 +152,9 @@ def count_fcfs_passes(monkeypatch) -> list:
     calls = []
     fcfs = engine._fcfs
 
-    def spy(gen, svc):
+    def spy(gen, svc, buf=None):
         calls.append(1)
-        return fcfs(gen, svc)
+        return fcfs(gen, svc, buf)
 
     monkeypatch.setattr(engine, "_fcfs", spy)
     return calls
@@ -166,51 +166,61 @@ def test_lcfs_p_reuses_a_live_fcfs_pass(monkeypatch):
     recv = alone.recv_times.copy()
     del alone
     gc.collect()
-    assert not engine._COMPLETIONS
+    assert not engine._DRAWS
     calls = count_fcfs_passes(monkeypatch)
     fcfs = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
     with pytest.raises(ValueError, match="read-only"):
         fcfs.recv_times[0] = 1.0
-    assert len(engine._COMPLETIONS) == 1
+    # the completions are the draw's own
+    assert fcfs.recv_times.base is engine._DRAWS[ARR, heavy, 20_000, 13]
     coupled = run_simulation(ARR, heavy, Discipline.LCFS_PREEMPTIVE, 20_000, 0.1, 13)
     again = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
     assert len(calls) == 1
     # bit for bit the run with a draw of its own, and its own writable array
     assert np.array_equal(coupled.recv_times, recv)
     assert coupled.recv_times.flags.writeable
-    assert again.recv_times is fcfs.recv_times
+    assert again.recv_times.base is fcfs.recv_times.base
+    assert again.recv_times.ctypes.data == fcfs.recv_times.ctypes.data
+    assert again.recv_times.shape == fcfs.recv_times.shape
     del fcfs, coupled, again
     gc.collect()
-    assert not engine._COMPLETIONS
+    assert not engine._DRAWS
 
 
 def test_the_draw_owns_its_fcfs_pass(monkeypatch):
     calls = count_fcfs_passes(monkeypatch)
     fcfs = run_simulation(ARR, SVC, Discipline.FCFS, 20_000, 0.1, 17)
-    completions = fcfs.recv_times
+    completions, address = fcfs.recv_times.copy(), fcfs.recv_times.ctypes.data
     keep = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 20_000, 0.1, 17)
     del fcfs
     gc.collect()
     # the inf trace keeps the draw alive, and with it the completions
-    assert engine._COMPLETIONS[ARR, SVC, 20_000, 17] is completions
-    del completions
+    assert keep.gen_times.base is engine._DRAWS[ARR, SVC, 20_000, 17]
     traces = [run_simulation(ARR, SVC, d, 20_000, 0.1, 17) for d in SINGLE_SERVER]
     assert len(calls) == 1
-    assert traces[0].recv_times is engine._COMPLETIONS[ARR, SVC, 20_000, 17]
+    assert traces[0].recv_times.base is engine._DRAWS[ARR, SVC, 20_000, 17]
+    assert traces[0].recv_times.ctypes.data == address
+    assert np.array_equal(traces[0].recv_times, completions)
     del keep, traces
     gc.collect()
     assert not engine._DRAWS
-    assert not engine._COMPLETIONS
 
 
-def test_a_lone_inf_run_skips_the_fcfs_pass(monkeypatch):
+def test_one_fcfs_pass_per_draw_whichever_discipline_runs_first(monkeypatch):
     calls = count_fcfs_passes(monkeypatch)
-    trace = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 20_000, 0.1, 19)
-    assert calls == []
-    # while the trace keeps its draw alive, the draw has no completions either
-    assert (ARR, SVC, 20_000, 19) in engine._DRAWS
-    assert (ARR, SVC, 20_000, 19) not in engine._COMPLETIONS
-    del trace
+    for passes, first in enumerate(ALL_DISCIPLINES, start=1):
+        seed = 19 + passes  # a draw of its own for each first discipline
+        trace = run_simulation(ARR, SVC, first, 20_000, 0.1, seed)
+        assert len(calls) == passes
+        # inf included: the draw it made holds the completions that every later run reads
+        others = [run_simulation(ARR, SVC, d, 20_000, 0.1, seed) for d in ALL_DISCIPLINES]
+        assert len(calls) == passes
+        for tr in others:
+            assert tr.gen_times.base is trace.gen_times.base is engine._DRAWS[ARR, SVC, 20_000, seed]
+        assert others[0].recv_times.base is trace.gen_times.base
+        del trace, others, tr
+    gc.collect()
+    assert not engine._DRAWS
 
 
 def test_one_fcfs_pass_per_law_when_only_the_latest_trace_lives(monkeypatch):
@@ -223,7 +233,7 @@ def test_one_fcfs_pass_per_law_when_only_the_latest_trace_lives(monkeypatch):
     assert len(calls) == 2
     del trace
     gc.collect()
-    assert not engine._COMPLETIONS
+    assert not engine._DRAWS
 
 
 @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -174,6 +176,47 @@ def test_run_suite_couples_the_disciplines_of_a_law():
 def test_run_suite_serial_vs_parallel_identical():
     cfg = small_config(n=3000, reps=3)
     assert run_suite(cfg, parallel=False) == run_suite(cfg, parallel=True)
+
+
+@pytest.mark.parametrize(
+    "cpus, max_workers, reps, size",
+    [
+        (64, None, 2, 2),  # a 2-job suite forks 2 workers, not one per CPU
+        (3, None, 6, 3),
+        (1, None, 4, None),  # one usable CPU: serial, no pool
+        (None, None, 6, 5),  # no affinity on this platform: os.cpu_count()
+        (64, 8, 2, 2),
+        (1, 3, 6, 3),  # a given max_workers needs no affinity
+        (64, 1, 4, None),
+        (64, 4, 1, None),  # one job
+    ],
+)
+def test_run_suite_sizes_its_pool_from_the_work(monkeypatch, cpus, max_workers, reps, size):
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    cfg = small_config(points=("fcfs exp", "lcfs-p exp"), n=500, reps=reps)
+    pooled = run_suite(cfg, parallel=True, max_workers=max_workers)
+    assert sizes == ([] if size is None else [size])
+    assert pooled == run_suite(cfg, parallel=False)
 
 
 def test_run_suite_oracle_columns():

@@ -293,6 +293,18 @@ def test_busy_periods_start_where_a_tie_empties_the_server():
     assert starts == gen[_period_starts(gen, ref)].tolist() == [0.2, 0.5, 0.6]
 
 
+@PROPERTY
+@given(w=st.lists(st.integers(0, 3), min_size=1, max_size=40))
+@example(w=[2] * 12)  # all equal: every k is i + 1
+@example(w=list(range(12)))  # strictly increasing: no k, so the sentinel's index
+def test_next_not_above_matches_brute_force(w):
+    # the first k > i with w[k] <= w[i], or n; the kernel searches the n + 1 floats it is given, -inf last
+    n = len(w)
+    brute = [next((k for k in range(i + 1, n) if w[k] <= w[i]), n) for i in range(n)]
+    ext = np.array([*w, -np.inf])
+    assert engine._next_not_above(ext).tolist() == brute
+
+
 def test_lcfs_preemptive_heavy_tail_stress():
     # alpha near 1 at load 0.95: long busy periods and deep preemption nests
     rng = np.random.default_rng(2024)

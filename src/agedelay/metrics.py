@@ -101,14 +101,8 @@ def _age_area_at(trace: "SimulationTrace", ts: np.ndarray, idx: np.ndarray) -> n
 
 
 def _batch_means(values: np.ndarray) -> np.ndarray:
-    """Means of np.array_split(values, N_BATCHES), in two calls.
-
-    array_split gives the first r batches q + 1 values and the rest q.
-    """
-    q, r = divmod(values.shape[0], N_BATCHES)
-    cut = r * (q + 1)
-    long, short = values[:cut].reshape(r, q + 1), values[cut:].reshape(N_BATCHES - r, q)
-    return np.concatenate((long.mean(axis=1), short.mean(axis=1)))
+    """Means of N_BATCHES contiguous batches of values, as np.array_split cuts them."""
+    return np.array([b.mean() for b in np.array_split(values, N_BATCHES)])
 
 
 # 0.975 quantile of the standard normal: the limit of _t975(df) as df -> inf
@@ -240,20 +234,12 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
     avg_age = float(area[-1] - area[0]) / (t_b - t_a)
     ci_age = t_halfwidth(np.diff(area) / np.diff(edges))
 
-    # delays.mean() and delays.var(ddof=1) bit for bit, the variance's squares written over delays
-    mean = delays.sum() / n
-    if n >= 2 * N_BATCHES:
-        ci_delay = t_halfwidth(_batch_means(delays))
-    else:
-        ci_delay = t_halfwidth(delays)
-    delays -= mean
-    np.multiply(delays, delays, out=delays)
-    delay_var = delays.sum() / (n - 1)
+    ci_delay = t_halfwidth(_batch_means(delays) if n >= 2 * N_BATCHES else delays)
 
     return MetricsReport(
         avg_age=avg_age,
-        mean_delay=float(mean),
-        delay_variance=float(delay_var),
+        mean_delay=float(delays.mean()),
+        delay_variance=float(delays.var(ddof=1)),
         informative_fraction=int(np.count_nonzero(trace.informative[lo:])) / n,
         n_counted=n,
         ci_halfwidth_age=ci_age,

@@ -108,34 +108,16 @@ _NEGLIGIBLE = 1e-17
 _ROUNDING_LIMIT = 1e-6
 
 
-def _legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) for n = _GL_ORDER, by the three-term recurrence."""
-    n = _GL_ORDER
-    prev, cur = np.ones_like(x), x
-    for j in range(2, n + 1):
-        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
-    return cur, n * (x * cur - prev) / (x * x - 1.0)
-
-
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of _GL_ORDER-point Gauss-Legendre on [-1, 1], nodes ascending.
 
-    Newton's method on the recurrence, from the usual cosine guesses; it
-    matches numpy.polynomial.legendre.leggauss to about 4e-16.  Built on
-    first use, so that importing the package does no quadrature work and
-    loads neither numpy.polynomial nor LAPACK.
+    numpy's leggauss, built on first use, so that importing the package
+    does no quadrature work and loads no numpy.polynomial.
     """
-    n = _GL_ORDER
-    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre(x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-16:
-            break
-    dp = _legendre(x)[1]
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(_GL_ORDER)
 
 
 def _log_bends(service: ServiceDistribution) -> np.ndarray:

@@ -73,15 +73,22 @@ def test_runtime_never_loads_scipy():
     assert run_fresh(RUNTIME_SCRIPT).strip() == "[]"
 
 
-# only a pooled suite needs these packages; importing them would slow every command's start
+# modules a fresh import must not load: it would slow every command's start
 IMPORT_SCRIPT = """
 import sys
 
 import agedelay
-pool_only = ("numpy.random", "concurrent.futures", "multiprocessing")
-print([name for name in sys.modules if any(name == p or name.startswith(p + ".") for p in pool_only)])
+lazy = {lazy!r}
+print([name for name in sys.modules if any(name == p or name.startswith(p + ".") for p in lazy)])
 """
 
 
 def test_import_leaves_out_pool_modules():
-    assert run_fresh(IMPORT_SCRIPT).strip() == "[]"
+    # only a pooled suite needs these packages
+    pool_only = ("numpy.random", "concurrent.futures", "multiprocessing")
+    assert run_fresh(IMPORT_SCRIPT.format(lazy=pool_only)).strip() == "[]"
+
+
+def test_import_leaves_out_numpy_polynomial():
+    # only the first gginf_age quadrature needs leggauss, and numpy.polynomial takes about 3 ms to import
+    assert run_fresh(IMPORT_SCRIPT.format(lazy=("numpy.polynomial",))).strip() == "[]"

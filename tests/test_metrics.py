@@ -21,7 +21,7 @@ from agedelay import (
 )
 import agedelay.metrics as metrics
 from agedelay.engine import _informative_receptions
-from agedelay.metrics import N_BATCHES, _age_area_at, _batch_means, _default_window, _t975, age_at
+from agedelay.metrics import N_BATCHES, _age_area_at, _default_window, _t975, age_at
 from reference_loop import AgeTracker, track_ages
 
 ARR = parse_arrival("exp", 0.5)
@@ -243,7 +243,7 @@ def test_infinite_server_delay_variance_equals_service_variance():
 @pytest.mark.parametrize("lam", [0.5, 0.76])
 @pytest.mark.parametrize("spec", ["exp", "pareto alpha=1.5"])
 def test_summarize_delay_moments_are_numpys(spec, lam):
-    # summarize sums once for the mean, squares over its own delays and counts the flags
+    # summarize takes numpy's mean and variance of the post-warmup delays and counts the flags
     for discipline in Discipline:
         tr = run_simulation(parse_arrival("exp", lam), parse_service(spec, 0.8), discipline, 100_000, 0.1, 41)
         lo = int(np.searchsorted(tr.gen_times, _default_window(tr)[0], side="left"))
@@ -400,13 +400,6 @@ def test_age_area_in_place_is_bit_identical(discipline):
     for ts in (np.linspace(t_a, t_b, N_BATCHES + 1), tr.breakpoint_times[3:400], np.array([t_a, t_a])):
         idx = np.searchsorted(tr.breakpoint_times, ts, side="right") - 1
         assert np.array_equal(_age_area_at(tr, ts, idx), _age_area_concatenated(tr, ts))
-
-
-def test_batch_means_are_array_split_means():
-    values = np.random.default_rng(12).exponential(size=900_017)
-    for m in [*range(2 * N_BATCHES, 401), 900_017]:
-        expected = [b.mean() for b in np.array_split(values[:m], N_BATCHES)]
-        assert np.array_equal(_batch_means(values[:m]), expected), m
 
 
 def test_t975_matches_scipy_quantile():

@@ -23,7 +23,7 @@ from agedelay import (
     tail_decay_table,
 )
 from agedelay.engine import parse_grid_line
-from agedelay.oracles import _gauss_legendre, _pending_minima, gginf_age_estimate
+from agedelay.oracles import _log_panels, _pending_minima, gginf_age_estimate
 
 MU = 0.8
 POISSON = parse_arrival("exp", 0.5)
@@ -246,11 +246,13 @@ def test_gginf_age_det_closed_forms():
     assert gginf_age(ArrivalProcess("exp", 1e4), parse_service("det", MU)) == 1e-4 + 1.25
 
 
-def test_gauss_legendre_nodes_match_numpy():
-    nodes, weights = _gauss_legendre()
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
-    assert np.max(np.abs(nodes - ref_nodes)) <= 4e-16
-    assert np.max(np.abs(weights - ref_weights)) <= 4e-16
+@pytest.mark.parametrize("lo, hi, s", [(1e-18, 60.0, 1.0), (1e-12, 200.0, 0.25), (1e-15, 40.0, 3.0)])
+def test_log_panels_integrate_an_exponential_density_to_one(lo, hi, s):
+    # s e^(-s x) over (lo, hi) by the panels, plus the exact strip below lo; above hi it is under 2e-22.
+    # A rule whose weights sum to 2 + 9e-16 on [-1, 1] reads each panel 4.4e-16 high, past this bound
+    x, w = _log_panels(math.log(lo), math.log(hi), np.empty(0))
+    total = s * float(w @ np.exp(-s * x)) + (1.0 - math.exp(-s * lo))
+    assert abs(total - 1.0) <= 3e-16
 
 
 # each family's whole admissible shape domain; shapes the constructor rejects are skipped

@@ -205,8 +205,15 @@ def test_lcfs_np_loop_resumes_where_the_walk_stopped(monkeypatch, gen, svc, floo
         # the loop ends packet 2 at 0.9000000000000001, so packet 3 arrives in the period that packet 1
         # starts: that lane must stop there, or the lane hinted at packet 3 serves packet 3 too, at 1.3
         ([0.2, 0.4, 0.6000000000000001, 0.9, 0.9], [0.0, 0.30000000000000004, 0.2, 0.4, 0.1], 3),
+        # the same two paths with a later busy period: the loop that ran the falsely hinted start must
+        # skip the lane walked from it before it jumps to the lane at packet 4 or 5
+        ([0.30000000000000004, 0.6000000000000001, 0.8, 1.0, 5.0], [0.0, 0.30000000000000004, 0.1, 0.0, 0.1], 3),
+        ([0.2, 0.4, 0.6000000000000001, 0.9, 0.9, 5.0], [0.0, 0.30000000000000004, 0.2, 0.4, 0.1, 0.1], 3),
     ],
-    ids=["missed-start", "false-start", "false-start-mid-period"],
+    ids=[
+        "missed-start", "false-start", "false-start-mid-period",
+        "false-start-then-idle", "false-start-mid-period-then-idle",
+    ],
 )
 def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):
     gen, svc = np.array(gen), np.array(svc)

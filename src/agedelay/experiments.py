@@ -29,7 +29,7 @@ from .distributions import ArrivalProcess, ServiceDistribution, format_shape
 from . import engine
 from .engine import ExperimentPoint, parse_grid_line
 from .errors import ParameterError
-from .metrics import MetricsReport, summarize, t_halfwidth
+from .metrics import MetricsReport, check_finite, summarize, t_halfwidth
 from .oracles import gginf_age, min_average_age, pk_delay
 
 # Not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name on
@@ -188,6 +188,8 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     and base seed: results are gathered in (grid index, rep) order,
     regardless of execution order.  The oracle cells come first, so an
     oracle that refuses a point stops the suite before any replication.
+    A mean or halfwidth over replications that leaves the double range
+    raises ParameterError, as summarize does for one replication.
     A parallel suite runs min(len(jobs), max_workers) workers, max_workers
     being by default the CPUs this process may run on, and runs serially
     where that leaves one.
@@ -228,17 +230,31 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     points = []
     for idx, point in enumerate(cfg.grid):
         reps = by_point[idx]
-        ages = [r.avg_age for r in reps]
-        delays = [r.mean_delay for r in reps]
-        variances = [r.delay_variance for r in reps]
         if cfg.n_reps >= 2:
-            age_ci = t_halfwidth(ages)
-            delay_ci = t_halfwidth(delays)
-            var_ci = t_halfwidth(variances)
+            ages = [r.avg_age for r in reps]
+            delays = [r.mean_delay for r in reps]
+            variances = [r.delay_variance for r in reps]
+            # each replication's columns are finite, but their means and halfwidths may not be
+            with np.errstate(over="ignore", invalid="ignore"):
+                columns = {
+                    "avg_age": float(np.mean(ages)),
+                    "avg_age_ci": t_halfwidth(ages),
+                    "mean_delay": float(np.mean(delays)),
+                    "mean_delay_ci": t_halfwidth(delays),
+                    "delay_var": float(np.mean(variances)),
+                    "delay_var_ci": t_halfwidth(variances),
+                }
+            check_finite(point, cfg.n_arrivals, columns)
         else:
-            age_ci = reps[0].ci_halfwidth_age
-            delay_ci = reps[0].ci_halfwidth_delay
-            var_ci = math.nan
+            (rep,) = reps
+            columns = {
+                "avg_age": rep.avg_age,
+                "avg_age_ci": rep.ci_halfwidth_age,
+                "mean_delay": rep.mean_delay,
+                "mean_delay_ci": rep.ci_halfwidth_delay,
+                "delay_var": rep.delay_variance,
+                "delay_var_ci": math.nan,
+            }
 
         points.append(
             FrontierPoint(
@@ -246,12 +262,7 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
                 n_arrivals=cfg.n_arrivals,
                 n_reps=cfg.n_reps,
                 seed=seeds[idx],
-                avg_age=float(np.mean(ages)),
-                avg_age_ci=age_ci,
-                mean_delay=float(np.mean(delays)),
-                mean_delay_ci=delay_ci,
-                delay_var=float(np.mean(variances)),
-                delay_var_ci=var_ci,
+                **columns,
                 informative_frac=float(np.mean([r.informative_fraction for r in reps])),
                 **oracle_cells[idx],
             )

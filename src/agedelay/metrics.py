@@ -12,7 +12,8 @@ after a warm-up must follow at least one age drop, and every window must
 hold at least _MIN_WINDOW_DROPS of them, or summarize raises
 DegenerateSampleError.  It also needs the delays to survive rounding:
 where the float spacing at the last generation time passes
-_ROUNDING_SHARE of the mean service time, summarize raises ParameterError.
+_ROUNDING_SHARE of the mean service time, summarize raises ParameterError,
+as it does where a result column leaves the double range.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DegenerateSampleError, ParameterError
 
 if TYPE_CHECKING:
-    from .engine import SimulationTrace
+    from .engine import ExperimentPoint, SimulationTrace
 
 # Batch-means sub-windows (age) and contiguous delay batches per summary.
 N_BATCHES = 32
@@ -167,13 +168,31 @@ def _t975(df: int) -> float:
 
 
 def t_halfwidth(values) -> float:
-    """95% Student-t confidence halfwidth of the mean of values; nan below 2 values."""
+    """95% Student-t confidence halfwidth of the mean of values; nan below 2 values.
+
+    The standard deviation is taken of values scaled by the power of two
+    that brings the largest magnitude into [0.5, 1), and the halfwidth is
+    scaled back.  The scaling is exact, so the halfwidth of 2^k * values is
+    exactly 2^k times that of values wherever both are normal, and no
+    square of a deviation on the values' own scale overflows or underflows.
+    """
     values = np.asarray(values)
     n = values.shape[0]
     if n < 2:
         return math.nan
+    _, e = np.frexp(np.abs(values).max())
     crit = _t975(n - 1)
-    return float(crit * values.std(ddof=1) / math.sqrt(n))
+    return float(np.ldexp(crit * np.ldexp(values, -e).std(ddof=1) / math.sqrt(n), e))
+
+
+def check_finite(point: "ExperimentPoint", n_arrivals: int, columns: dict[str, float]) -> None:
+    """Raise ParameterError, naming the point's rates and n_arrivals, if any of columns is not finite."""
+    lost = [name for name, value in columns.items() if not math.isfinite(value)]
+    if lost:
+        raise ParameterError(
+            f"results at lambda={point.arrival.lam:g}, mu={point.service.mu:g}, n_arrivals={n_arrivals} "
+            f"leave the double range: {', '.join(lost)} not finite"
+        )
 
 
 @dataclass(frozen=True)
@@ -203,7 +222,8 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
     _MIN_WINDOW_DROPS drops.  A horizon short against the service times
     fails these, and raises DegenerateSampleError.  One so long that
     eps * t_b, the float spacing near its end, passes _ROUNDING_SHARE of
-    E[S] rounds every delay recv - gen, and raises ParameterError.
+    E[S] rounds every delay recv - gen, and raises ParameterError.  So
+    does a run whose age, delay or halfwidth columns leave the double range.
     """
     t_a, t_b = _default_window(trace)
     point, spacing = trace.point, sys.float_info.epsilon * t_b
@@ -230,18 +250,17 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
             f"metrics window [{t_a:.6g}, {t_b:.6g}] follows {before} age drops and holds {inside}; "
             f"need >= {need_before} before it and >= {_MIN_WINDOW_DROPS} in it: raise n_arrivals"
         )
-    area = _age_area_at(trace, edges, idx)
-    avg_age = float(area[-1] - area[0]) / (t_b - t_a)
-    ci_age = t_halfwidth(np.diff(area) / np.diff(edges))
-
-    ci_delay = t_halfwidth(_batch_means(delays) if n >= 2 * N_BATCHES else delays)
-
+    # the age area grows as t_b^2 and the delay variance as E[S]^2: what leaves the double range is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = _age_area_at(trace, edges, idx)
+        columns = {
+            "avg_age": float(area[-1] - area[0]) / (t_b - t_a),
+            "mean_delay": float(delays.mean()),
+            "delay_variance": float(delays.var(ddof=1)),
+            "ci_halfwidth_age": t_halfwidth(np.diff(area) / np.diff(edges)),
+            "ci_halfwidth_delay": t_halfwidth(_batch_means(delays) if n >= 2 * N_BATCHES else delays),
+        }
+    check_finite(point, trace.n_generated, columns)
     return MetricsReport(
-        avg_age=avg_age,
-        mean_delay=float(delays.mean()),
-        delay_variance=float(delays.var(ddof=1)),
-        informative_fraction=int(np.count_nonzero(trace.informative[lo:])) / n,
-        n_counted=n,
-        ci_halfwidth_age=ci_age,
-        ci_halfwidth_delay=ci_delay,
+        informative_fraction=int(np.count_nonzero(trace.informative[lo:])) / n, n_counted=n, **columns
     )

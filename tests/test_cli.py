@@ -94,25 +94,6 @@ def test_simulate_out_of_memory_exits_with_one_line(capsys, monkeypatch):
     assert err == "error: out of memory: Unable to allocate 728. TiB for an array with shape (100000000000000,)\n"
 
 
-def test_simulate_unstable_exits_nonzero(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "simulate", "fcfs exp", "--lam", "0.9", "--mu", "0.8",
-        "--n-arrivals", "100", "--serial",
-    )
-    assert code == 1
-    assert "lambda" in err
-
-
-def test_simulate_bad_service_spec(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "simulate", "fcfs pareto", "--lam", "0.5", "--mu", "0.8", "--serial",
-    )
-    assert code == 1
-    assert "alpha" in err
-
-
 def test_sweep_writes_outputs(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(
@@ -144,12 +125,6 @@ def test_figure1_preset_scaled_down(tmp_path, capsys):
     assert code == 0
     lines = (out_dir / "figure1.csv").read_text().splitlines()
     assert len(lines) == 19  # header + 18 grid points
-
-
-def test_missing_config_errors(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sweep", str(tmp_path / "nope.ini"))
-    assert code == 1
-    assert "nope.ini" in err
 
 
 @pytest.mark.parametrize("name", experiments.PRESETS)
@@ -350,29 +325,6 @@ def test_oracle_moment_table_weibull_small_k(capsys):
     assert last[2] == "1.4148205415e+59"
 
 
-def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
-    for argv in (
-        ("simulate", "fcfs weibull k=0.004", "--lam", "0.5", "--mu", "0.8", "--serial"),
-        (
-            "oracle", "tail-table", "--family", "weibull", "--shapes", "1,0.5,0.004",
-            "--xs", "4", "--mu", "0.8", "--lam", "0.5",
-        ),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error:") and "k=0.004" in err
-    # sigma^2 overflows at sigma = 1e200
-    code, out, err = run_cli(
-        capsys,
-        "oracle", "tail-table", "--family", "lognormal", "--shapes", "1,1e10,1e200",
-        "--xs", "2", "--mu", "0.8", "--lam", "0.5",
-    )
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error:") and "sigma=1e+200" in err
-
-
 @pytest.mark.parametrize(
     "argv,fragment",
     [
@@ -490,6 +442,40 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
             ),
             "lambda=1e-12, mu=0.8, n_arrivals=2000 are lost to rounding",
         ),
+        (("simulate", "fcfs pareto", "--lam", "0.5", "--mu", "0.8", "--serial"), "requires exactly alpha"),
+        (("sweep", "nope.ini"), "cannot read config nope.ini"),
+        (("simulate", "fcfs weibull k=0.004", "--lam", "0.5", "--mu", "0.8", "--serial"), "weibull k=0.004 is too small"),
+        (
+            (
+                "oracle", "tail-table", "--family", "weibull", "--shapes", "1,0.5,0.004",
+                "--xs", "4", "--mu", "0.8", "--lam", "0.5",
+            ),
+            "weibull k=0.004 is too small",
+        ),
+        # sigma^2 overflows at sigma = 1e200
+        (
+            (
+                "oracle", "tail-table", "--family", "lognormal", "--shapes", "1,1e10,1e200",
+                "--xs", "2", "--mu", "0.8", "--lam", "0.5",
+            ),
+            "lognormal sigma=1e+200 is too large",
+        ),
+        (
+            ("oracle", "tail-table", "--family", "pareto", "--shapes", "2,1.5", "--xs", "1", "--mu", "0.8", "--lam", "0.5"),
+            "must be >= 1/lambda = 2.0, got [1.0]",
+        ),
+        (
+            ("oracle", "tail-table", "--family", "pareto", "--shapes", "2", "--xs", "abc", "--mu", "0.8", "--lam", "0.5"),
+            "expected a list of numbers, got 'abc'",
+        ),
+        # the age area grows as t_b^2 ~ (n_arrivals / lambda)^2, past the double range here
+        (
+            (
+                "simulate", "fcfs exp", "--lam", "1.6e-154", "--mu", "3e-154", "--n-arrivals", "3000", "--n-reps", "1",
+                "--serial", "--json",
+            ),
+            "results at lambda=1.6e-154, mu=3e-154, n_arrivals=3000 leave the double range",
+        ),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -525,6 +511,14 @@ def test_heavy_tail_shape_past_double_range_exits_with_one_line(capsys):
         "inf-delays-lost-to-rounding",
         "fcfs-delays-lost-to-rounding",
         "sweep-delays-lost-to-rounding",
+        "service-without-its-shape",
+        "missing-config",
+        "weibull-k-past-double-range-simulate",
+        "weibull-k-past-double-range-tail-table",
+        "lognormal-sigma-past-double-range",
+        "x-under-inverse-lambda",
+        "non-numeric-list",
+        "age-area-past-double-range",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):
@@ -532,6 +526,21 @@ def test_bad_input_exits_with_one_line(capsys, argv, fragment):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and fragment in err
+
+
+@pytest.mark.parametrize("lam,mu", [("1e-81", "1e-80"), ("1e100", "1e101"), ("1e-150", "1e-149")])
+def test_simulate_far_from_unit_rates_scales_the_unit_rate_row(capsys, lam, mu):
+    # every time scales as 1/mu; the squared delay variances of the replications overflow at 1e-81 and 1e-150
+    # and underflow at 1e100, and their halfwidth must not
+    def columns(lam, mu):
+        argv = ("--n-arrivals", "3000", "--n-reps", "3", "--serial", "--json")
+        code, out, err = run_cli(capsys, "simulate", "fcfs exp", "--lam", lam, "--mu", mu, *argv)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        names = ("avg_age", "avg_age_ci", "mean_delay", "mean_delay_ci", "delay_var", "delay_var_ci")
+        return [doc[name] * doc["mu"] ** (2 if name.startswith("delay_var") else 1) for name in names]
+
+    assert columns(lam, mu) == pytest.approx(columns("0.1", "1"), rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -634,27 +643,6 @@ def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and "repeated key 'arrival'" in err
-
-
-def test_oracle_rejects_bad_domain(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "oracle", "tail-table", "--family", "pareto", "--shapes", "2,1.5",
-        "--xs", "1", "--mu", "0.8", "--lam", "0.5",
-    )
-    assert code == 1
-    assert "1/lambda" in err
-
-
-def test_oracle_rejects_non_numeric_list(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "oracle", "tail-table", "--family", "pareto", "--shapes", "2",
-        "--xs", "abc", "--mu", "0.8", "--lam", "0.5",
-    )
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error:") and "'abc'" in err
 
 
 def test_stability_error_on_oracle(capsys):

@@ -12,6 +12,7 @@ from agedelay import (
     Discipline,
     ExperimentPoint,
     FrontierPoint,
+    MetricsReport,
     ParameterError,
     ServiceDistribution,
     StabilityError,
@@ -283,6 +284,23 @@ def test_run_suite_checks_its_oracles_before_it_simulates(monkeypatch):
     )
     with pytest.raises(ParameterError, match="needs more than 10000 terms"):
         run_suite(cfg, parallel=False)
+
+
+def test_run_suite_refuses_means_past_the_double_range(monkeypatch):
+    # each replication's columns are finite, but the sum of two ages of 1e308 is not
+    report = MetricsReport(
+        avg_age=1e308,
+        mean_delay=1.0,
+        delay_variance=1.0,
+        informative_fraction=1.0,
+        n_counted=2000,
+        ci_halfwidth_age=1.0,
+        ci_halfwidth_delay=1.0,
+    )
+    monkeypatch.setattr(experiments, "summarize", lambda trace: report)
+    message = "^results at lambda=0.5, mu=0.8, n_arrivals=2000 leave the double range: avg_age not finite$"
+    with pytest.raises(ParameterError, match=message):
+        run_suite(small_config(points=("fcfs exp",)), parallel=False)
 
 
 def test_run_suite_names_unstable_point():

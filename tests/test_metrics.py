@@ -21,7 +21,7 @@ from agedelay import (
 )
 import agedelay.metrics as metrics
 from agedelay.engine import _informative_receptions
-from agedelay.metrics import N_BATCHES, _age_area_at, _default_window, _t975, age_at
+from agedelay.metrics import N_BATCHES, _age_area_at, _default_window, _t975, age_at, t_halfwidth
 from reference_loop import AgeTracker, track_ages
 
 ARR = parse_arrival("exp", 0.5)
@@ -419,3 +419,10 @@ def test_t975_decreases_to_normal_quantile():
 def test_t975_is_memoised():
     first = _t975(31)
     assert _t975(31) is first
+
+
+@pytest.mark.parametrize("k", [530, -560])
+def test_t_halfwidth_scales_exactly_by_powers_of_two(k):
+    # the squared deviations of 2^530 v overflow and those of 2^-560 v underflow; the halfwidth must not
+    v = np.array([1.2, 1.25, 1.3])
+    assert t_halfwidth(np.ldexp(v, k)) == np.ldexp(t_halfwidth(v), k)

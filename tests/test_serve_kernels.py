@@ -209,10 +209,18 @@ def test_lcfs_np_loop_resumes_where_the_walk_stopped(monkeypatch, gen, svc, floo
         # skip the lane walked from it before it jumps to the lane at packet 4 or 5
         ([0.30000000000000004, 0.6000000000000001, 0.8, 1.0, 5.0], [0.0, 0.30000000000000004, 0.1, 0.0, 0.1], 3),
         ([0.2, 0.4, 0.6000000000000001, 0.9, 0.9, 5.0], [0.0, 0.30000000000000004, 0.2, 0.4, 0.1, 0.1], 3),
+        # the mid-period path, then the missed start scaled by 16, which keeps its ties: at a lane floor
+        # of 1, one walk step ends a lane one packet before its hinted end and stops a falsely hinted one
+        (
+            [0.2, 0.4, 0.6000000000000001, 0.9, 0.9]
+            + [16 * g for g in (0.30000000000000004, 0.6000000000000001, 0.6000000000000001, 0.7000000000000001)],
+            [0.0, 0.30000000000000004, 0.2, 0.4, 0.1] + [16 * s for s in (0.1, 0.1, 0.0, 0.0)],
+            3,
+        ),
     ],
     ids=[
         "missed-start", "false-start", "false-start-mid-period",
-        "false-start-then-idle", "false-start-mid-period-then-idle",
+        "false-start-then-idle", "false-start-mid-period-then-idle", "false-start-mid-period-then-missed-start",
     ],
 )
 def test_lcfs_np_keeps_ties_its_fcfs_hints_miss(gen, svc, packet):

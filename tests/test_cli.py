@@ -79,6 +79,17 @@ def test_simulate_prints_the_one_point_suite_row(capsys):
     assert out == csv_text(run_suite(cfg, parallel=False))
 
 
+def test_simulate_unstable_exits_nonzero(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "fcfs exp", "--lam", "0.9", "--mu", "0.8",
+        "--n-arrivals", "100", "--serial",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: fcfs exp: lambda=0.9 >= mu=0.8\n"
+
+
 def test_simulate_out_of_memory_exits_with_one_line(capsys, monkeypatch):
     def run_simulation(*args):
         raise MemoryError("Unable to allocate 728. TiB for an array with shape (100000000000000,)")

@@ -50,7 +50,10 @@ def _gammainc(a: float, u: np.ndarray) -> np.ndarray:
 
     Below u = a + 1, the power series for P; from there up, the continued
     fraction for 1 - P by the modified Lentz method.  Both are scaled by
-    u^a e^-u / Gamma(a), and each entry stops as it converges.
+    u^a e^-u / Gamma(a), and each entry stops as it converges.  The scale
+    is that product wherever Gamma(a), u^a, e^-u and u^a e^-u are finite
+    normal doubles; elsewhere it is exp(a log u - u - log Gamma(a)), whose
+    exponent cancels and costs up to some 1e-13 relative.
     """
     shape = np.shape(u)
     u = np.ravel(np.asarray(u, dtype=float))
@@ -59,8 +62,14 @@ def _gammainc(a: float, u: np.ndarray) -> np.ndarray:
     # be scaled to nothing and, near the top of the double range, the continued fraction
     # overflows to nan and would never converge
     p = np.where(below, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.exp(a * np.log(u) - u - math.lgamma(a))
+        power, decay = u**a, np.exp(-u)
+        direct = power * decay  # at most power, as decay <= 1
+    gamma = _or_inf(math.gamma, a)
+    if gamma < math.inf:
+        tiny = sys.float_info.min
+        np.divide(direct, gamma, out=scale, where=(power < math.inf) & (decay >= tiny) & (direct >= tiny))
     live = (scale > 0.0) & (u < math.inf)
     lo = np.flatnonzero(live & below)
     hi = np.flatnonzero(live & ~below)

@@ -3,23 +3,21 @@
 A run generates exactly n_arrivals packets, draws every packet's service
 requirement at arrival time from a dedicated substream (so all disciplines
 see identical arrival/service sequences for a given seed, and coupled runs
-share one read-only copy of them), stops generation, drains the backlog
-completely, and returns the full trace.  Ties between a departure and an
-arrival at the same instant process the departure first.
+share one read-only draw of them, which carries their FCFS completions;
+see _draw), stops generation, drains the backlog completely, and returns
+the full trace.  Ties between a departure and an arrival at the same
+instant process the departure first.
 Each discipline has its own serve kernel: closed forms for fcfs, lcfs-p and
 inf; for lcfs-np, a vectorised walk that serves every busy period at once,
 one stack per lane, while at least _LANE_FLOOR periods are live, and a
 stack loop that resumes each lane where the walk stopped it, its stack
-rebuilt from the walk's links.  A draw is one read-only buffer of
-3 n_arrivals + 1 floats: the generation times, the service requirements,
-then the initial breakpoint 0.0 and the FCFS completions, so the
-completions live exactly as long as the draw.  Every single-server kernel
-takes them: the fcfs receptions, the start of the lcfs-p kernel and the
-busy-period hints of the lcfs-np kernel, which _period_starts, the one
-rule for where a period starts, marks.  One pass marks every discipline's
-informative receptions.  An fcfs trace's recv_times is the completions'
-view and, where no generation time repeats, its breakpoint_times the view
-from the 0.0 on, so the trace holds no second copy of its receptions.
+rebuilt from the walk's links.  Every single-server kernel takes the
+draw's FCFS completions: the fcfs receptions, the start of the lcfs-p
+kernel and the busy-period hints of the lcfs-np kernel, which
+_period_starts, the one rule for where a period starts, marks.  One pass
+marks every discipline's informative receptions.  An fcfs trace views its
+receptions and, where no generation time repeats, its breakpoint times in
+the draw, so the trace holds no second copy of them.
 """
 
 from __future__ import annotations
@@ -90,10 +88,11 @@ class SimulationTrace:
     process drops: entry j says the age equals breakpoint_ages[j] just
     after time breakpoint_times[j] and then grows at slope one.  The
     leading breakpoint (0, 0) is the initial condition.  gen_times and
-    service_reqs are read-only views of the draw that coupled runs share.
-    Every discipline's flags and breakpoints come from one marking pass.
-    An fcfs trace's recv_times is read-only too; where no generation time
-    repeats, it is breakpoint_times[1:], and breakpoint_times is read-only.
+    service_reqs are read-only views of the draw that coupled runs share
+    (see _draw).  Every discipline's flags and breakpoints come from one
+    marking pass.  An fcfs trace's recv_times is a read-only view of the
+    draw too; where no generation time repeats, it is breakpoint_times[1:],
+    and breakpoint_times is read-only.
     """
 
     gen_times: np.ndarray
@@ -169,9 +168,8 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray, buf: np.ndarray | None = None) -> np
     a sequential run would.  The unrolled sums can round c_i one step below
     c_{i-1} where s_i is tiny; a running maximum restores the FIFO order,
     and leaves a path without such an inversion bit for bit.  buf[0] is set
-    to 0.0, the age path's initial breakpoint, so an FCFS trace's
-    breakpoint times are buf.  _draw passes the tail of the draw's buffer;
-    without one, _fcfs allocates its own.
+    to 0.0, the age path's initial breakpoint; _draw passes its own tail,
+    and without one, _fcfs allocates buf.
     """
     if buf is None:
         buf = np.empty(gen.shape[0] + 1)
@@ -229,50 +227,48 @@ def _walk_lcfs_periods(g: np.ndarray, svc: np.ndarray, starts: np.ndarray, out: 
     """Serve every hinted busy period in LCFS-NP order at once; return the loop's states where lanes stopped.
 
     Each hinted start is a lane, with state (serving k, its completion t,
-    next arrival a, stack top, next hinted start h, its own start); an
-    empty stack's top is -1.  g carries _GATHERS infinite sentinels.
-    below[x] is the packet under x on its lane's stack.  It starts as
-    arange(-1, n), so pushing a run a..j-1 writes only below[a]; its last
-    entry takes the link of an arrival that never comes.  A step does the
-    loop's own operations: out[k] = t; the arrivals a..j-1 before t go on
-    the stack, or none arrive; the top is popped into service, and
-    t += s[k].  Arrivals are counted by gathers at a, a + 1, ...; only a
-    lane still counting after _GATHERS of them calls searchsorted.  A lane
-    whose stack empties at its hinted end is done.  A lane stops unchanged
-    where packet h arrives before t or its stack empties before h; all
-    others stop where they are once fewer than _LANE_FLOOR lanes are live.
-    Returns the stopped lanes' int rows (k, a, top, h, start) and their t,
-    sorted by start.
+    next arrival a, stack top, next hinted start h); an empty stack's top
+    is -1.  g carries _GATHERS infinite sentinels.  below[x] is the packet
+    under x on its lane's stack.  It starts as arange(-1, n), so pushing a
+    run a..j-1 writes only below[a]; its last entry takes the link of an
+    arrival that never comes.  A step does the loop's own operations:
+    out[k] = t; the arrivals a..j-1 before t go on the stack, or none
+    arrive; the top is popped into service, and t += s[k].  Arrivals are
+    counted by gathers at a, a + 1, ...; only a lane still counting after
+    _GATHERS of them calls searchsorted.  A lane whose stack empties at its
+    hinted end is done.  A lane stops unchanged where packet h arrives
+    before t or its stack empties before h; all others stop where they are
+    once fewer than _LANE_FLOOR lanes are live.  Returns the stopped lanes'
+    rows (k, a, top, h), sorted by h; each one's t is out[k], as a lane
+    writes only packets before its h.
     """
     n = out.shape[0]
-    lanes = np.empty((5, starts.shape[0]), dtype=np.intp)
+    lanes = np.empty((4, starts.shape[0]), dtype=np.intp)
     lanes[0] = starts
     np.add(starts, 1, out=lanes[1])
     lanes[2] = -1
     lanes[3, :-1] = starts[1:]
     lanes[3, -1] = n
-    lanes[4] = starts
     t = g[starts] + svc[starts]
     shifted = [g[d:] for d in range(_GATHERS)]  # shifted[d][a] is g[a + d]
-    stopped, stopped_t = [], []
+    stopped = []
 
-    def drop(ends, stops, lanes, t, *rest):
+    def drop(ends, stops, lanes, *rest):
         """Record the lanes that stop, and keep the ones that do not end, in every array given."""
         if stops.any():
             stopped.append(lanes.compress(stops, axis=1))
-            stopped_t.append(t.compress(stops))
         live = ~ends
-        return [x.compress(live, axis=-1) for x in (lanes, t, *rest)]
+        return [x.compress(live, axis=-1) for x in (lanes, *rest)]
 
     while lanes.shape[1] >= _LANE_FLOOR:
-        k, a, top, h = lanes[:4]
+        k, a, top, h = lanes
         out[k] = t
         arrived = shifted[0][a] < t
         empty = (top + arrived) < 0  # nothing arrived and the stack is empty
         if empty.any():
             # a period that ends before its hinted end stops; one that ends there is done
             lanes, t, arrived = drop(empty, empty & (a != h), lanes, t, arrived)
-            k, a, top, h = lanes[:4]
+            k, a, top, h = lanes
         j = a + arrived
         counting = arrived
         for gd in shifted[1:]:
@@ -284,17 +280,16 @@ def _walk_lcfs_periods(g: np.ndarray, svc: np.ndarray, starts: np.ndarray, out: 
         over = j > h  # packet h arrives before t: the hint is wrong
         if over.any():
             lanes, t, arrived, j = drop(over, over, lanes, t, arrived, j)
-            k, a, top, h = lanes[:4]
+            k, a, top, h = lanes
         below[a] = top  # bottom of the run a..j-1; where none arrived, a's link is rewritten when it does
         k[:] = np.where(arrived, j - 1, top)
         np.take(below, k, out=top)
         np.copyto(a, j)
         t += svc[k]
+    out[lanes[0]] = t
     stopped.append(lanes)
-    stopped_t.append(t)
-    lanes, t = np.concatenate(stopped, axis=1), np.concatenate(stopped_t)
-    order = np.argsort(lanes[4])
-    return lanes[:, order], t[order]
+    lanes = np.concatenate(stopped, axis=1)
+    return lanes[:, np.argsort(lanes[3])]
 
 
 def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -304,9 +299,10 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -
     the same instant arrives just after the departure.  The busy periods
     start where c hints, and _walk_lcfs_periods serves them all at once,
     one stack per lane.  The stack loop runs only from the states where a
-    lane stopped, its stack rebuilt from below.  When the loop's stack
-    empties at a hinted start i, the lane from i was the loop's own path,
-    so the loop jumps to the first stopped lane that starts at or after i.
+    lane stopped, its stack rebuilt from below and its completion read
+    from out.  When the loop's stack empties at a hinted start i, the lane
+    from i was the loop's own path, so the loop jumps to the first stopped
+    lane whose hinted end lies past i, the first that starts at or after i.
     Each reception is the loop's own sum, so a wrong hint costs time,
     never a bit.
     """
@@ -315,23 +311,23 @@ def _serve_lcfs_nonpreemptive(gen: np.ndarray, svc: np.ndarray, c: np.ndarray) -
     ext = np.append(gen, np.full(_GATHERS, _INF))  # sentinels: no arrival after the last
     out = np.empty(n)
     below = np.arange(-1, n)
-    lanes, lane_t = _walk_lcfs_periods(ext, svc, np.flatnonzero(hinted), out, below)
+    lanes = _walk_lcfs_periods(ext, svc, np.flatnonzero(hinted), out, below)
     # memoryviews read and write the arrays in place: no copies, no object per packet
     g, s, recv, hint, down = memoryview(ext), memoryview(svc), memoryview(out), memoryview(hinted), memoryview(below)
-    rk, ra, rtop, _, rstart = lanes.tolist()
-    rt = lane_t.tolist()
-    m = len(rt)
+    rk, ra, rtop, rh = lanes.tolist()
+    m = len(rh)
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     i = p = 0
     while True:
         # the stack is empty and packet i arrives to an idle server
         if hint[i]:
-            while p < m and rstart[p] < i:
+            while p < m and rh[p] <= i:
                 p += 1
             if p == m:
                 return out
-            serving, t, i, x = rk[p], rt[p], ra[p], rtop[p]
+            serving, i, x = rk[p], ra[p], rtop[p]
+            t = recv[serving]
             p += 1
             while x >= 0:
                 push(x)
@@ -417,11 +413,14 @@ def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> tuple[np
     The key is (arrival, service, n_arrivals, seed).  The seed spawns
     separate arrival and service substreams, so every discipline run at
     that seed sees the same (X_i, S_i).  The three are read-only views of
-    one buffer of 3 n_arrivals + 1 floats, which _DRAWS holds; the FCFS
-    pass (see _fcfs) fills its tail when it is made, so the first run of a
-    draw pays for it, inf included.  Coupled runs share the one buffer
-    while any trace of it lives: it is read-only, so no run can change
-    another's path.
+    one buffer of 3 n_arrivals + 1 floats, which _DRAWS holds: the
+    generation times, the service requirements, then the age path's
+    initial breakpoint 0.0 and the FCFS completions, so an fcfs trace's
+    breakpoint times can be the last view, and the completions live
+    exactly as long as the draw.  The FCFS pass (see _fcfs) fills the tail
+    when the draw is made, so its first run pays for it, inf included.
+    Coupled runs share the one buffer while any trace of it lives: it is
+    read-only, so no run can change another's path.
     """
     arrival, service, n, seed = key
     draw = _DRAWS.get(key)
@@ -451,11 +450,9 @@ def run_simulation(
     Service requirements are assigned once per packet, at arrival, and
     survive preemptions intact (preempt-resume).  Generation stops after
     n_arrivals packets and the backlog is drained, so every generated
-    packet is delivered.  The trace's gen_times and service_reqs are
-    read-only views of the draw it shares with coupled runs, and every
-    kernel reads the FCFS completions the draw holds (see _draw); an FCFS
-    trace's recv_times is their read-only view, and its breakpoint_times
-    the view from the 0.0 before them (see SimulationTrace).
+    packet is delivered.  The trace views the draw it shares with coupled
+    runs, and every single-server kernel reads the draw's FCFS completions
+    (see _draw and SimulationTrace).
     """
     check_run(n_arrivals, warmup_fraction, seed, min_kept=1)
     point = ExperimentPoint(arrival, service, discipline)

@@ -257,6 +257,27 @@ def test_gammainc_matches_scipy(k):
     assert not bad.any(), (a, us[bad])
 
 
+@pytest.mark.parametrize("k", [1, 0.5, 0.1])
+def test_gammainc_series_full_precision(k):
+    # at integer a = 1 + 1/k, P(a, u) = e^-u sum_{j>=a} u^j / j!, in 50-digit decimal from the double u;
+    # the log-form scale exp(a log u - u - lgamma(a)) cancels in its exponent, up to 4e-14 relative at a = 11
+    a = round(1 + 1 / k)
+    us = np.logspace(-8, 0, 81)
+    got = _gammainc(float(a), us)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for u, p in zip(us.tolist(), got.tolist()):
+            x = Decimal(u)
+            term = x**a / math.factorial(a)
+            total, j = Decimal(0), a
+            while term > total * Decimal("1e-45"):
+                total += term
+                j += 1
+                term *= x / j
+            ref = (-x).exp() * total
+            assert abs(Decimal(p) / ref - 1) <= Decimal("2e-15"), u
+
+
 @pytest.mark.parametrize("dist", SERVICE_GRID, ids=_ids(SERVICE_GRID))
 def test_min_identity_on_grid(dist):
     # the mean split at x: E[S 1{S<x}] + x P(S>x) = E[min(S,x)] = 1/mu - integral of P(S>t) over (x, inf),

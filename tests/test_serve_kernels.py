@@ -130,18 +130,17 @@ def sentinel_walk(monkeypatch) -> list:
     calls = []
 
     def wrapped(g, svc, starts, out, below):
-        lanes, t = walk(g, svc, starts, out, below)
+        lanes = walk(g, svc, starts, out, below)
         walked = np.ones(out.shape[0], dtype=bool)  # a period that no stopped lane names was served whole
-        end_of = dict(zip(starts.tolist(), np.append(starts[1:], out.shape[0]).tolist()))
-        for k, a, top, _, start in lanes.T.tolist():
-            walked[a:end_of[start]] = False  # a stopped lane served all that arrived, but k and its stack
+        for k, a, top, h in lanes.T.tolist():
+            walked[a:h] = False  # a stopped lane served all that arrived, but k and its stack
             walked[k] = False
             while top >= 0:
                 walked[top] = False
                 top = below[top]
         out[walked] = SENTINEL
         calls.append(walked)
-        return lanes, t
+        return lanes
 
     monkeypatch.setattr(engine, "_walk_lcfs_periods", wrapped)
     return calls

@@ -137,3 +137,16 @@ def test_mm1_fcfs_and_lcfs_p_mean_delays_agree():
     assert gap <= rf.ci_halfwidth_delay + rp.ci_halfwidth_delay
     # both sit near the memoryless closed form 1/(mu - lambda)
     assert rf.mean_delay == pytest.approx(10.0 / 3.0, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "discipline",
+    [Discipline.FCFS, Discipline.LCFS_NONPREEMPTIVE, Discipline.LCFS_PREEMPTIVE,
+     Discipline.INFINITE_SERVER],
+    ids=lambda d: d.value,
+)
+def test_delay_never_below_service_requirement(discipline):
+    tr = run_simulation(ARR, parse_service("weibull k=0.5", 0.8), discipline, 20_000, 0.1, 29)
+    # exact in real arithmetic; allow a few ulps at the timestamp magnitude
+    tol = 1e-9 * (1.0 + tr.recv_times)
+    assert np.all(tr.recv_times - tr.gen_times >= tr.service_reqs - tol)

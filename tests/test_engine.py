@@ -49,10 +49,10 @@ def test_single_packet_delay_is_service_time(discipline):
 
 @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)
 def test_same_seed_bit_identical(discipline):
-    # a live trace would lend a rerun its draw: keep copies and compare fresh draws
+    # a live trace would lend the rerun its draw: keep copies and compare a fresh draw
     a = run_simulation(ARR, SVC, discipline, 5000, 0.1, 99)
-    gen, svc, recv, bp_times, bp_ages = (
-        x.copy() for x in (a.gen_times, a.service_reqs, a.recv_times, a.breakpoint_times, a.breakpoint_ages)
+    gen, recv, bp_times, bp_ages = (
+        x.copy() for x in (a.gen_times, a.recv_times, a.breakpoint_times, a.breakpoint_ages)
     )
     del a
     gc.collect()
@@ -62,13 +62,19 @@ def test_same_seed_bit_identical(discipline):
     assert np.array_equal(recv, b.recv_times)
     assert np.array_equal(bp_times, b.breakpoint_times)
     assert np.array_equal(bp_ages, b.breakpoint_ages)
-    del b
+
+
+@pytest.mark.parametrize("discipline", SINGLE_SERVER, ids=lambda d: d.value)
+def test_coupled_inputs_across_disciplines(discipline):
+    # all disciplines must see the identical (X_i, S_i) streams per seed, drawn afresh or not
+    base = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 3000, 0.1, 7)
+    gen, svc = base.gen_times.copy(), base.service_reqs.copy()
+    del base
     gc.collect()
     assert not engine._DRAWS
-    # every discipline sees the same (X_i, S_i) at a seed: an inf run drawn afresh does too
-    inf = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 5000, 0.1, 99)
-    assert np.array_equal(gen, inf.gen_times)
-    assert np.array_equal(svc, inf.service_reqs)
+    other = run_simulation(ARR, SVC, discipline, 3000, 0.1, 7)
+    assert np.array_equal(gen, other.gen_times)
+    assert np.array_equal(svc, other.service_reqs)
 
 
 def test_coupled_runs_share_one_read_only_draw():
@@ -154,41 +160,67 @@ def count_fcfs_passes(monkeypatch) -> list:
     return calls
 
 
-def test_one_fcfs_pass_per_draw_whichever_discipline_runs_first(monkeypatch):
+def test_lcfs_p_reuses_a_live_fcfs_pass(monkeypatch):
     heavy = parse_service("pareto alpha=1.5", 0.8)
-    calls = count_fcfs_passes(monkeypatch)
-    # each discipline's receptions on a draw of its own, which pays its own pass
-    alone = {d: run_simulation(ARR, heavy, d, 20_000, 0.1, 13).recv_times.copy() for d in ALL_DISCIPLINES}
-    assert len(calls) == len(ALL_DISCIPLINES)
+    alone = run_simulation(ARR, heavy, Discipline.LCFS_PREEMPTIVE, 20_000, 0.1, 13)
+    recv = alone.recv_times.copy()
+    del alone
+    gc.collect()
     assert not engine._DRAWS
-    calls.clear()
+    calls = count_fcfs_passes(monkeypatch)
+    fcfs = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
+    with pytest.raises(ValueError, match="read-only"):
+        fcfs.recv_times[0] = 1.0
+    # the completions are the draw's own
+    assert fcfs.recv_times.base is engine._DRAWS[ARR, heavy, 20_000, 13]
+    coupled = run_simulation(ARR, heavy, Discipline.LCFS_PREEMPTIVE, 20_000, 0.1, 13)
+    again = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
+    assert len(calls) == 1
+    # bit for bit the run with a draw of its own, and its own writable array
+    assert np.array_equal(coupled.recv_times, recv)
+    assert coupled.recv_times.flags.writeable
+    assert again.recv_times.base is fcfs.recv_times.base
+    assert again.recv_times.ctypes.data == fcfs.recv_times.ctypes.data
+    assert again.recv_times.shape == fcfs.recv_times.shape
+    del fcfs, coupled, again
+    gc.collect()
+    assert not engine._DRAWS
+
+
+def test_the_draw_owns_its_fcfs_pass(monkeypatch):
+    calls = count_fcfs_passes(monkeypatch)
+    fcfs = run_simulation(ARR, SVC, Discipline.FCFS, 20_000, 0.1, 17)
+    completions, address = fcfs.recv_times.copy(), fcfs.recv_times.ctypes.data
+    keep = run_simulation(ARR, SVC, Discipline.INFINITE_SERVER, 20_000, 0.1, 17)
+    del fcfs
+    gc.collect()
+    # the inf trace keeps the draw alive, and with it the completions
+    assert keep.gen_times.base is engine._DRAWS[ARR, SVC, 20_000, 17]
+    traces = [run_simulation(ARR, SVC, d, 20_000, 0.1, 17) for d in SINGLE_SERVER]
+    assert len(calls) == 1
+    assert traces[0].recv_times.base is engine._DRAWS[ARR, SVC, 20_000, 17]
+    assert traces[0].recv_times.ctypes.data == address
+    assert np.array_equal(traces[0].recv_times, completions)
+    del keep, traces
+    gc.collect()
+    assert not engine._DRAWS
+
+
+def test_one_fcfs_pass_per_draw_whichever_discipline_runs_first(monkeypatch):
+    calls = count_fcfs_passes(monkeypatch)
     for passes, first in enumerate(ALL_DISCIPLINES, start=1):
-        trace = run_simulation(ARR, heavy, first, 20_000, 0.1, 13)
+        seed = 19 + passes  # a draw of its own for each first discipline
+        trace = run_simulation(ARR, SVC, first, 20_000, 0.1, seed)
         assert len(calls) == passes
-        draw = engine._DRAWS[ARR, heavy, 20_000, 13]
         # inf included: the draw it made holds the completions that every later run reads
-        others = [run_simulation(ARR, heavy, d, 20_000, 0.1, 13) for d in ALL_DISCIPLINES]
+        others = [run_simulation(ARR, SVC, d, 20_000, 0.1, seed) for d in ALL_DISCIPLINES]
         assert len(calls) == passes
-        for tr in [trace, *others]:
-            assert tr.gen_times.base is draw
-            assert np.array_equal(tr.recv_times, alone[tr.point.discipline])
-            if tr.point.discipline is Discipline.FCFS:
-                assert tr.recv_times.base is draw  # the draw's completions, read-only
-                assert not tr.recv_times.flags.writeable
-            else:
-                assert tr.recv_times.base is None  # a writable array of its own
-                assert tr.recv_times.flags.writeable
-        # the inf trace, which reads no completions, keeps them alive: a later fcfs run finds them in place
-        address, keep = others[0].recv_times.ctypes.data, others[-1]
+        for tr in others:
+            assert tr.gen_times.base is trace.gen_times.base is engine._DRAWS[ARR, SVC, 20_000, seed]
+        assert others[0].recv_times.base is trace.gen_times.base
         del trace, others, tr
-        gc.collect()
-        again = run_simulation(ARR, heavy, Discipline.FCFS, 20_000, 0.1, 13)
-        assert len(calls) == passes
-        assert again.recv_times.base is keep.gen_times.base
-        assert again.recv_times.ctypes.data == address
-        del keep, again, draw
-        gc.collect()
-        assert not engine._DRAWS
+    gc.collect()
+    assert not engine._DRAWS
 
 
 def test_one_fcfs_pass_per_law_when_only_the_latest_trace_lives(monkeypatch):
@@ -206,11 +238,9 @@ def test_one_fcfs_pass_per_law_when_only_the_latest_trace_lives(monkeypatch):
 
 @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=lambda d: d.value)
 def test_no_packet_finishes_early(discipline):
-    # a delay is never below its service requirement, under a heavy tail and a Weibull law alike
-    for spec, seed in (("pareto alpha=1.5", 5), ("weibull k=0.5", 29)):
-        tr = run_simulation(ARR, parse_service(spec, 0.8), discipline, 20_000, 0.1, seed)
-        tol = 1e-9 * (1.0 + tr.recv_times)  # a few ulps at the timestamp magnitude
-        assert np.all(tr.recv_times - tr.gen_times >= tr.service_reqs - tol), spec
+    tr = run_simulation(ARR, parse_service("pareto alpha=1.5", 0.8), discipline, 20_000, 0.1, 5)
+    tol = 1e-9 * (1.0 + tr.recv_times)  # a few ulps at the timestamp magnitude
+    assert np.all(tr.recv_times >= tr.gen_times + tr.service_reqs - tol)
 
 
 def test_infinite_server_reception_is_gen_plus_service():

@@ -166,12 +166,12 @@ def _law_worker(
 ) -> list[MetricsReport]:
     """One replication of one law: a run and a report per discipline, in the order given."""
     arrival, service, disciplines, n_arrivals, warmup_fraction, seed = job
-    # every trace lives to the end of the job, so the later runs share the law's draw and FCFS completions
-    traces, reports = [], []
+    reports = []
     for discipline in disciplines:
-        # looked up on the module at call time, so a wrapper patched onto engine applies
+        # the previous trace lives until this run returns, so the run takes the law's draw and FCFS
+        # completions from engine._DRAWS; looked up on the module at call time, so a wrapper patched
+        # onto engine applies
         trace = engine.run_simulation(arrival, service, discipline, n_arrivals, warmup_fraction, seed)
-        traces.append(trace)
         reports.append(summarize(trace))
     return reports
 
@@ -184,9 +184,10 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     base_seed + l * n_reps + r for each of its disciplines, and every row
     reports its law's base seed, base_seed + l * n_reps.  One job per (law,
     rep) runs the law's disciplines in grid order; they share one draw and
-    its FCFS completions.  Deterministic for a given config
-    and base seed: results are gathered in (grid index, rep) order,
-    regardless of execution order.  The oracle cells come first, so an
+    its FCFS completions.  Deterministic for a given config and base
+    seed: law l's jobs are results l * n_reps to (l + 1) * n_reps - 1,
+    whatever order they ran in, and report j of each is that of the law's
+    j-th point.  The oracle cells come first, so an
     oracle that refuses a point stops the suite before any replication.
     A mean or halfwidth over replications that leaves the double range
     raises ParameterError, as summarize does for one replication.
@@ -198,12 +199,11 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     laws: dict[tuple[ArrivalProcess, ServiceDistribution], list[int]] = {}
     for idx, point in enumerate(cfg.grid):
         laws.setdefault((point.arrival, point.service), []).append(idx)
-    members = list(laws.values())
-    law_seeds = [cfg.base_seed + law * cfg.n_reps for law in range(len(laws))]
+    n_reps = cfg.n_reps
     jobs = [
-        (arrival, service, tuple(cfg.grid[i].discipline for i in idxs), cfg.n_arrivals, cfg.warmup_fraction, seed + rep)
-        for (arrival, service), idxs, seed in zip(laws, members, law_seeds)
-        for rep in range(cfg.n_reps)
+        (arrival, service, tuple(cfg.grid[i].discipline for i in idxs), cfg.n_arrivals, cfg.warmup_fraction, seed)
+        for law, ((arrival, service), idxs) in enumerate(laws.items())
+        for seed in range(cfg.base_seed + law * n_reps, cfg.base_seed + (law + 1) * n_reps)
     ]
 
     if max_workers is None:  # the CPUs this process may run on
@@ -220,54 +220,51 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     else:
         results = [_law_worker(job) for job in jobs]
 
-    # results[law * n_reps + rep] holds the law's reports in the order of members[law]
-    by_point: list[list[MetricsReport]] = [[] for _ in cfg.grid]
-    for job_idx, reports in enumerate(results):
-        for i, report in zip(members[job_idx // cfg.n_reps], reports):
-            by_point[i].append(report)
-    seeds = {i: seed for idxs, seed in zip(members, law_seeds) for i in idxs}
+    rows = {}
+    for law, idxs in enumerate(laws.values()):
+        law_results = results[law * n_reps:(law + 1) * n_reps]
+        for j, idx in enumerate(idxs):
+            reps = [reports[j] for reports in law_results]
+            rows[idx] = _row(cfg, cfg.grid[idx], cfg.base_seed + law * n_reps, reps, oracle_cells[idx])
+    return [rows[idx] for idx in range(len(cfg.grid))]
 
-    points = []
-    for idx, point in enumerate(cfg.grid):
-        reps = by_point[idx]
-        if cfg.n_reps >= 2:
-            ages = [r.avg_age for r in reps]
-            delays = [r.mean_delay for r in reps]
-            variances = [r.delay_variance for r in reps]
-            # each replication's columns are finite, but their means and halfwidths may not be
-            with np.errstate(over="ignore", invalid="ignore"):
-                columns = {
-                    "avg_age": float(np.mean(ages)),
-                    "avg_age_ci": t_halfwidth(ages),
-                    "mean_delay": float(np.mean(delays)),
-                    "mean_delay_ci": t_halfwidth(delays),
-                    "delay_var": float(np.mean(variances)),
-                    "delay_var_ci": t_halfwidth(variances),
-                }
-            check_finite(point, cfg.n_arrivals, columns)
-        else:
-            (rep,) = reps
+
+def _row(cfg: SweepConfig, point: ExperimentPoint, seed: int, reps: list[MetricsReport], cells: dict) -> FrontierPoint:
+    """One point's row: the means and t-halfwidths of its replications, or one replication's batch CIs."""
+    if cfg.n_reps >= 2:
+        ages = [r.avg_age for r in reps]
+        delays = [r.mean_delay for r in reps]
+        variances = [r.delay_variance for r in reps]
+        # each replication's columns are finite, but their means and halfwidths may not be
+        with np.errstate(over="ignore", invalid="ignore"):
             columns = {
-                "avg_age": rep.avg_age,
-                "avg_age_ci": rep.ci_halfwidth_age,
-                "mean_delay": rep.mean_delay,
-                "mean_delay_ci": rep.ci_halfwidth_delay,
-                "delay_var": rep.delay_variance,
-                "delay_var_ci": math.nan,
+                "avg_age": float(np.mean(ages)),
+                "avg_age_ci": t_halfwidth(ages),
+                "mean_delay": float(np.mean(delays)),
+                "mean_delay_ci": t_halfwidth(delays),
+                "delay_var": float(np.mean(variances)),
+                "delay_var_ci": t_halfwidth(variances),
             }
-
-        points.append(
-            FrontierPoint(
-                point=point,
-                n_arrivals=cfg.n_arrivals,
-                n_reps=cfg.n_reps,
-                seed=seeds[idx],
-                **columns,
-                informative_frac=float(np.mean([r.informative_fraction for r in reps])),
-                **oracle_cells[idx],
-            )
-        )
-    return points
+        check_finite(point, cfg.n_arrivals, columns)
+    else:
+        (rep,) = reps
+        columns = {
+            "avg_age": rep.avg_age,
+            "avg_age_ci": rep.ci_halfwidth_age,
+            "mean_delay": rep.mean_delay,
+            "mean_delay_ci": rep.ci_halfwidth_delay,
+            "delay_var": rep.delay_variance,
+            "delay_var_ci": math.nan,
+        }
+    return FrontierPoint(
+        point=point,
+        n_arrivals=cfg.n_arrivals,
+        n_reps=cfg.n_reps,
+        seed=seed,
+        **columns,
+        informative_frac=float(np.mean([r.informative_fraction for r in reps])),
+        **cells,
+    )
 
 
 def _objective_value(point: FrontierPoint, objective: str) -> float:

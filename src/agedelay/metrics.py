@@ -12,8 +12,9 @@ after a warm-up must follow at least one age drop, and every window must
 hold at least _MIN_WINDOW_DROPS of them, or summarize raises
 DegenerateSampleError.  It also needs the delays to survive rounding:
 where the float spacing at the last generation time passes
-_ROUNDING_SHARE of the mean service time, summarize raises ParameterError,
-as it does where a result column leaves the double range.
+_ROUNDING_SHARE of the smaller of the mean service time and the window's
+mean delay, summarize raises ParameterError, as it does where a result
+column leaves the double range.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ N_BATCHES = 32
 _MIN_WINDOW_DROPS = N_BATCHES
 # Query points age_at evaluates per step; its index and gather temporaries hold this many.
 _AGE_CHUNK = 1 << 16
-# The largest share of the mean service time that the float spacing at the horizon may put into a delay.
+# The largest share of E[S], or of the mean delay where that is smaller, that the float spacing at the
+# horizon may put into a delay.
 _ROUNDING_SHARE = 1e-6
 
 
@@ -102,8 +104,14 @@ def _age_area_at(trace: "SimulationTrace", ts: np.ndarray, idx: np.ndarray) -> n
 
 
 def _batch_means(values: np.ndarray) -> np.ndarray:
-    """Means of N_BATCHES contiguous batches of values, as np.array_split cuts them."""
-    return np.array([b.mean() for b in np.array_split(values, N_BATCHES)])
+    """Means of N_BATCHES contiguous batches of values, as np.array_split cuts them.
+
+    With n = q N_BATCHES + r values, the first r batches hold q + 1 and the
+    others q: two reshapes whose row means are each batch's own mean.
+    """
+    q, r = divmod(values.shape[0], N_BATCHES)
+    cut = r * (q + 1)
+    return np.concatenate((values[:cut].reshape(r, q + 1).mean(axis=1), values[cut:].reshape(-1, q).mean(axis=1)))
 
 
 # 0.975 quantile of the standard normal: the limit of _t975(df) as df -> inf
@@ -222,22 +230,27 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
     _MIN_WINDOW_DROPS drops.  A horizon short against the service times
     fails these, and raises DegenerateSampleError.  One so long that
     eps * t_b, the float spacing near its end, passes _ROUNDING_SHARE of
-    E[S] rounds every delay recv - gen, and raises ParameterError.  So
-    does a run whose age, delay or halfwidth columns leave the double range.
+    E[S] or of the window's mean delay, whichever is smaller, rounds the
+    delays recv - gen, and raises ParameterError.  So does a run whose
+    age, delay or halfwidth columns leave the double range.
     """
     t_a, t_b = _default_window(trace)
-    point, spacing = trace.point, sys.float_info.epsilon * t_b
-    if spacing > _ROUNDING_SHARE * point.service.mean():
-        raise ParameterError(
-            f"delays at lambda={point.arrival.lam:g}, mu={point.service.mu:g}, n_arrivals={trace.n_generated} "
-            f"are lost to rounding: the float spacing eps * t = {spacing:.3g} at the horizon t = {t_b:.6g} "
-            f"passes {_ROUNDING_SHARE:g} of E[S] = {point.service.mean():.6g}"
-        )
     lo = int(np.searchsorted(trace.gen_times, t_a, side="left"))
     delays = trace.recv_times[lo:] - trace.gen_times[lo:]
     n = delays.shape[0]
     if n < 2:
         raise DegenerateSampleError("need >= 2 post-warmup packets to summarize")
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean past the double range is refused below
+        mean_delay = float(delays.mean())
+    # the delays' own scale too: services all drawn far below E[S] (weibull k=0.01) give delays far below it
+    point, spacing = trace.point, sys.float_info.epsilon * t_b
+    scale, name = min((point.service.mean(), "E[S]"), (mean_delay, "the mean delay"))
+    if spacing > _ROUNDING_SHARE * scale:
+        raise ParameterError(
+            f"delays at lambda={point.arrival.lam:g}, mu={point.service.mu:g}, n_arrivals={trace.n_generated} "
+            f"are lost to rounding: the float spacing eps * t = {spacing:.3g} at the horizon t = {t_b:.6g} "
+            f"passes {_ROUNDING_SHARE:g} of {name} = {scale:.6g}"
+        )
     if not t_a < t_b:
         raise ParameterError(f"empty metrics window [{t_a}, {t_b}]")
     edges = np.linspace(t_a, t_b, N_BATCHES + 1)
@@ -255,7 +268,7 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
         area = _age_area_at(trace, edges, idx)
         columns = {
             "avg_age": float(area[-1] - area[0]) / (t_b - t_a),
-            "mean_delay": float(delays.mean()),
+            "mean_delay": mean_delay,
             "delay_variance": float(delays.var(ddof=1)),
             "ci_halfwidth_age": t_halfwidth(np.diff(area) / np.diff(edges)),
             "ci_halfwidth_delay": t_halfwidth(_batch_means(delays) if n >= 2 * N_BATCHES else delays),

@@ -174,7 +174,9 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
     [1e-12/lam, 60/lam + 10/mu] under Poisson arrivals, where the integrand
     is 1 to within 1e-12 below and under e^-60 above, and over
     [1e-12 D, D] under periodic ones.  The periodic sum stops at the first
-    k whose products fall below 1e-17 for every U.
+    k whose products fall below 1e-17 for every U.  Every value is floored
+    at min_average_age(arrival), which rounding could otherwise undercut by
+    an ulp.
 
     Raises ParameterError where lam/mu is too large for a sound answer:
     under periodic arrivals, if the sum needs more than _PERIODIC_TERMS =
@@ -186,9 +188,11 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
     (weibull k=1000) or 1e12 (lognormal sigma=0.001).
     """
     lam, mu = arrival.lam, service.mu
+    # the sum can round below the floor where almost every service is far shorter than 1/lam
+    a_min = min_average_age(arrival)
     if arrival.family == "exp":
         if service.family == "det":
-            return 1.0 / lam + 1.0 / mu
+            return max(1.0 / lam + 1.0 / mu, a_min)
         lo, hi = math.log(1e-12 / lam), math.log(60.0 / lam + 10.0 / mu)
         x, w = _log_panels(lo, hi, _log_bends(service))
         below = service.truncated_mean_below(x)
@@ -204,10 +208,10 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
                 f"gginf_age of {service.label()} service under Poisson arrivals at lambda={lam:g}, "
                 f"mu={mu:g} is lost to rounding"
             )
-        return age
+        return max(age, a_min)
     period = 1.0 / lam
     if service.family == "det":
-        return period / 2.0 + 1.0 / mu
+        return max(period / 2.0 + 1.0 / mu, a_min)
     # prod_{j=1..k} P(S > jD) bounds the k-th product at every U, since the tail does not rise
     bound = np.cumprod(service.tail_prob(period * np.arange(1, _PERIODIC_TERMS + 1)))
     n_terms = int(np.argmax(bound < _NEGLIGIBLE))
@@ -227,7 +231,7 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
         prod *= service.tail_prob(u + j * period)
         series += prod
     # below the first panel, the series is about its value at the first node
-    return period / 2.0 + float(w @ series) + math.exp(lo) * float(series[0])
+    return max(period / 2.0 + float(w @ series) + math.exp(lo) * float(series[0]), a_min)
 
 
 def _sweep_distributions(family: str, shapes: Sequence[float], mu: float) -> list[ServiceDistribution]:

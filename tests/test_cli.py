@@ -453,6 +453,14 @@ def test_oracle_moment_table_weibull_small_k(capsys):
             ),
             "lambda=1e-12, mu=0.8, n_arrivals=2000 are lost to rounding",
         ),
+        # every service drawn is below 1e-57, far under E[S] = 1.25: this printed each delay column as 0.0
+        (
+            (
+                "simulate", "fcfs weibull k=0.01", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", "20000",
+                "--n-reps", "2", "--serial", "--json",
+            ),
+            "are lost to rounding",
+        ),
         (("simulate", "fcfs pareto", "--lam", "0.5", "--mu", "0.8", "--serial"), "requires exactly alpha"),
         (("sweep", "nope.ini"), "cannot read config nope.ini"),
         (("simulate", "fcfs weibull k=0.004", "--lam", "0.5", "--mu", "0.8", "--serial"), "weibull k=0.004 is too small"),
@@ -522,6 +530,7 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         "inf-delays-lost-to-rounding",
         "fcfs-delays-lost-to-rounding",
         "sweep-delays-lost-to-rounding",
+        "weibull-delays-lost-to-rounding",
         "service-without-its-shape",
         "missing-config",
         "weibull-k-past-double-range-simulate",

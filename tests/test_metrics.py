@@ -243,7 +243,8 @@ def test_infinite_server_delay_variance_equals_service_variance():
 @pytest.mark.parametrize("lam", [0.5, 0.76])
 @pytest.mark.parametrize("spec", ["exp", "pareto alpha=1.5"])
 def test_summarize_delay_moments_are_numpys(spec, lam):
-    # summarize takes numpy's mean and variance of the post-warmup delays and counts the flags
+    # summarize takes numpy's mean and variance of the post-warmup delays and counts the flags, and its delay
+    # halfwidth is that of the means of np.array_split's batches
     for discipline in Discipline:
         tr = run_simulation(parse_arrival("exp", lam), parse_service(spec, 0.8), discipline, 100_000, 0.1, 41)
         lo = int(np.searchsorted(tr.gen_times, _default_window(tr)[0], side="left"))
@@ -251,8 +252,18 @@ def test_summarize_delay_moments_are_numpys(spec, lam):
         rep = summarize(tr)
         assert rep.mean_delay == float(delays.mean())
         assert rep.delay_variance == float(delays.var(ddof=1))
+        assert rep.ci_halfwidth_delay == t_halfwidth([b.mean() for b in np.array_split(delays, N_BATCHES)])
         assert rep.informative_fraction == float(tr.informative[lo:].mean())
         assert type(rep.mean_delay) is type(rep.delay_variance) is type(rep.informative_fraction) is float
+
+
+def test_batch_means_are_the_array_split_batch_means():
+    # every n % N_BATCHES, at the smallest length summarize batches and at larger ones
+    rng = np.random.default_rng(3)
+    for n in [*range(2 * N_BATCHES, 4 * N_BATCHES), 18_000, 18_017, 999_999]:
+        values = rng.pareto(1.5, n) + rng.standard_exponential(n)
+        expected = np.array([b.mean() for b in np.array_split(values, N_BATCHES)])
+        assert np.array_equal(metrics._batch_means(values), expected), n
 
 
 @pytest.mark.parametrize("n, refused", [(32, True), (33, False)])

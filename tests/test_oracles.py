@@ -174,6 +174,18 @@ def test_gginf_pareto_sweep_decreases_toward_floor():
     assert gginf_age(POISSON, parse_service("pareto alpha=1.0001", MU)) == pytest.approx(2.0, rel=1e-3)
 
 
+def test_gginf_age_never_reads_below_the_floor():
+    # nearly every service here is far shorter than 1/lambda: the sum read one ulp below a_min = 1/lambda
+    below = []
+    for spec in ("weibull k=0.01", "lognormal sigma=20", "lognormal sigma=30", "lognormal sigma=35"):
+        for lam, mu in ((0.5, MU), (1e-3, MU), (1e3, 1.25e3)):
+            arrival = parse_arrival("exp", lam)
+            age, a_min = gginf_age(arrival, parse_service(spec, mu)), min_average_age(arrival)
+            if age < a_min:
+                below.append((spec, lam, age, a_min))
+    assert below == []
+
+
 def test_gginf_consistent_with_infinite_server_simulation():
     svc = parse_service("exp", MU)
     rep = summarize(run_simulation(POISSON, svc, Discipline.INFINITE_SERVER, 200_000, 0.1, 54))

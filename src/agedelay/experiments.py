@@ -161,6 +161,18 @@ def _json_float(x):
     return x
 
 
+# Each discipline's cost per packet-run, run and summary, relative to fcfs's (measured on 2 vCPUs).
+_WORK_WEIGHTS = {
+    Discipline.FCFS: 1,
+    Discipline.INFINITE_SERVER: 1,
+    Discipline.LCFS_PREEMPTIVE: 2,
+    Discipline.LCFS_NONPREEMPTIVE: 4,
+}
+# The weighted packet-runs that pay for one pool worker: half the work, about 1.3M, at which
+# two workers first beat one process on 2 vCPUs.
+_WORK_PER_WORKER = 5 << 17
+
+
 def _law_worker(
     job: tuple[ArrivalProcess, ServiceDistribution, tuple[Discipline, ...], int, float, int],
 ) -> list[MetricsReport]:
@@ -191,9 +203,12 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
     oracle that refuses a point stops the suite before any replication.
     A mean or halfwidth over replications that leaves the double range
     raises ParameterError, as summarize does for one replication.
-    A parallel suite runs min(len(jobs), max_workers) workers, max_workers
-    being by default the CPUs this process may run on, and runs serially
-    where that leaves one.
+    A parallel suite runs min(len(jobs), max_workers, work // _WORK_PER_WORKER)
+    workers, max_workers being by default the CPUs this process may run
+    on and work the suite's packet-runs, n_arrivals * n_reps per point,
+    each weighted by its discipline's _WORK_WEIGHTS.  It runs serially
+    where that leaves one, since a smaller suite ends before a pool of
+    two would pay for its forks.
     """
     oracle_cells = point_oracles(cfg.grid)
     laws: dict[tuple[ArrivalProcess, ServiceDistribution], list[int]] = {}
@@ -208,7 +223,8 @@ def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None =
 
     if max_workers is None:  # the CPUs this process may run on
         max_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(jobs), max_workers)
+    work = cfg.n_arrivals * n_reps * sum(_WORK_WEIGHTS[point.discipline] for point in cfg.grid)
+    workers = min(len(jobs), max_workers, work // _WORK_PER_WORKER)
     if parallel and workers > 1:
         # imported here, so that only a pooled suite pays for them; numpy.random is loaded once,
         # before the fork, so that no worker imports it again on its first job

@@ -266,12 +266,16 @@ def summarize(trace: "SimulationTrace") -> MetricsReport:
     # the age area grows as t_b^2 and the delay variance as E[S]^2: what leaves the double range is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         area = _age_area_at(trace, edges, idx)
+        ci_delay = t_halfwidth(_batch_means(delays) if n >= 2 * N_BATCHES else delays)
+        # delays.var(ddof=1) by numpy's own steps, in place once the CI has read the delays
+        np.subtract(delays, mean_delay, out=delays)
+        np.multiply(delays, delays, out=delays)
         columns = {
             "avg_age": float(area[-1] - area[0]) / (t_b - t_a),
             "mean_delay": mean_delay,
-            "delay_variance": float(delays.var(ddof=1)),
+            "delay_variance": float(delays.sum()) / (n - 1),
             "ci_halfwidth_age": t_halfwidth(np.diff(area) / np.diff(edges)),
-            "ci_halfwidth_delay": t_halfwidth(_batch_means(delays) if n >= 2 * N_BATCHES else delays),
+            "ci_halfwidth_delay": ci_delay,
         }
     check_finite(point, trace.n_generated, columns)
     return MetricsReport(

@@ -631,7 +631,9 @@ def test_simulate_refuses_a_window_without_age_drops(capsys):
     [("figure1", "run.n_arrivals=20"), ("inf.ini", "arrival.rate=1e12")],
     ids=["figure1-20-arrivals", "inf-lambda-1e12"],
 )
-def test_sweep_refuses_a_window_without_enough_age_drops_before_any_output(tmp_path, capsys, suite, setting, serial):
+def test_sweep_refuses_a_window_without_enough_age_drops_before_any_output(
+    tmp_path, capsys, pool_sizes, suite, setting, serial
+):
     if suite == "inf.ini":
         suite = tmp_path / "inf.ini"
         suite.write_text(
@@ -648,6 +650,8 @@ def test_sweep_refuses_a_window_without_enough_age_drops_before_any_output(tmp_p
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: metrics window") and "age drops" in err
     assert not out_dir.exists()
+    # pooled, the error is raised in a worker and carried back through the pool
+    assert pool_sizes == ([] if serial else [2])
 
 
 def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):

@@ -191,25 +191,41 @@ def test_a_law_job_holds_at_most_two_traces():
     assert peak < 21e6, f"a four-discipline law job peaks at {peak / 1e6:.1f} MB"
 
 
-def test_run_suite_serial_vs_parallel_identical():
+def test_run_suite_serial_vs_parallel_identical(pool_sizes):
     cfg = small_config(n=3000, reps=3)
     assert run_suite(cfg, parallel=False) == run_suite(cfg, parallel=True)
+    assert pool_sizes == [2]
+
+
+# a suite of fcfs exp and lcfs-p exp at 500 packets: 1,500 weighted packet-runs per rep
+SMALL = (("fcfs exp", "lcfs-p exp"), 500)
+# 2 x 655,360 weighted packet-runs is the least work that pools: 2 x 218,453 x 3 is 2 short of it
+PAIR = ("fcfs exp", "inf exp")
 
 
 @pytest.mark.parametrize(
-    "cpus, max_workers, reps, size",
+    "cpus, max_workers, suite, reps, work_per_worker, size",
     [
-        (64, None, 2, 2),  # a 2-job suite forks 2 workers, not one per CPU
-        (3, None, 6, 3),
-        (1, None, 4, None),  # one usable CPU: serial, no pool
-        (None, None, 6, 5),  # no affinity on this platform: os.cpu_count()
-        (64, 8, 2, 2),
-        (1, 3, 6, 3),  # a given max_workers needs no affinity
-        (64, 1, 4, None),
-        (64, 4, 1, None),  # one job
+        # the CPU and job caps, where a worker's share of work is one weighted packet-run
+        pytest.param(64, None, SMALL, 2, 1, 2, id="64-None-2-2"),  # a 2-job suite forks 2 workers, not one per CPU
+        pytest.param(3, None, SMALL, 6, 1, 3, id="3-None-6-3"),
+        pytest.param(1, None, SMALL, 4, 1, None, id="1-None-4-None"),  # one usable CPU: serial, no pool
+        pytest.param(None, None, SMALL, 6, 1, 5, id="None-None-6-5"),  # no affinity on this platform: os.cpu_count()
+        pytest.param(64, 8, SMALL, 2, 1, 2, id="64-8-2-2"),
+        pytest.param(1, 3, SMALL, 6, 1, 3, id="1-3-6-3"),  # a given max_workers needs no affinity
+        pytest.param(64, 1, SMALL, 4, 1, None, id="64-1-4-None"),
+        pytest.param(64, 4, SMALL, 1, 1, None, id="64-4-1-None"),  # one job
+        # the work cap at its own constant
+        pytest.param(64, None, SMALL, 6, None, None, id="small-suite-serial"),  # 9,000 weighted
+        pytest.param(64, None, (PAIR, 218_453), 3, None, None, id="just-below-two-shares-serial"),
+        pytest.param(64, None, (PAIR, 131_072), 5, None, 2, id="two-shares-two-workers"),
+        # each lcfs-np packet-run counts 4: 81,920 x 4 reps x 4 is two shares
+        pytest.param(64, None, (("lcfs-np exp",), 81_920), 4, None, 2, id="lcfs-np-counted-four-times"),
+        # four shares, ten jobs: max_workers still caps
+        pytest.param(64, 3, (("lcfs-np exp",), 65_536), 10, None, 3, id="max-workers-caps-the-work"),
     ],
 )
-def test_run_suite_sizes_its_pool_from_the_work(monkeypatch, cpus, max_workers, reps, size):
+def test_run_suite_sizes_its_pool_from_the_work(monkeypatch, cpus, max_workers, suite, reps, work_per_worker, size):
     sizes = []
 
     class Pool:
@@ -231,10 +247,19 @@ def test_run_suite_sizes_its_pool_from_the_work(monkeypatch, cpus, max_workers, 
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    cfg = small_config(points=("fcfs exp", "lcfs-p exp"), n=500, reps=reps)
+    if work_per_worker is not None:
+        monkeypatch.setattr(experiments, "_WORK_PER_WORKER", work_per_worker)
+    points, n = suite
+    cfg = small_config(points=points, n=n, reps=reps)
     pooled = run_suite(cfg, parallel=True, max_workers=max_workers)
     assert sizes == ([] if size is None else [size])
     assert pooled == run_suite(cfg, parallel=False)
+
+
+def test_every_discipline_has_a_work_weight():
+    # a discipline without one would make run_suite raise KeyError on every suite that runs it
+    assert set(experiments._WORK_WEIGHTS) == set(Discipline)
+    assert all(type(w) is int and w >= 1 for w in experiments._WORK_WEIGHTS.values())
 
 
 def test_run_suite_oracle_columns():

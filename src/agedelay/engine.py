@@ -165,8 +165,8 @@ def _fcfs(gen: np.ndarray, svc: np.ndarray, buf: np.ndarray | None = None) -> np
     The Lindley recursion c_i = max(c_{i-1}, g_i) + s_i unrolls to
     c = cumsum(s) + maximum.accumulate(g - cumsum_excl(s)).  A packet the
     unrolled sums show idle (_period_starts) is given exactly g_i + s_i, as
-    a sequential run would.  The unrolled sums can round c_i one step below
-    c_{i-1} where s_i is tiny; a running maximum restores the FIFO order,
+    a sequential run would.  That can lift it above the completions after
+    it (the sums never decrease); a running maximum restores the FIFO order,
     and leaves a path without such an inversion bit for bit.  buf[0] is set
     to 0.0, the age path's initial breakpoint; _draw passes its own tail,
     and without one, _fcfs allocates buf.
@@ -398,8 +398,8 @@ def check_run(n_arrivals: int, warmup_fraction: float, seed: int, *, min_kept: i
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
-# Draws that some live trace still views, by (arrival, service, n_arrivals, seed).  A view keeps
-# its draw alive, so an entry lasts exactly as long as some trace of it.
+# Draws that some live trace views or a run_law holds, by (arrival, service, n_arrivals, seed).
+# An entry lasts exactly as long as one of them.
 _DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 # A draw is one float64 buffer of 3 n_arrivals + 1 entries, and numpy caps an array at
@@ -419,8 +419,8 @@ def _draw(key: tuple[ArrivalProcess, ServiceDistribution, int, int]) -> tuple[np
     breakpoint times can be the last view, and the completions live
     exactly as long as the draw.  The FCFS pass (see _fcfs) fills the tail
     when the draw is made, so its first run pays for it, inf included.
-    Coupled runs share the one buffer while any trace of it lives: it is
-    read-only, so no run can change another's path.
+    Coupled runs share the one buffer while any trace of it or run_law
+    holds it: it is read-only, so no run can change another's path.
     """
     arrival, service, n, seed = key
     draw = _DRAWS.get(key)
@@ -474,6 +474,14 @@ def run_simulation(
         warmup_fraction=warmup_fraction,
         point=point,
     )
+
+
+def run_law(arrival, service, disciplines, n_arrivals, warmup_fraction, seed):
+    """Yield each discipline's run_simulation trace in turn; hold their one draw, and no trace, across a yield."""
+    for discipline in disciplines:
+        run = [run_simulation(arrival, service, discipline, n_arrivals, warmup_fraction, seed)]
+        draw = run[0].gen_times.base  # held through the next run, which so takes this draw
+        yield run.pop()
 
 
 def busy_periods(gen: np.ndarray, svc: np.ndarray) -> list[tuple[float, float]]:

@@ -177,15 +177,8 @@ def _law_worker(
     job: tuple[ArrivalProcess, ServiceDistribution, tuple[Discipline, ...], int, float, int],
 ) -> list[MetricsReport]:
     """One replication of one law: a run and a report per discipline, in the order given."""
-    arrival, service, disciplines, n_arrivals, warmup_fraction, seed = job
-    reports = []
-    for discipline in disciplines:
-        # the previous trace lives until this run returns, so the run takes the law's draw and FCFS
-        # completions from engine._DRAWS; looked up on the module at call time, so a wrapper patched
-        # onto engine applies
-        trace = engine.run_simulation(arrival, service, discipline, n_arrivals, warmup_fraction, seed)
-        reports.append(summarize(trace))
-    return reports
+    # map holds no trace while it asks for the next run
+    return list(map(summarize, engine.run_law(*job)))
 
 
 def run_suite(cfg: SweepConfig, parallel: bool = True, max_workers: int | None = None) -> list[FrontierPoint]:
@@ -410,7 +403,11 @@ def emit_outputs(
 
 
 def run_and_emit(cfg: SweepConfig, out_dir: Path, parallel: bool = True) -> list[Path]:
-    """run_suite + frontier + scalarized picks + output files."""
+    """run_suite + frontier + scalarized picks + output files; an out_dir at or under a file is refused first."""
+    out_dir = Path(out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise OSError(f"cannot write results under {out_dir}: {existing} is not a directory")
     points = run_suite(cfg, parallel=parallel)
     frontier = pareto_frontier(points)
     picks = {nu: scalarized_pick(points, nu) for nu in cfg.nu_grid}

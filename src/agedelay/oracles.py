@@ -1,8 +1,8 @@
 """Closed-form and Monte-Carlo baselines the simulator is checked against.
 
-These are independent of the event-driven engine: everything here is
-computed from distribution moments, tail integrals, or direct sampling of
-the station-independent quantities.
+None runs the engine's serve kernels or the event loop they are tested
+against (tests/reference_loop.py): each comes from distribution moments,
+tail integrals, or direct sampling of station-independent quantities.
 """
 
 from __future__ import annotations

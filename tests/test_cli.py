@@ -495,6 +495,13 @@ def test_oracle_moment_table_weibull_small_k(capsys):
             ),
             "results at lambda=1.6e-154, mu=3e-154, n_arrivals=3000 leave the double range",
         ),
+        (("simulate", "fcfs", "--lam", "0.5", "--mu", "0.8", "--serial"), "grid line needs"),
+        (("simulate", "fcfs foo", "--lam", "0.5", "--mu", "0.8", "--serial"), "unknown distribution family 'foo'"),
+        (("simulate", "fcfs pareto alpha", "--lam", "0.5", "--mu", "0.8", "--serial"), "expected key=value"),
+        (
+            ("oracle", "tail-table", "--family", "pareto", "--xs", "", "--lam", "0.5", "--mu", "0.8"),
+            "expected a list of numbers, got ''",
+        ),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -539,6 +546,10 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         "x-under-inverse-lambda",
         "non-numeric-list",
         "age-area-past-double-range",
+        "grid-line-without-service",
+        "unknown-service-family",
+        "service-shape-without-value",
+        "empty-threshold-list",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):
@@ -652,6 +663,24 @@ def test_sweep_refuses_a_window_without_enough_age_drops_before_any_output(
     assert not out_dir.exists()
     # pooled, the error is raised in a worker and carried back through the pool
     assert pool_sizes == ([] if serial else [2])
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_sweep_refuses_an_out_dir_that_is_not_a_directory_before_any_replication(
+    tmp_path, capsys, monkeypatch, under
+):
+    def run_simulation(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(engine, "run_simulation", run_simulation)
+    blocker = tmp_path / "results"
+    blocker.write_text("kept\n")
+    out_dir = blocker / under
+    code, out, err = run_cli(capsys, "sweep", "figure1", "--out-dir", str(out_dir), "--serial")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write results under {out_dir}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
 
 
 def test_grid_line_with_repeated_arrival_exits_with_one_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -232,6 +233,40 @@ def test_one_fcfs_pass_per_law_when_only_the_latest_trace_lives(monkeypatch):
             trace = run_simulation(ARR, service, discipline, 20_000, 0.1, 23)
     assert len(calls) == 2
     del trace
+    gc.collect()
+    assert not engine._DRAWS
+
+
+def test_run_law_makes_one_draw_for_a_caller_that_drops_each_trace(monkeypatch):
+    heavy = parse_service("pareto alpha=1.5", 0.8)
+    alone = {}
+    for d in ALL_DISCIPLINES:
+        alone[d] = run_simulation(ARR, heavy, d, 20_000, 0.1, 29).recv_times.copy()
+    gc.collect()
+    assert not engine._DRAWS
+    calls = count_fcfs_passes(monkeypatch)
+    runs = []
+    real_run_simulation = engine.run_simulation
+
+    def run_simulation_spy(*args):
+        runs.append(args[2])
+        return real_run_simulation(*args)
+
+    # each run goes through the module attribute, so a wrapper patched onto engine sees it
+    monkeypatch.setattr(engine, "run_simulation", run_simulation_spy)
+    seen = []
+    for trace in engine.run_law(ARR, heavy, tuple(ALL_DISCIPLINES), 20_000, 0.1, 29):
+        d = trace.point.discipline
+        seen.append(d)
+        assert np.array_equal(trace.recv_times, alone[d])
+        # the trace dies with the caller's last reference: the generator keeps none across a yield
+        alive = weakref.ref(trace)
+        del trace
+        assert alive() is None
+        assert len(engine._DRAWS) == 1
+    assert seen == runs == ALL_DISCIPLINES
+    assert len(calls) == 1
+    # an exhausted run_law holds nothing
     gc.collect()
     assert not engine._DRAWS
 

@@ -176,8 +176,8 @@ def test_run_suite_couples_the_disciplines_of_a_law():
         assert p.avg_age >= inf.avg_age - 1e-9, p.label()
 
 
-def test_a_law_job_holds_at_most_two_traces():
-    # four disciplines of 200,000 packets peaked at 24.4 MB while the job kept every trace, 17.7 MB with the latest
+def law_job_peak() -> float:
+    """tracemalloc's peak over one law job: all four disciplines of 200,000 pareto 1.5 packets."""
     law = (parse_arrival("exp", 0.5), parse_service("pareto alpha=1.5", 0.8), tuple(Discipline))
     experiments._law_worker((*law, 1000, 0.1, 3))  # first-call imports and caches
     gc.collect()
@@ -188,7 +188,19 @@ def test_a_law_job_holds_at_most_two_traces():
     finally:
         tracemalloc.stop()
     assert len(reports) == 4
+    return peak
+
+
+def test_a_law_job_holds_at_most_two_traces():
+    # 24.4 MB while the job kept every trace
+    peak = law_job_peak()
     assert peak < 21e6, f"a four-discipline law job peaks at {peak / 1e6:.1f} MB"
+
+
+def test_a_law_job_holds_one_trace_at_a_time():
+    # 18.7 MB while each trace lived through the next run; 14.8 MB when it is dropped before
+    peak = law_job_peak()
+    assert peak < 16.5e6, f"a four-discipline law job peaks at {peak / 1e6:.1f} MB"
 
 
 def test_run_suite_serial_vs_parallel_identical(pool_sizes):

@@ -390,6 +390,8 @@ def test_tail_decay_table_pareto_values_and_flag():
 def test_tail_decay_table_domain_checks():
     with pytest.raises(ParameterError):
         tail_decay_table("pareto", [2.0, 1.5], [1.0], MU, 0.5)  # x < 1/lambda
+    with pytest.raises(ParameterError, match="x grid must be nonempty"):
+        tail_decay_table("pareto", [2.0, 1.5], [], MU, 0.5)
     with pytest.raises(ParameterError):
         tail_decay_table("pareto", [1.5, 2.0], [2.0], MU, 0.5)  # wrong direction
     with pytest.raises(ParameterError):

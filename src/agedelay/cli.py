@@ -14,20 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .distributions import _FAMILY_ALIASES
+from .distributions import canonical_family
 from .engine import parse_grid_line
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from . import experiments, oracles
-
-
-def _parse_floats(text: str) -> list[float]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ParameterError(f"expected a list of numbers, got {text!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ParameterError(f"expected a list of numbers, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -71,9 +61,9 @@ def _cmd_oracle(args) -> int:
         header = ",".join(row)
         rows = [tuple(row.values())]
     else:  # tail-table
-        shapes = _parse_floats(args.shapes) if args.shapes else []
-        xs = _parse_floats(args.xs)
-        family = _FAMILY_ALIASES.get(args.family.lower(), args.family)
+        shapes = experiments.parse_number_list(args.shapes) if args.shapes else []
+        xs = experiments.parse_number_list(args.xs)
+        family = canonical_family(args.family)
         m2, tail, trunc, diverging, decreasing = oracles.tail_decay_table(family, shapes, xs, args.mu, args.lam)
         header = "family,shape,second_moment,x,tail_prob,truncated_mean"
         rows = [

@@ -157,7 +157,7 @@ def format_shape(shape: float) -> str:
 def _check_rate(name: str, rate: float) -> None:
     """A rate must be positive and finite, and rate^2 and 1/rate^2 normal doubles: moments divide by rate^2."""
     if not (rate > 0 and math.isfinite(rate)):
-        raise ParameterError(f"{name} must be positive, got {rate}")
+        raise ParameterError(f"{name} must be positive and finite, got {rate}")
     if rate * rate < sys.float_info.min:
         raise ParameterError(f"{name}={rate:g} is too small: its square is below the double range")
     if 1.0 / (rate * rate) < sys.float_info.min:
@@ -353,24 +353,23 @@ class ArrivalProcess:
 
 
 _SHAPE_KEY = {"lognormal": "sigma", "pareto": "alpha", "weibull": "k"}
-_FAMILY_ALIASES = {
-    "det": "det",
-    "deterministic": "det",
-    "exp": "exp",
-    "exponential": "exp",
-    "lognormal": "lognormal",
-    "pareto": "pareto",
-    "weibull": "weibull",
-}
+# each family's own name and the two long names, in lower case
+_FAMILY_ALIASES = {**{name: name for name in SERVICE_FAMILIES}, "deterministic": "det", "exponential": "exp"}
+
+
+def canonical_family(name: str) -> str:
+    """The family a name stands for, in any case: 'Exponential' is 'exp', 'deterministic' is 'det'."""
+    family = _FAMILY_ALIASES.get(name.lower())
+    if family is None:
+        raise ParameterError(f"unknown distribution family {name!r}")
+    return family
 
 
 def _parse_family_spec(spec: str) -> tuple[str, dict[str, float]]:
     tokens = spec.split()
     if not tokens:
         raise ParameterError("empty distribution spec")
-    family = _FAMILY_ALIASES.get(tokens[0].lower())
-    if family is None:
-        raise ParameterError(f"unknown distribution family {tokens[0]!r}")
+    family = canonical_family(tokens[0])
     kwargs: dict[str, float] = {}
     for tok in tokens[1:]:
         key, sep, val = tok.partition("=")

@@ -429,11 +429,22 @@ _SCHEMA = {
 _RETIRED = {"run.gginf_samples": "the gginf_age column is exact"}
 
 
+def parse_number_list(text: str) -> list[float]:
+    """The numbers in text, separated by commas, spaces or both: '0, 0.5 1' is [0.0, 0.5, 1.0]."""
+    try:
+        numbers = [float(part) for part in text.replace(",", " ").split()]
+    except ValueError:
+        numbers = []
+    if not numbers:
+        raise ParameterError(f"expected a list of numbers, got {text!r}")
+    return numbers
+
+
 def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     """Read the sweep config file at path (INI schema, see README), with overrides.
 
     Overrides are 'section.key=value' strings applied on top of the file,
-    mirroring the CLI --set flag.
+    mirroring the CLI --set flag; where two set one key, the later wins.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     path = Path(path)
@@ -441,19 +452,17 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
-    settings = []
+    settings: dict[str, dict[str, str]] = {}
     for item in overrides:
         key, sep, value = item.partition("=")
         section, dot, option = (part.strip() for part in key.partition("."))
         if not (sep and dot and section and option):
             raise ParameterError(f"override must look like section.key=value, got {item!r}")
-        settings.append((section, option, value.strip()))
+        # in configparser's key form: read_dict refuses a key given twice, where a later --set wins
+        settings.setdefault(section, {})[cp.optionxform(option)] = value.strip()
     try:
         cp.read_string(text)
-        for section, option, value in settings:
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, option, value)
+        cp.read_dict(settings)
     except (configparser.Error, ValueError) as exc:
         raise ParameterError(f"bad config: {exc}") from exc
     defaults = cp.defaults()  # a [DEFAULT] key shows in every section; name it once
@@ -477,20 +486,20 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
         base_seed = cp.getint("run", "base_seed")
         warmup = cp.getfloat("run", "warmup_fraction")
         grid_lines = [ln.strip() for ln in cp.get("grid", "points").splitlines() if ln.strip()]
-        nu_grid = tuple(float(v) for v in cp.get("scalarization", "nu_grid").split())
+        nu_text = cp.get("scalarization", "nu_grid")
+        names = {
+            f"{key}_name": cp.get("output", key, fallback=getattr(SweepConfig, f"{key}_name"))
+            for key in _SCHEMA["output"]
+        }
     except (configparser.Error, ValueError) as exc:
         raise ParameterError(f"bad config: {exc}") from exc
-    names = {
-        f"{key}_name": cp.get("output", key, fallback=getattr(SweepConfig, f"{key}_name"))
-        for key in _SCHEMA["output"]
-    }
     return SweepConfig(
         grid=tuple(parse_grid_line(line, mu, lam) for line in grid_lines),
         n_arrivals=n_arrivals,
         n_reps=n_reps,
         base_seed=base_seed,
         warmup_fraction=warmup,
-        nu_grid=nu_grid,
+        nu_grid=tuple(parse_number_list(nu_text)),
         **names,
     )
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _FAMILY_ALIASES, _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate
+from .distributions import _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate, canonical_family
 from .errors import ParameterError, StabilityError
 
 # The shape each family's heavy-tail sweep moves toward (alpha -> 1+,
@@ -235,8 +235,8 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
 
 
 def _sweep_distributions(family: str, shapes: Sequence[float], mu: float) -> list[ServiceDistribution]:
-    """One law per shape, each nearer the family's limit; an empty grid is the family's single law."""
-    family = _FAMILY_ALIASES.get(family.lower(), family)  # any name a grid line takes, e.g. 'Exponential'
+    """One law per shape, each nearer the limit of family (any name a grid line takes); no shape, its single law."""
+    family = canonical_family(family)
     shapes = [float(s) for s in shapes]
     dists = [ServiceDistribution(family, mu, s) for s in shapes] or [ServiceDistribution(family, mu)]
     limit = HEAVY_TAIL_LIMITS.get(family)

@@ -3,9 +3,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from agedelay import engine, experiments, gginf_age
+from agedelay import ServiceDistribution, engine, experiments, gginf_age, tail_decay_table
 from agedelay.errors import ParameterError
 from agedelay.cli import main
 from agedelay.engine import parse_grid_line
@@ -266,7 +267,14 @@ def test_oracle_tail_table(capsys):
 
 @pytest.mark.parametrize(
     "alias,name,shapes",
-    [("Exponential", "exp", ""), ("EXP", "exp", ""), ("deterministic", "det", ""), ("Pareto", "pareto", "2,1.5")],
+    [
+        ("Exponential", "exp", ""),
+        ("EXP", "exp", ""),
+        ("deterministic", "det", ""),
+        ("Pareto", "pareto", "2,1.5"),
+        ("DeTeRmInIsTiC", "det", ""),
+        ("wEiBuLl", "weibull", "1,0.5"),
+    ],
 )
 def test_tail_table_takes_the_family_names_a_grid_line_takes(capsys, alias, name, shapes):
     # the family column prints the canonical name, so an alias gives the canonical name's bytes
@@ -274,6 +282,34 @@ def test_tail_table_takes_the_family_names_a_grid_line_takes(capsys, alias, name
     assert run_cli(capsys, "oracle", "tail-table", "--family", alias, *argv) == run_cli(
         capsys, "oracle", "tail-table", "--family", name, *argv
     )
+    grid = experiments.parse_number_list(shapes) if shapes else []
+    tables = (tail_decay_table(family, grid, [2.0], 0.8, 0.5) for family in (alias, name))
+    assert all(np.array_equal(got, want) for got, want in zip(*tables))
+    # a grid line with the alias reads back as the canonical name's point, law and label
+    spec = ServiceDistribution(name, 0.8, grid[0] if grid else None).label()
+    point = parse_grid_line(f"fcfs {spec.replace(name, alias, 1)}", 0.8, 0.5)
+    assert point == parse_grid_line(f"fcfs {spec}", 0.8, 0.5)
+    assert point.label() == f"fcfs {spec}"
+
+
+def test_an_unknown_family_gets_one_refusal_from_every_reader(capsys):
+    rates = ("--lam", "0.5", "--mu", "0.8")
+    for argv in (
+        ("simulate", "fcfs foo", *rates, "--serial"),
+        ("oracle", "point", "fcfs foo", *rates),
+        ("oracle", "tail-table", "--family", "foo", "--xs", "2", *rates),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", "error: unknown distribution family 'foo'\n")
+    with pytest.raises(ParameterError, match="^unknown distribution family 'foo'$"):
+        tail_decay_table("foo", [], [2.0], 0.8, 0.5)
+
+
+def test_a_malformed_number_list_gets_one_message_from_the_cli_and_a_config(capsys):
+    refusal = (1, "", "error: expected a list of numbers, got '2, x'\n")
+    rates = ("--lam", "0.5", "--mu", "0.8")
+    for lists in (("--shapes", "2, x", "--xs", "2"), ("--xs", "2, x")):
+        assert run_cli(capsys, "oracle", "tail-table", "--family", "pareto", *lists, *rates) == refusal
+    assert run_cli(capsys, "sweep", "figure1", "--set", "scalarization.nu_grid=2, x", "--serial") == refusal
 
 
 @pytest.mark.parametrize(
@@ -502,6 +538,9 @@ def test_oracle_moment_table_weibull_small_k(capsys):
             ("oracle", "tail-table", "--family", "pareto", "--xs", "", "--lam", "0.5", "--mu", "0.8"),
             "expected a list of numbers, got ''",
         ),
+        (("oracle", "point", "fcfs exp", "--lam", "inf", "--mu", "0.8"), "lambda must be positive and finite, got inf"),
+        (("oracle", "point", "fcfs exp", "--lam", "0.5", "--mu", "nan"), "mu must be positive and finite, got nan"),
+        (("sweep", "figure1", "--set", "DEFAULT.csv=x.csv", "--serial"), "error: unknown config keys: DEFAULT.csv\n"),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -550,6 +589,9 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         "unknown-service-family",
         "service-shape-without-value",
         "empty-threshold-list",
+        "infinite-lambda",
+        "nan-mu",
+        "default-section-override",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):

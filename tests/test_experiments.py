@@ -490,6 +490,12 @@ def test_emit_outputs_header_only_for_no_points(tmp_path):
     assert lines == [",".join(CSV_COLUMNS)]
 
 
+def test_emit_outputs_names_its_directory_when_a_write_fails(tmp_path):
+    (tmp_path / "points.csv").mkdir()
+    with pytest.raises(OSError, match=f"^cannot write results under {tmp_path}: "):
+        emit_outputs([], [], tmp_path, cfg=small_config(), scalarized={})
+
+
 def test_csv_12_significant_digits(tmp_path):
     pt = fp(2.0 / 3.0, 1.0 / 7.0)
     paths = emit_outputs([pt], [pt], tmp_path, cfg=small_config(), scalarized={0.0: pt})
@@ -641,6 +647,25 @@ def test_load_config_override_adds_missing_section(tmp_path):
             load_config(path, [bad])
 
 
+def test_nu_grid_takes_commas_as_the_cli_lists_do(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIG_TEXT.replace("nu_grid = 0 1 5", "nu_grid = 0, 1, 5"))
+    assert load_config(path) == load_config(path, ["scalarization.nu_grid=0 1 5"])
+    for bad in ("", "0, x"):
+        with pytest.raises(ParameterError, match=f"^expected a list of numbers, got '{bad}'$"):
+            load_config(path, [f"scalarization.nu_grid={bad}"])
+
+
+def test_a_default_key_is_refused_alike_from_a_file_and_an_override(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(CONFIG_TEXT)
+    with pytest.raises(ParameterError, match=r"^unknown config keys: DEFAULT\.csv$"):
+        load_config(path, ["DEFAULT.csv=x.csv"])
+    path.write_text("[DEFAULT]\ncsv = x.csv\n" + CONFIG_TEXT)
+    with pytest.raises(ParameterError, match=r"^unknown config keys: DEFAULT\.csv$"):
+        load_config(path)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "missing.ini")
@@ -656,6 +681,11 @@ def test_load_config_errors(tmp_path):
     badgrid.write_text(CONFIG_TEXT.replace("fcfs det\n", "warp det\n", 1))
     with pytest.raises(ParameterError):
         load_config(badgrid)
+    # a '%' starts a configparser interpolation, which an [output] name fails as any other value does
+    percent = tmp_path / "percent.ini"
+    percent.write_text(CONFIG_TEXT.replace("csv = out.csv", "csv = 50%.csv"))
+    with pytest.raises(ParameterError, match="^bad config: '%' must be followed by"):
+        load_config(percent)
 
 
 def test_nan_scalarization_weight_rejected(tmp_path):

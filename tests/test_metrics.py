@@ -432,6 +432,10 @@ def test_t975_is_memoised():
     assert _t975(31) is first
 
 
+def test_t_halfwidth_of_one_value_is_nan():
+    assert math.isnan(t_halfwidth([1.5]))
+
+
 @pytest.mark.parametrize("k", [530, -560])
 def test_t_halfwidth_scales_exactly_by_powers_of_two(k):
     # the squared deviations of 2^530 v overflow and those of 2^-560 v underflow; the halfwidth must not

@@ -140,6 +140,11 @@ def test_gginf_requires_enough_samples():
         gginf_age_estimate(POISSON, parse_service("exp", MU), 999, 0)
 
 
+def test_gginf_estimate_refuses_a_negative_seed():
+    with pytest.raises(ParameterError, match="^seed must be >= 0, got -1$"):
+        gginf_age_estimate(POISSON, parse_service("exp", MU), 1000, -1)
+
+
 def test_gginf_early_termination_matches_brute_force():
     # shared draws: serve prerolled rows into the production kernel, each
     # live draw taking the next unused entry of its own row, and compare

@@ -164,11 +164,24 @@ def _check_rate(name: str, rate: float) -> None:
         raise ParameterError(f"{name}={rate:g} is too large: its inverse square is below the double range")
 
 
+_SHAPE_KEY = {"lognormal": "sigma", "pareto": "alpha", "weibull": "k"}
+# each family's own name and the two long names, in lower case
+_FAMILY_ALIASES = {**{name: name for name in SERVICE_FAMILIES}, "deterministic": "det", "exponential": "exp"}
+
+
+def canonical_family(name: str) -> str:
+    """The family a name stands for, in any case: 'Exponential' is 'exp', 'deterministic' is 'det'."""
+    family = _FAMILY_ALIASES.get(name.lower()) if isinstance(name, str) else None
+    if family is None:
+        raise ParameterError(f"unknown distribution family {name!r}")
+    return family
+
+
 @dataclass(frozen=True)
 class ServiceDistribution:
     """One service-time law with mean pinned to 1/mu.
 
-    family: one of 'det', 'exp', 'lognormal', 'pareto', 'weibull'.
+    family: one of 'det', 'exp', 'lognormal', 'pareto', 'weibull', or an alias; stored canonical.
     mu:     service rate (mean service time is 1/mu).
     shape:  sigma for lognormal, alpha for pareto, k for weibull;
             must be None for det/exp.
@@ -183,15 +196,15 @@ class ServiceDistribution:
     shape: float | None = None
 
     def __post_init__(self):
-        if self.family not in SERVICE_FAMILIES:
-            raise ParameterError(f"unknown service family {self.family!r}")
+        object.__setattr__(self, "family", canonical_family(self.family))
         _check_rate("service rate mu", self.mu)
-        if self.family in ("det", "exp"):
+        key = _SHAPE_KEY.get(self.family)
+        if key is None:
             if self.shape is not None:
-                raise ParameterError(f"{self.family} service takes no shape parameter")
+                raise ParameterError(f"{self.family} service takes no shape parameter, got {self.shape}")
             return
         if self.shape is None or not math.isfinite(self.shape):
-            raise ParameterError(f"{self.family} service requires a finite shape parameter")
+            raise ParameterError(f"{self.family} service needs a finite {key}, got {self.shape}")
         if self.family == "pareto" and not self.shape > 1:
             raise ParameterError(f"pareto requires alpha > 1, got {self.shape}")
         if self.family in ("lognormal", "weibull") and not self.shape > 0:
@@ -328,14 +341,15 @@ class ServiceDistribution:
 
 @dataclass(frozen=True)
 class ArrivalProcess:
-    """Renewal generation process: 'det' (periodic) or 'exp' (Poisson) at rate lam."""
+    """Renewal generation process at rate lam: 'det' (periodic) or 'exp' (Poisson), or an alias; stored canonical."""
 
     family: str
     lam: float
 
     def __post_init__(self):
+        object.__setattr__(self, "family", canonical_family(self.family))
         if self.family not in ARRIVAL_FAMILIES:
-            raise ParameterError(f"unknown arrival family {self.family!r}")
+            raise ParameterError(f"arrival family must be 'det' or 'exp', got {self.family!r}")
         _check_rate("arrival rate lambda", self.lam)
 
     def mean(self) -> float:
@@ -350,19 +364,6 @@ class ArrivalProcess:
         if self.family == "det":
             return np.full(n, 1.0 / self.lam)
         return rng.standard_exponential(n) / self.lam
-
-
-_SHAPE_KEY = {"lognormal": "sigma", "pareto": "alpha", "weibull": "k"}
-# each family's own name and the two long names, in lower case
-_FAMILY_ALIASES = {**{name: name for name in SERVICE_FAMILIES}, "deterministic": "det", "exponential": "exp"}
-
-
-def canonical_family(name: str) -> str:
-    """The family a name stands for, in any case: 'Exponential' is 'exp', 'deterministic' is 'det'."""
-    family = _FAMILY_ALIASES.get(name.lower())
-    if family is None:
-        raise ParameterError(f"unknown distribution family {name!r}")
-    return family
 
 
 def _parse_family_spec(spec: str) -> tuple[str, dict[str, float]]:
@@ -386,25 +387,23 @@ def _parse_family_spec(spec: str) -> tuple[str, dict[str, float]]:
 
 
 def parse_service(spec: str, mu: float) -> ServiceDistribution:
-    """Build a ServiceDistribution from a CLI/config string.
+    """Build a ServiceDistribution from a CLI/config string; the law refuses a shape it cannot take.
 
     Examples: 'det', 'exp', 'pareto alpha=1.5', 'lognormal sigma=2.0',
     'weibull k=0.5'.
     """
     family, kwargs = _parse_family_spec(spec)
-    if family in ("det", "exp"):
-        if kwargs:
-            raise ParameterError(f"{family} service takes no parameters, got {spec!r}")
-        return ServiceDistribution(family, mu)
-    key = _SHAPE_KEY[family]
-    if set(kwargs) != {key}:
-        raise ParameterError(f"{family} service requires exactly {key}=<value>, got {spec!r}")
-    return ServiceDistribution(family, mu, kwargs[key])
+    # det and exp name no key, so the first key given there is a shape, for the law to refuse
+    key = _SHAPE_KEY.get(family, next(iter(kwargs), None))
+    shape = kwargs.pop(key, None)
+    if kwargs:
+        raise ParameterError(f"{family} service takes no key {next(iter(kwargs))!r}, got {spec!r}")
+    return ServiceDistribution(family, mu, shape)
 
 
 def parse_arrival(spec: str, lam: float) -> ArrivalProcess:
-    """Build an ArrivalProcess from 'det' or 'exp'."""
+    """Build an ArrivalProcess from a family name alone: 'det' or 'exp', or an alias of either."""
     family, kwargs = _parse_family_spec(spec)
-    if family not in ARRIVAL_FAMILIES or kwargs:
-        raise ParameterError(f"arrival spec must be 'det' or 'exp', got {spec!r}")
+    if kwargs:
+        raise ParameterError(f"an arrival spec takes no key=value, got {spec!r}")
     return ArrivalProcess(family, lam)

@@ -446,7 +446,7 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     Overrides are 'section.key=value' strings applied on top of the file,
     mirroring the CLI --set flag; where two set one key, the later wins.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     path = Path(path)
     try:
         text = path.read_text()

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate, canonical_family
+from .distributions import _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate
 from .errors import ParameterError, StabilityError
 
 # The shape each family's heavy-tail sweep moves toward (alpha -> 1+,
@@ -236,9 +236,9 @@ def gginf_age(arrival: ArrivalProcess, service: ServiceDistribution) -> float:
 
 def _sweep_distributions(family: str, shapes: Sequence[float], mu: float) -> list[ServiceDistribution]:
     """One law per shape, each nearer the limit of family (any name a grid line takes); no shape, its single law."""
-    family = canonical_family(family)
     shapes = [float(s) for s in shapes]
     dists = [ServiceDistribution(family, mu, s) for s in shapes] or [ServiceDistribution(family, mu)]
+    family = dists[0].family
     limit = HEAVY_TAIL_LIMITS.get(family)
     # with an infinite limit, b == a gives nan, which fails the test as it should
     if limit is not None and not all((b - a) * (limit - a) > 0 for a, b in zip(shapes, shapes[1:])):

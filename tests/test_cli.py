@@ -1,12 +1,22 @@
 import concurrent.futures
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from agedelay import ServiceDistribution, engine, experiments, gginf_age, tail_decay_table
+from agedelay import (
+    ArrivalProcess,
+    ServiceDistribution,
+    engine,
+    experiments,
+    gginf_age,
+    parse_arrival,
+    parse_service,
+    tail_decay_table,
+)
 from agedelay.errors import ParameterError
 from agedelay.cli import main
 from agedelay.engine import parse_grid_line
@@ -286,7 +296,12 @@ def test_tail_table_takes_the_family_names_a_grid_line_takes(capsys, alias, name
     tables = (tail_decay_table(family, grid, [2.0], 0.8, 0.5) for family in (alias, name))
     assert all(np.array_equal(got, want) for got, want in zip(*tables))
     # a grid line with the alias reads back as the canonical name's point, law and label
-    spec = ServiceDistribution(name, 0.8, grid[0] if grid else None).label()
+    law = ServiceDistribution(name, 0.8, grid[0] if grid else None)
+    # the constructors take every alias too, and store the canonical name
+    assert ServiceDistribution(alias, 0.8, law.shape) == law and law.family == name
+    if name in ("det", "exp"):
+        assert ArrivalProcess(alias, 0.5) == ArrivalProcess(name, 0.5)
+    spec = law.label()
     point = parse_grid_line(f"fcfs {spec.replace(name, alias, 1)}", 0.8, 0.5)
     assert point == parse_grid_line(f"fcfs {spec}", 0.8, 0.5)
     assert point.label() == f"fcfs {spec}"
@@ -302,6 +317,74 @@ def test_an_unknown_family_gets_one_refusal_from_every_reader(capsys):
         assert run_cli(capsys, *argv) == (1, "", "error: unknown distribution family 'foo'\n")
     with pytest.raises(ParameterError, match="^unknown distribution family 'foo'$"):
         tail_decay_table("foo", [], [2.0], 0.8, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build,parse,line,message",
+    [
+        (
+            lambda: ServiceDistribution("foo", 0.8), lambda: parse_service("foo", 0.8), "fcfs foo",
+            "unknown distribution family 'foo'",
+        ),
+        (
+            lambda: ArrivalProcess("foo", 0.5), lambda: parse_arrival("foo", 0.5), "fcfs exp arrival=foo",
+            "unknown distribution family 'foo'",
+        ),
+        (
+            lambda: ArrivalProcess("pareto", 0.5), lambda: parse_arrival("Pareto", 0.5), "fcfs exp arrival=pareto",
+            "arrival family must be 'det' or 'exp', got 'pareto'",
+        ),
+        (
+            lambda: ServiceDistribution("det", 0.8, 1.0), lambda: parse_service("det k=1", 0.8), "fcfs det k=1",
+            "det service takes no shape parameter, got 1.0",
+        ),
+        (
+            lambda: ServiceDistribution("exp", 0.8, 2.0), lambda: parse_service("Exponential alpha=2", 0.8),
+            "lcfs-p exponential alpha=2", "exp service takes no shape parameter, got 2.0",
+        ),
+        (
+            lambda: ServiceDistribution("pareto", 0.8), lambda: parse_service("pareto", 0.8), "fcfs pareto",
+            "pareto service needs a finite alpha, got None",
+        ),
+        (
+            lambda: ServiceDistribution("weibull", 0.8, math.inf), lambda: parse_service("weibull k=inf", 0.8),
+            "fcfs weibull k=inf", "weibull service needs a finite k, got inf",
+        ),
+        (
+            lambda: ServiceDistribution("lognormal", 0.8, math.nan), lambda: parse_service("lognormal sigma=nan", 0.8),
+            "inf lognormal sigma=nan", "lognormal service needs a finite sigma, got nan",
+        ),
+        # a key is spelling: no constructor takes one
+        (
+            None, lambda: parse_service("pareto beta=2", 0.8), "fcfs pareto beta=2",
+            "pareto service takes no key 'beta', got 'pareto beta=2'",
+        ),
+        (
+            None, lambda: parse_service("det k=1 alpha=2", 0.8), "fcfs det k=1 alpha=2",
+            "det service takes no key 'alpha', got 'det k=1 alpha=2'",
+        ),
+    ],
+    ids=[
+        "unknown-service-family",
+        "unknown-arrival-family",
+        "arrival-pareto",
+        "shape-on-det",
+        "shape-on-exp",
+        "missing-shape",
+        "infinite-shape",
+        "nan-shape",
+        "wrong-key",
+        "second-key-on-det",
+    ],
+)
+def test_each_law_mistake_gets_one_message_from_every_entry_point(capsys, build, parse, line, message):
+    expected = f"^{re.escape(message)}$"
+    for entry in (build, parse, lambda: parse_grid_line(line, 0.8, 0.5)):
+        if entry is not None:
+            with pytest.raises(ParameterError, match=expected):
+                entry()
+    argv = ("simulate", line, "--lam", "0.5", "--mu", "0.8", "--serial")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_a_malformed_number_list_gets_one_message_from_the_cli_and_a_config(capsys):
@@ -497,7 +580,7 @@ def test_oracle_moment_table_weibull_small_k(capsys):
             ),
             "are lost to rounding",
         ),
-        (("simulate", "fcfs pareto", "--lam", "0.5", "--mu", "0.8", "--serial"), "requires exactly alpha"),
+        (("simulate", "fcfs pareto", "--lam", "0.5", "--mu", "0.8", "--serial"), "needs a finite alpha"),
         (("sweep", "nope.ini"), "cannot read config nope.ini"),
         (("simulate", "fcfs weibull k=0.004", "--lam", "0.5", "--mu", "0.8", "--serial"), "weibull k=0.004 is too small"),
         (

@@ -434,6 +434,7 @@ def test_shape_domain_limits(family, data, mu, x):
         ("pareto", MU, None),
         ("det", MU, 1.0),
         ("nosuch", MU, None),
+        (None, MU, None),  # a name that is not a string is refused too, not an AttributeError
     ],
 )
 def test_inadmissible_parameters_raise_at_construction(family, mu, shape):
@@ -446,6 +447,8 @@ def test_arrival_admissibility():
         ArrivalProcess("exp", 0.0)
     with pytest.raises(ParameterError):
         ArrivalProcess("pareto", 0.5)
+    with pytest.raises(ParameterError, match="^unknown distribution family None$"):
+        ArrivalProcess(None, 0.5)
     with pytest.raises(ParameterError):
         ArrivalProcess("exp", 1e-160)  # lambda^2 underflows
     with pytest.raises(ParameterError):

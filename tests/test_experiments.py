@@ -681,11 +681,17 @@ def test_load_config_errors(tmp_path):
     badgrid.write_text(CONFIG_TEXT.replace("fcfs det\n", "warp det\n", 1))
     with pytest.raises(ParameterError):
         load_config(badgrid)
-    # a '%' starts a configparser interpolation, which an [output] name fails as any other value does
+
+
+def test_config_values_are_read_literally_from_a_file_and_an_override(tmp_path):
+    # no interpolation: a '%' is part of a name, and '%%' is two of them
     percent = tmp_path / "percent.ini"
     percent.write_text(CONFIG_TEXT.replace("csv = out.csv", "csv = 50%.csv"))
-    with pytest.raises(ParameterError, match="^bad config: '%' must be followed by"):
-        load_config(percent)
+    assert load_config(percent).csv_name == "50%.csv"
+    assert load_config(percent, ["output.csv=50%%.csv"]).csv_name == "50%%.csv"
+    plain = tmp_path / "plain.ini"
+    plain.write_text(CONFIG_TEXT)
+    assert load_config(plain, ["output.csv=50%.csv"]) == load_config(percent)
 
 
 def test_nan_scalarization_weight_rejected(tmp_path):

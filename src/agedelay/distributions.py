@@ -1,18 +1,8 @@
 """Service-time and inter-arrival distribution families.
 
 Every service family is parameterized so that the mean service time is
-exactly 1/mu for any admissible shape:
-
-  deterministic  S = 1/mu
-  exponential    rate mu
-  lognormal      S = exp(-log(mu) - sigma^2/2 + sigma*N),  N ~ N(0,1)
-  pareto         P(S > x) = (theta/x)^alpha for x > theta,
-                 theta = (alpha-1)/(mu*alpha), alpha > 1
-  weibull        P(S > x) = exp(-(x/beta)^k),
-                 beta = 1/(mu*Gamma(1+1/k)), k > 0
-
-Inter-arrival families are deterministic (X = 1/lambda) and exponential
-(Poisson process at rate lambda).
+exactly 1/mu for any admissible shape; each family is one class below,
+whose docstring states its law.  det and exp also generate arrivals.
 """
 
 from __future__ import annotations
@@ -20,14 +10,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-
-SERVICE_FAMILIES = ("det", "exp", "lognormal", "pareto", "weibull")
-ARRIVAL_FAMILIES = ("det", "exp")
 
 _SQRT2 = math.sqrt(2.0)
 # numpy has no erfc, so math.erfc runs on each entry
@@ -164,7 +151,176 @@ def _check_rate(name: str, rate: float) -> None:
         raise ParameterError(f"{name}={rate:g} is too large: its inverse square is below the double range")
 
 
-_SHAPE_KEY = {"lognormal": "sigma", "pareto": "alpha", "weibull": "k"}
+class _Family:
+    """One family's law at one rate and shape: each subclass states its family's facts once.
+
+    key names the shape in specs and labels; limit is the shape the heavy-tail sweep moves toward (alpha -> 1+,
+    sigma -> +inf, k -> 0+), driving the age toward its floor as E[S^2] blows up; both are None for det and exp.
+    The constructor refuses a shape the family cannot take; tail and below are P(S > x) and E[S 1{S < x}].
+    """
+
+    key = limit = None
+
+    def __init__(self, rate: float, shape: float | None = None):
+        self.rate, self.shape = rate, shape
+
+    def bends(self) -> tuple[float, float, float, float] | None:
+        """(c, r, y0, y1): the CDF is a function of y = r (log x - c) that bends for y in [y0, y1]; None if none."""
+        return None
+
+
+class _Det(_Family):
+    """S = 1/rate."""
+
+    def second_moment(self) -> float:
+        return 1.0 / (self.rate * self.rate)
+
+    def tail(self, x: np.ndarray) -> np.ndarray:
+        return (x < 1.0 / self.rate).astype(float)
+
+    def below(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x < 1.0 / self.rate, 0.0, 1.0 / self.rate)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, 1.0 / self.rate)
+
+
+class _Exp(_Family):
+    """Exponential at the rate."""
+
+    def second_moment(self) -> float:
+        return 2.0 / (self.rate * self.rate)
+
+    def tail(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(-self.rate * x)
+
+    def below(self, x: np.ndarray) -> np.ndarray:
+        # (1 - e^-y (1 + y)) / mu with y = mu x: that cancels below y = 1, where its series is
+        # exact to rounding; y is capped so that y e^-y is 0, not inf * 0, once e^-y underflows
+        y = np.minimum(self.rate * x, 1e3)
+        series = 0.0
+        for c in reversed(_EXP_BELOW_SERIES):
+            series = series * y + c
+        return np.where(y < 1.0, y * y * series, -np.expm1(-y) - y * np.exp(-y)) / self.rate
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_exponential(n) / self.rate
+
+
+class _Lognormal(_Family):
+    """S = exp(location + sigma*N), N ~ N(0,1), location = -log(mu) - sigma^2/2 so that E[S] = 1/mu."""
+
+    key, limit = "sigma", math.inf
+
+    def __init__(self, rate: float, shape: float):
+        if not shape > 0:
+            raise ParameterError(f"lognormal requires a positive shape, got {shape}")
+        if math.isinf(shape * shape):
+            raise ParameterError(f"lognormal sigma={shape:g} is too large: sigma^2 exceeds the double range")
+        super().__init__(rate, shape)
+        self.location = -math.log(rate) - 0.5 * shape * shape
+
+    def second_moment(self) -> float:
+        return _or_inf(math.exp, self.shape * self.shape) / (self.rate * self.rate)
+
+    def tail(self, x: np.ndarray) -> np.ndarray:
+        z = (np.log(x) - self.location) / self.shape
+        return 0.5 * _erfc(z / _SQRT2)
+
+    def below(self, x: np.ndarray) -> np.ndarray:
+        z = (np.log(x) - self.location) / self.shape
+        return (1.0 / self.rate) * (0.5 * _erfc(-(z - self.shape) / _SQRT2))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        z = rng.standard_normal(n)
+        return np.exp(self.location + self.shape * z)
+
+    def bends(self) -> tuple[float, float, float, float]:
+        return self.location, 1.0 / self.shape, -9.0, 9.0  # a normal tail in y
+
+
+class _Pareto(_Family):
+    """P(S > x) = (theta/x)^alpha for x > theta, theta = (alpha-1)/(mu*alpha), alpha > 1."""
+
+    key, limit = "alpha", 1.0
+
+    def __init__(self, rate: float, shape: float):
+        if not shape > 1:
+            raise ParameterError(f"pareto requires alpha > 1, got {shape}")
+        super().__init__(rate, shape)
+        # regrouped only where mu * alpha overflows, so every other value keeps its bits
+        self.scale = (shape - 1.0) / (rate * shape) if rate * shape < math.inf else (shape - 1.0) / shape / rate
+
+    def second_moment(self) -> float:
+        a = self.shape
+        if a <= 2.0:
+            return math.inf
+        th = self.scale
+        m2 = a * th * th / (a - 2.0)
+        # regrouped only where a * th^2 overflows, so every other value keeps its bits
+        return m2 if m2 < math.inf else th * th * (a / (a - 2.0))
+
+    def tail(self, x: np.ndarray) -> np.ndarray:
+        th = self.scale
+        return (th / np.maximum(x, th)) ** self.shape
+
+    def below(self, x: np.ndarray) -> np.ndarray:
+        # (1/mu) (1 - (theta/x)^(alpha-1)), as theta alpha / (alpha-1) = 1/mu: expm1 keeps every
+        # digit as alpha -> 1+, and log x - log theta cannot overflow as x/theta can
+        th, a = self.scale, self.shape
+        return (1.0 / self.rate) * -np.expm1((1.0 - a) * np.maximum(np.log(x) - math.log(th), 0.0))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.scale * np.exp(rng.standard_exponential(n) / self.shape)
+
+    def bends(self) -> tuple[float, float, float, float]:
+        return math.log(self.scale), self.shape, 0.0, 40.0  # the tail is e^-y, with a kink at y = 0
+
+
+class _Weibull(_Family):
+    """P(S > x) = exp(-(x/beta)^k), beta = 1/(mu*Gamma(1+1/k)), k > 0."""
+
+    key, limit = "k", 0.0
+
+    def __init__(self, rate: float, shape: float):
+        if not shape > 0:
+            raise ParameterError(f"weibull requires a positive shape, got {shape}")
+        if math.isinf(_or_inf(math.gamma, 1.0 + 1.0 / shape)):
+            raise ParameterError(f"weibull k={shape:g} is too small: Gamma(1+1/k) exceeds the double range")
+        super().__init__(rate, shape)
+        self.scale = 1.0 / (rate * math.gamma(1.0 + 1.0 / shape))
+        if self.scale == 0.0:
+            raise ParameterError(
+                f"weibull k={shape:g} at mu={rate:g} is out of range: "
+                "its scale 1/(mu Gamma(1+1/k)) is below the double range"
+            )
+
+    def second_moment(self) -> float:
+        b, k = self.scale, self.shape
+        gamma2 = _or_inf(math.gamma, 1.0 + 2.0 / k)
+        if not math.isinf(gamma2):
+            return b * b * gamma2  # exact at k = 1, unlike the log-space ratio below
+        # Gamma(1+2/k) overflows for k below about 0.0117; its ratio to Gamma(1+1/k)^2 does not
+        return math.exp(math.lgamma(1.0 + 2.0 / k) - 2.0 * math.lgamma(1.0 + 1.0 / k)) / (self.rate * self.rate)
+
+    def tail(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(-((x / self.scale) ** self.shape))
+
+    def below(self, x: np.ndarray) -> np.ndarray:
+        b, k = self.scale, self.shape
+        u = (x / b) ** k
+        return (1.0 / self.rate) * _gammainc(1.0 + 1.0 / k, u)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.scale * rng.standard_exponential(n) ** (1.0 / self.shape)
+
+    def bends(self) -> tuple[float, float, float, float]:
+        return math.log(self.scale), self.shape, -40.0, 4.0  # the CDF is 1 - exp(-e^y)
+
+
+_FAMILIES = {"det": _Det, "exp": _Exp, "lognormal": _Lognormal, "pareto": _Pareto, "weibull": _Weibull}
+SERVICE_FAMILIES = tuple(_FAMILIES)
+ARRIVAL_FAMILIES = ("det", "exp")
 # each family's own name and the two long names, in lower case
 _FAMILY_ALIASES = {**{name: name for name in SERVICE_FAMILIES}, "deterministic": "det", "exponential": "exp"}
 
@@ -185,6 +341,7 @@ class ServiceDistribution:
     mu:     service rate (mean service time is 1/mu).
     shape:  sigma for lognormal, alpha for pareto, k for weibull;
             must be None for det/exp.
+    law:    the family's object at mu and shape: its parameterisation, moments, tail, partial mean, sampler, bends.
 
     Draws are finite and >= 0: a zero-length service is admissible.  Weibull
     draws beta * E^(1/k) underflow to exactly 0 at small admissible k (about
@@ -194,99 +351,30 @@ class ServiceDistribution:
     family: str
     mu: float
     shape: float | None = None
+    law: _Family = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
         _check_rate("service rate mu", self.mu)
-        key = _SHAPE_KEY.get(self.family)
-        if key is None:
+        family = _FAMILIES[self.family]
+        if family.key is None:
             if self.shape is not None:
                 raise ParameterError(f"{self.family} service takes no shape parameter, got {self.shape}")
-            return
-        if self.shape is None or not math.isfinite(self.shape):
-            raise ParameterError(f"{self.family} service needs a finite {key}, got {self.shape}")
-        if self.family == "pareto" and not self.shape > 1:
-            raise ParameterError(f"pareto requires alpha > 1, got {self.shape}")
-        if self.family in ("lognormal", "weibull") and not self.shape > 0:
-            raise ParameterError(f"{self.family} requires a positive shape, got {self.shape}")
-        if self.family == "weibull" and math.isinf(_or_inf(math.gamma, 1.0 + 1.0 / self.shape)):
-            raise ParameterError(
-                f"weibull k={self.shape:g} is too small: Gamma(1+1/k) exceeds the double range"
-            )
-        if self.family == "weibull" and self.weibull_scale == 0.0:
-            raise ParameterError(
-                f"weibull k={self.shape:g} at mu={self.mu:g} is out of range: "
-                "its scale 1/(mu Gamma(1+1/k)) is below the double range"
-            )
-        if self.family == "lognormal" and math.isinf(self.shape * self.shape):
-            raise ParameterError(
-                f"lognormal sigma={self.shape:g} is too large: sigma^2 exceeds the double range"
-            )
-
-    # ---- derived parameters -------------------------------------------------
-
-    @property
-    def pareto_scale(self) -> float:
-        """theta(alpha) = (alpha-1)/(mu*alpha)."""
-        a, mu = self.shape, self.mu
-        # regrouped only where mu * alpha overflows, so every other value keeps its bits
-        return (a - 1.0) / (mu * a) if mu * a < math.inf else (a - 1.0) / a / mu
-
-    @property
-    def weibull_scale(self) -> float:
-        """beta(k) = 1/(mu*Gamma(1+1/k))."""
-        return 1.0 / (self.mu * math.gamma(1.0 + 1.0 / self.shape))
-
-    @property
-    def lognormal_location(self) -> float:
-        """Location of log(S), chosen so E[S] = 1/mu."""
-        return -math.log(self.mu) - 0.5 * self.shape * self.shape
-
-    # ---- moments ------------------------------------------------------------
+        elif self.shape is None or not math.isfinite(self.shape):
+            raise ParameterError(f"{self.family} service needs a finite {family.key}, got {self.shape}")
+        object.__setattr__(self, "law", family(self.mu, self.shape))
 
     def mean(self) -> float:
         return 1.0 / self.mu
 
     def second_moment(self) -> float:
         """E[S^2]; math.inf when it diverges (pareto alpha <= 2) or exceeds the double range."""
-        mu = self.mu
-        if self.family == "det":
-            return 1.0 / (mu * mu)
-        if self.family == "exp":
-            return 2.0 / (mu * mu)
-        if self.family == "lognormal":
-            return _or_inf(math.exp, self.shape * self.shape) / (mu * mu)
-        if self.family == "pareto":
-            a = self.shape
-            if a <= 2.0:
-                return math.inf
-            th = self.pareto_scale
-            m2 = a * th * th / (a - 2.0)
-            # regrouped only where a * th^2 overflows, so every other value keeps its bits
-            return m2 if m2 < math.inf else th * th * (a / (a - 2.0))
-        b, k = self.weibull_scale, self.shape
-        gamma2 = _or_inf(math.gamma, 1.0 + 2.0 / k)
-        if not math.isinf(gamma2):
-            return b * b * gamma2  # exact at k = 1, unlike the log-space ratio below
-        # Gamma(1+2/k) overflows for k below about 0.0117; its ratio to Gamma(1+1/k)^2 does not
-        return math.exp(math.lgamma(1.0 + 2.0 / k) - 2.0 * math.lgamma(1.0 + 1.0 / k)) / (mu * mu)
-
-    # ---- tail and truncated moments ------------------------------------------
+        return self.law.second_moment()
 
     @_over_thresholds
     def tail_prob(self, x: float | np.ndarray) -> float | np.ndarray:
         """P(S > x), exact closed form, at a scalar x or each entry of an array."""
-        if self.family == "det":
-            return (x < 1.0 / self.mu).astype(float)
-        if self.family == "exp":
-            return np.exp(-self.mu * x)
-        if self.family == "lognormal":
-            z = (np.log(x) - self.lognormal_location) / self.shape
-            return 0.5 * _erfc(z / _SQRT2)
-        if self.family == "pareto":
-            th = self.pareto_scale
-            return (th / np.maximum(x, th)) ** self.shape
-        return np.exp(-((x / self.weibull_scale) ** self.shape))
+        return self.law.tail(x)
 
     @_over_thresholds
     def truncated_mean_below(self, x: float | np.ndarray) -> float | np.ndarray:
@@ -295,48 +383,16 @@ class ServiceDistribution:
         E[min(S, x)] = truncated_mean_below(x) + x * tail_prob(x); for det at
         x = 1/mu that makes it E[S 1{S <= x}] = 1/mu.
         """
-        mu = self.mu
-        if self.family == "det":
-            return np.where(x < 1.0 / mu, 0.0, 1.0 / mu)
-        if self.family == "exp":
-            # (1 - e^-y (1 + y)) / mu with y = mu x: that cancels below y = 1, where its series is
-            # exact to rounding; y is capped so that y e^-y is 0, not inf * 0, once e^-y underflows
-            y = np.minimum(mu * x, 1e3)
-            series = 0.0
-            for c in reversed(_EXP_BELOW_SERIES):
-                series = series * y + c
-            return np.where(y < 1.0, y * y * series, -np.expm1(-y) - y * np.exp(-y)) / mu
-        if self.family == "lognormal":
-            z = (np.log(x) - self.lognormal_location) / self.shape
-            return (1.0 / mu) * (0.5 * _erfc(-(z - self.shape) / _SQRT2))
-        if self.family == "pareto":
-            # (1/mu) (1 - (theta/x)^(alpha-1)), as theta alpha / (alpha-1) = 1/mu: expm1 keeps every
-            # digit as alpha -> 1+, and log x - log theta cannot overflow as x/theta can
-            th, a = self.pareto_scale, self.shape
-            return (1.0 / mu) * -np.expm1((1.0 - a) * np.maximum(np.log(x) - math.log(th), 0.0))
-        b, k = self.weibull_scale, self.shape
-        u = (x / b) ** k
-        return (1.0 / mu) * _gammainc(1.0 + 1.0 / k, u)
-
-    # ---- sampling -------------------------------------------------------------
+        return self.law.below(x)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws from this law as a float64 array."""
-        if self.family == "det":
-            return np.full(n, 1.0 / self.mu)
-        if self.family == "exp":
-            return rng.standard_exponential(n) / self.mu
-        if self.family == "lognormal":
-            z = rng.standard_normal(n)
-            return np.exp(self.lognormal_location + self.shape * z)
-        if self.family == "pareto":
-            return self.pareto_scale * np.exp(rng.standard_exponential(n) / self.shape)
-        return self.weibull_scale * rng.standard_exponential(n) ** (1.0 / self.shape)
+        return self.law.sample(rng, n)
 
     def label(self) -> str:
         if self.shape is None:
             return self.family
-        return f"{self.family} {_SHAPE_KEY[self.family]}={format_shape(self.shape)}"
+        return f"{self.family} {self.law.key}={format_shape(self.shape)}"
 
 
 @dataclass(frozen=True)
@@ -345,25 +401,23 @@ class ArrivalProcess:
 
     family: str
     lam: float
+    law: _Family = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
         if self.family not in ARRIVAL_FAMILIES:
             raise ParameterError(f"arrival family must be 'det' or 'exp', got {self.family!r}")
         _check_rate("arrival rate lambda", self.lam)
+        object.__setattr__(self, "law", _FAMILIES[self.family](self.lam))
 
     def mean(self) -> float:
         return 1.0 / self.lam
 
     def second_moment(self) -> float:
-        if self.family == "det":
-            return 1.0 / (self.lam * self.lam)
-        return 2.0 / (self.lam * self.lam)
+        return self.law.second_moment()
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.family == "det":
-            return np.full(n, 1.0 / self.lam)
-        return rng.standard_exponential(n) / self.lam
+        return self.law.sample(rng, n)
 
 
 def _parse_family_spec(spec: str) -> tuple[str, dict[str, float]]:
@@ -394,7 +448,7 @@ def parse_service(spec: str, mu: float) -> ServiceDistribution:
     """
     family, kwargs = _parse_family_spec(spec)
     # det and exp name no key, so the first key given there is a shape, for the law to refuse
-    key = _SHAPE_KEY.get(family, next(iter(kwargs), None))
+    key = _FAMILIES[family].key or next(iter(kwargs), None)
     shape = kwargs.pop(key, None)
     if kwargs:
         raise ParameterError(f"{family} service takes no key {next(iter(kwargs))!r}, got {spec!r}")

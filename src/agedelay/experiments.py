@@ -444,7 +444,7 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     """Read the sweep config file at path (INI schema, see README), with overrides.
 
     Overrides are 'section.key=value' strings applied on top of the file,
-    mirroring the CLI --set flag; where two set one key, the later wins.
+    mirroring the CLI --set flag; one key overridden twice is refused.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     path = Path(path)
@@ -458,8 +458,10 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
         section, dot, option = (part.strip() for part in key.partition("."))
         if not (sep and dot and section and option):
             raise ParameterError(f"override must look like section.key=value, got {item!r}")
-        # in configparser's key form: read_dict refuses a key given twice, where a later --set wins
-        settings.setdefault(section, {})[cp.optionxform(option)] = value.strip()
+        option = cp.optionxform(option)  # configparser's key form: 'CSV' and 'csv' are one key
+        if option in settings.setdefault(section, {}):
+            raise ParameterError(f"override {section}.{option} is given twice")
+        settings[section][option] = value.strip()
     try:
         cp.read_string(text)
         cp.read_dict(settings)

@@ -14,13 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _SHAPE_KEY, ArrivalProcess, ServiceDistribution, _check_rate
+from .distributions import ArrivalProcess, ServiceDistribution, _check_rate
 from .errors import ParameterError, StabilityError
-
-# The shape each family's heavy-tail sweep moves toward (alpha -> 1+,
-# sigma -> +inf, k -> 0+): the sweep that drives the age toward its floor
-# while blowing up the second moment.
-HEAVY_TAIL_LIMITS = {"pareto": 1.0, "lognormal": math.inf, "weibull": 0.0}
 
 
 def min_average_age(arrival: ArrivalProcess) -> float:
@@ -123,20 +118,15 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def _log_bends(service: ServiceDistribution) -> np.ndarray:
     """log x at which the law's CDF bends, as panel edges: none for det and exp.
 
-    P(S <= x) is a function of y = r (log x - c): the tail is e^-y above
-    the Pareto scale (a kink at y = 0), exp(-e^y) for Weibull and a normal
-    tail in y for the lognormal.  Where r > 1, _PANEL in log x spans more
-    than _PANEL in y, so edges go every _PANEL in y across the bend.
+    The CDF is a function of y = r (log x - c) that bends for y in [y0, y1]
+    (the law's bends()).  Where r > 1, _PANEL in log x spans more than
+    _PANEL in y, so edges go every _PANEL in y across the bend.
     """
-    if service.family == "pareto":
-        c, r, ys = math.log(service.pareto_scale), service.shape, np.arange(0.0, 40.5, _PANEL)
-    elif service.family == "weibull":
-        c, r, ys = math.log(service.weibull_scale), service.shape, np.arange(-40.0, 4.5, _PANEL)
-    elif service.family == "lognormal":
-        c, r, ys = service.lognormal_location, 1.0 / service.shape, np.arange(-9.0, 9.5, _PANEL)
-    else:
+    bend = service.law.bends()
+    if bend is None:
         return np.empty(0)
-    return c + ys / r if r > 1.0 else np.array([c])
+    c, r, y0, y1 = bend
+    return c + np.arange(y0, y1 + _PANEL, _PANEL) / r if r > 1.0 else np.array([c])
 
 
 def _log_panels(lo: float, hi: float, bends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +228,10 @@ def _sweep_distributions(family: str, shapes: Sequence[float], mu: float) -> lis
     """One law per shape, each nearer the limit of family (any name a grid line takes); no shape, its single law."""
     shapes = [float(s) for s in shapes]
     dists = [ServiceDistribution(family, mu, s) for s in shapes] or [ServiceDistribution(family, mu)]
-    family = dists[0].family
-    limit = HEAVY_TAIL_LIMITS.get(family)
+    law = dists[0].law
     # with an infinite limit, b == a gives nan, which fails the test as it should
-    if limit is not None and not all((b - a) * (limit - a) > 0 for a, b in zip(shapes, shapes[1:])):
-        raise ParameterError(f"{family} sweep must move {_SHAPE_KEY[family]} toward {limit:g}")
+    if law.limit is not None and not all((b - a) * (law.limit - a) > 0 for a, b in zip(shapes, shapes[1:])):
+        raise ParameterError(f"{dists[0].family} sweep must move {law.key} toward {law.limit:g}")
     return dists
 
 

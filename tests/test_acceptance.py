@@ -243,7 +243,7 @@ def test_criterion_07_tail_table():
     for alpha in shapes:
         d = ad.parse_service(f"pareto alpha={alpha}", MU)
         for x in (2.0, 4.0):
-            integral, _ = integrate.quad(d.tail_prob, 0.0, x, points=[d.pareto_scale], limit=200)
+            integral, _ = integrate.quad(d.tail_prob, 0.0, x, points=[d.law.scale], limit=200)
             gap = abs(integral - d.truncated_mean_below(x) - x * d.tail_prob(x))
             ok_identity &= gap <= 1e-9
     tail_x2 = tail[:, 0]

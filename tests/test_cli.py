@@ -624,6 +624,11 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         (("oracle", "point", "fcfs exp", "--lam", "inf", "--mu", "0.8"), "lambda must be positive and finite, got inf"),
         (("oracle", "point", "fcfs exp", "--lam", "0.5", "--mu", "nan"), "mu must be positive and finite, got nan"),
         (("sweep", "figure1", "--set", "DEFAULT.csv=x.csv", "--serial"), "error: unknown config keys: DEFAULT.csv\n"),
+        # configparser folds key case, so CSV and csv are one key
+        (
+            ("sweep", "figure1", "--set", "output.csv=a.csv", "--set", "output.CSV=b.csv", "--serial"),
+            "error: override output.csv is given twice\n",
+        ),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -675,6 +680,7 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         "infinite-lambda",
         "nan-mu",
         "default-section-override",
+        "repeated-override",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):

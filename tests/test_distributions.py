@@ -1,5 +1,6 @@
 import decimal
 import math
+import pickle
 import sys
 from decimal import Decimal
 
@@ -59,10 +60,10 @@ def test_pareto_scale_pins_mean():
     # alpha*theta/(alpha-1) must recover 1/mu exactly
     for alpha in (1.1, 1.5, 2.0, 3.0, 7.5):
         d = ServiceDistribution("pareto", MU, alpha)
-        th = d.pareto_scale
+        th = d.law.scale
         assert alpha * th / (alpha - 1.0) == pytest.approx(1.0 / MU, rel=1e-15)
     # mu * alpha overflows; theta = (alpha - 1)/(alpha mu) rounds to 1/mu all the same
-    assert ServiceDistribution("pareto", 2.0, 1e308).pareto_scale == pytest.approx(0.5, rel=1e-12)
+    assert ServiceDistribution("pareto", 2.0, 1e308).law.scale == pytest.approx(0.5, rel=1e-12)
 
 
 def test_second_moments_closed_form():
@@ -119,7 +120,7 @@ def test_second_moment_against_quadrature(dist):
 
 def test_pareto_samples_respect_scale():
     d = parse_service("pareto alpha=2", MU)
-    assert d.pareto_scale == pytest.approx(0.625)
+    assert d.law.scale == pytest.approx(0.625)
     rng = np.random.default_rng(11)
     s = d.sample_n(rng, 100_000)
     assert s.min() >= 0.625
@@ -174,7 +175,7 @@ def test_heavy_pareto_median_within_1pct(spec):
     d = parse_service(spec, MU)
     s = d.sample_n(np.random.default_rng(77), 1_000_000)
     # P(S > m) = (theta/m)^alpha = 1/2
-    assert np.median(s) == pytest.approx(d.pareto_scale * 2.0 ** (1.0 / d.shape), rel=0.01)
+    assert np.median(s) == pytest.approx(d.law.scale * 2.0 ** (1.0 / d.shape), rel=0.01)
 
 
 # ---- tails and truncated moments ----------------------------------------------
@@ -195,7 +196,7 @@ def test_tail_examples():
 )
 def test_vectorised_tail_matches_scalar(dist):
     # a scalar takes the same arithmetic as an array entry, so the two agree bit for bit
-    xs = np.array([1e-300, 1e-12, *X_GRID, dist.pareto_scale if dist.family == "pareto" else 1.25, 1e12, 1e300])
+    xs = np.array([1e-300, 1e-12, *X_GRID, dist.law.scale if dist.family == "pareto" else 1.25, 1e12, 1e300])
     for name, method in TAIL_METHODS.items():
         scalar = [method(dist, x) for x in xs.tolist()]
         assert all(type(v) is float for v in scalar), name
@@ -236,7 +237,7 @@ def test_truncated_mean_examples():
     det = parse_service("det", MU)
     assert det.truncated_mean_below(1.0) == 0.0
     p = parse_service("pareto alpha=1.5", MU)
-    th = p.pareto_scale
+    th = p.law.scale
     expect = 1.25 * (1.0 - (th / 2.0) ** 0.5)
     assert p.truncated_mean_below(2.0) == pytest.approx(expect, rel=1e-12)
     e = parse_service("exp", MU)
@@ -282,7 +283,7 @@ def test_gammainc_series_full_precision(k):
 def test_min_identity_on_grid(dist):
     # the mean split at x: E[S 1{S<x}] + x P(S>x) = E[min(S,x)] = 1/mu - integral of P(S>t) over (x, inf),
     # to 1e-9 everywhere, so the partial expectation agrees with the mean 1/mu and the tail above x
-    kinks = [1.0 / MU] + ([dist.pareto_scale] if dist.family == "pareto" else [])
+    kinks = [1.0 / MU] + ([dist.law.scale] if dist.family == "pareto" else [])
     for x in X_GRID:
         near, _ = integrate.quad(dist.tail_prob, x, x + 100.0, points=[k for k in kinks if k > x] or None, limit=200)
         far, _ = integrate.quad(dist.tail_prob, x + 100.0, math.inf, limit=200)
@@ -306,7 +307,7 @@ def test_pareto_expected_min_full_precision_near_alpha_one(alpha):
     d = parse_service(f"pareto alpha={alpha}", MU)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        th, a = Decimal(d.pareto_scale), Decimal(alpha)
+        th, a = Decimal(d.law.scale), Decimal(alpha)
         for x in (0.5, 2.0, 1e6, 1e12):
             ref = th + th * (1 - (th / Decimal(x)) ** (a - 1)) / (a - 1) if x > th else Decimal(x)
             assert abs(Decimal(expected_min(d, x)) / ref - 1) <= Decimal("1e-15"), x
@@ -333,7 +334,7 @@ def test_exp_truncated_mean_full_precision(mu):
 
 def test_pareto_truncated_closed_form_vs_quadrature():
     d = parse_service("pareto alpha=1.5", MU)
-    th = d.pareto_scale
+    th = d.law.scale
     for x in (1.0, 2.0, 5.0):
         val, _ = integrate.quad(lambda t: t * 1.5 * th**1.5 * t**-2.5, th, x)
         assert d.truncated_mean_below(x) == pytest.approx(val, rel=1e-9)
@@ -366,6 +367,29 @@ def test_arrival_moments_and_samples():
     s = exp.sample_n(np.random.default_rng(3), 1_000_000)
     assert s.mean() == pytest.approx(2.0, abs=4 * 2.0 / 1000.0)
     assert np.all(s > 0)
+
+
+@pytest.mark.parametrize("family", ["det", "exp"])
+@pytest.mark.parametrize("rate", [0.5, MU, 3e-154, 1e150])
+def test_arrivals_and_services_share_det_and_exp(family, rate):
+    # one class states each family: the generation process draws what the service law draws, bit for bit
+    arrival, service = ArrivalProcess(family, rate), ServiceDistribution(family, rate)
+    assert arrival.second_moment() == service.second_moment()
+    draws = [law.sample_n(np.random.default_rng(9), 10_000).tobytes() for law in (arrival, service)]
+    assert draws[0] == draws[1]
+
+
+def test_law_stays_out_of_equality_hash_and_repr():
+    alias, short = ServiceDistribution("Exponential", MU), ServiceDistribution("exp", MU)
+    assert alias == short and hash(alias) == hash(short) and alias.law is not short.law
+    assert repr(ServiceDistribution("pareto", 0.8, 1.5)) == "ServiceDistribution(family='pareto', mu=0.8, shape=1.5)"
+    assert repr(ArrivalProcess("Exponential", 0.5)) == "ArrivalProcess(family='exp', lam=0.5)"
+    # the process pool sends each law to its worker pickled
+    for law in [*SERVICE_GRID, ArrivalProcess("det", 0.5), ArrivalProcess("exp", 0.5)]:
+        back = pickle.loads(pickle.dumps(law))
+        assert back == law and hash(back) == hash(law)
+        draws = [d.sample_n(np.random.default_rng(21), 10_000).tobytes() for d in (law, back)]
+        assert draws[0] == draws[1]
 
 
 # ---- whole shape domains ---------------------------------------------------------

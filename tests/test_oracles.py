@@ -215,7 +215,7 @@ LIMIT_LAWS = [parse_service(spec, MU) for spec in ("pareto alpha=1.0001", "logno
 def law_kinks(service):
     """Where P(S > x) is not smooth: the Pareto scale, the deterministic value."""
     if service.family == "pareto":
-        return [service.pareto_scale]
+        return [service.law.scale]
     return [1.0 / service.mu] if service.family == "det" else []
 
 
@@ -341,7 +341,7 @@ def test_gginf_age_refuses_what_it_cannot_resolve():
 
 def quad_gginf_lognormal(lam, service):
     """The Poisson-arrival integral with E[(x - S)+] = x Phi(z) - Phi(z - sigma)/mu, free of the cancellation in x - E[min(S, x)]."""
-    m, sigma = service.lognormal_location, service.shape
+    m, sigma = service.law.location, service.shape
 
     def integrand(x):
         z = (math.log(x) - m) / sigma

@@ -14,19 +14,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .distributions import canonical_family
+from .distributions import canonical_family, parse_number
 from .engine import parse_grid_line
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from . import experiments, oracles
 
 
+def _rates(args) -> tuple[float, float]:
+    """--lam and --mu, read as the [arrival] and [service] rates of a config are."""
+    return parse_number(args.lam, "arrival rate lambda"), parse_number(args.mu, "service rate mu")
+
+
 def _cmd_simulate(args) -> int:
+    lam, mu = _rates(args)
     cfg = experiments.SweepConfig(
-        grid=(parse_grid_line(args.point, args.mu, args.lam),),
-        n_arrivals=args.n_arrivals,
-        n_reps=args.n_reps,
-        base_seed=args.base_seed,
-        warmup_fraction=args.warmup,
+        grid=(parse_grid_line(args.point, mu, lam),),
+        n_arrivals=parse_number(args.n_arrivals, "n_arrivals", integer=True),
+        n_reps=parse_number(args.n_reps, "n_reps", integer=True),
+        base_seed=parse_number(args.base_seed, "seed", integer=True),
+        warmup_fraction=parse_number(args.warmup, "warmup_fraction"),
         nu_grid=(0.0,),
     )
     (point,) = experiments.run_suite(cfg, parallel=not args.serial)
@@ -53,9 +59,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kind = args.oracle_kind
+    lam, mu = _rates(args)
     note = None
     if kind == "point":
-        point = parse_grid_line(args.point, args.mu, args.lam)
+        point = parse_grid_line(args.point, mu, lam)
         (cells,) = experiments.point_oracles([point])
         row = {**experiments.point_columns(point), **cells}
         header = ",".join(row)
@@ -64,7 +71,7 @@ def _cmd_oracle(args) -> int:
         shapes = experiments.parse_number_list(args.shapes) if args.shapes else []
         xs = experiments.parse_number_list(args.xs)
         family = canonical_family(args.family)
-        m2, tail, trunc, diverging, decreasing = oracles.tail_decay_table(family, shapes, xs, args.mu, args.lam)
+        m2, tail, trunc, diverging, decreasing = oracles.tail_decay_table(family, shapes, xs, mu, lam)
         header = "family,shape,second_moment,x,tail_prob,truncated_mean"
         rows = [
             (family, shape, m2[i], x, tail[i, j], trunc[i, j])
@@ -86,16 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Age-of-information vs. delay simulator and oracle toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # numbers stay text here: the commands read each with parse_number, whose refusal names its setting
     rates = argparse.ArgumentParser(add_help=False)
-    rates.add_argument("--lam", "--lambda", dest="lam", type=float, required=True, help="generation rate")
-    rates.add_argument("--mu", type=float, required=True, help="service rate")
+    rates.add_argument("--lam", "--lambda", dest="lam", required=True, help="generation rate")
+    rates.add_argument("--mu", required=True, help="service rate")
 
     sim = sub.add_parser("simulate", parents=[rates], help="run one configuration point")
     sim.add_argument("point", help="grid line, e.g. 'lcfs-p pareto alpha=1.5' or 'fcfs det arrival=det'")
-    sim.add_argument("--n-arrivals", type=int, default=100_000)
-    sim.add_argument("--n-reps", type=int, default=4)
-    sim.add_argument("--base-seed", type=int, default=0)
-    sim.add_argument("--warmup", type=float, default=0.1)
+    sim.add_argument("--n-arrivals", default="100000")
+    sim.add_argument("--n-reps", default="4")
+    sim.add_argument("--base-seed", default="0")
+    sim.add_argument("--warmup", default="0.1")
     sim.add_argument("--serial", action="store_true", help="disable concurrent replications")
     sim.add_argument("--json", action="store_true", help="emit JSON instead of a CSV row")
     sim.set_defaults(func=_cmd_simulate)

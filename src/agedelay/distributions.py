@@ -141,6 +141,14 @@ def format_shape(shape: float) -> str:
     return text if float(text) == shape else repr(shape)
 
 
+def parse_number(text: str, name: str, *, integer: bool = False) -> float | int:
+    """text read as float(text), or int(text) if integer; a ParameterError naming the setting where it reads none."""
+    try:
+        return int(text) if integer else float(text)
+    except ValueError:
+        raise ParameterError(f"{name} must be {'an integer' if integer else 'a number'}, got {text!r}") from None
+
+
 def _check_rate(name: str, rate: float) -> None:
     """A rate must be positive and finite, and rate^2 and 1/rate^2 normal doubles: moments divide by rate^2."""
     if not (rate > 0 and math.isfinite(rate)):
@@ -433,10 +441,7 @@ def _parse_family_spec(spec: str) -> tuple[str, dict[str, float]]:
         key = key.lower()
         if key in kwargs:
             raise ParameterError(f"repeated key {key!r} in {spec!r}")
-        try:
-            kwargs[key] = float(val)
-        except ValueError:
-            raise ParameterError(f"bad numeric value in {tok!r}") from None
+        kwargs[key] = parse_number(val, key)
     return family, kwargs
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .disciplines import Discipline
-from .distributions import ArrivalProcess, ServiceDistribution, format_shape
+from .distributions import ArrivalProcess, ServiceDistribution, format_shape, parse_number
 from . import engine
 from .engine import ExperimentPoint, parse_grid_line
 from .errors import ParameterError
@@ -447,6 +447,8 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     mirroring the CLI --set flag; one key overridden twice is refused.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    if path == "":  # Path('') is '.', the working directory
+        raise OSError("cannot read config '': the path is empty")
     path = Path(path)
     try:
         text = path.read_text()
@@ -465,7 +467,7 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
     try:
         cp.read_string(text)
         cp.read_dict(settings)
-    except (configparser.Error, ValueError) as exc:
+    except configparser.Error as exc:
         raise ParameterError(f"bad config: {exc}") from exc
     defaults = cp.defaults()  # a [DEFAULT] key shows in every section; name it once
     outside = [f"{cp.default_section}.{option}" for option in defaults] + [
@@ -481,19 +483,19 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
         print(f"note: {name} is ignored: {_RETIRED[name]}", file=sys.stderr)
 
     try:
-        lam = cp.getfloat("arrival", "rate")
-        mu = cp.getfloat("service", "rate")
-        n_arrivals = cp.getint("run", "n_arrivals")
-        n_reps = cp.getint("run", "n_reps")
-        base_seed = cp.getint("run", "base_seed")
-        warmup = cp.getfloat("run", "warmup_fraction")
+        lam = parse_number(cp.get("arrival", "rate"), "arrival rate lambda")
+        mu = parse_number(cp.get("service", "rate"), "service rate mu")
+        n_arrivals = parse_number(cp.get("run", "n_arrivals"), "n_arrivals", integer=True)
+        n_reps = parse_number(cp.get("run", "n_reps"), "n_reps", integer=True)
+        base_seed = parse_number(cp.get("run", "base_seed"), "seed", integer=True)
+        warmup = parse_number(cp.get("run", "warmup_fraction"), "warmup_fraction")
         grid_lines = [ln.strip() for ln in cp.get("grid", "points").splitlines() if ln.strip()]
         nu_text = cp.get("scalarization", "nu_grid")
         names = {
             f"{key}_name": cp.get("output", key, fallback=getattr(SweepConfig, f"{key}_name"))
             for key in _SCHEMA["output"]
         }
-    except (configparser.Error, ValueError) as exc:
+    except configparser.Error as exc:
         raise ParameterError(f"bad config: {exc}") from exc
     return SweepConfig(
         grid=tuple(parse_grid_line(line, mu, lam) for line in grid_lines),

@@ -629,6 +629,40 @@ def test_oracle_moment_table_weibull_small_k(capsys):
             ("sweep", "figure1", "--set", "output.csv=a.csv", "--set", "output.CSV=b.csv", "--serial"),
             "error: override output.csv is given twice\n",
         ),
+        # a number is read by one reader wherever it is typed: a flag, a --set value or a grid line
+        (
+            ("simulate", "fcfs exp", "--lam", "abc", "--mu", "0.8", "--serial"),
+            "error: arrival rate lambda must be a number, got 'abc'\n",
+        ),
+        (
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", "1e6", "--serial"),
+            "error: n_arrivals must be an integer, got '1e6'\n",
+        ),
+        (
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--base-seed", "1.0", "--serial"),
+            "error: seed must be an integer, got '1.0'\n",
+        ),
+        (
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--warmup", "x", "--serial"),
+            "error: warmup_fraction must be a number, got 'x'\n",
+        ),
+        (("oracle", "point", "fcfs exp", "--lam", "0.5", "--mu", "x"), "error: service rate mu must be a number, got 'x'\n"),
+        (
+            ("oracle", "tail-table", "--family", "pareto", "--xs", "4", "--lam", "x", "--mu", "0.8"),
+            "error: arrival rate lambda must be a number, got 'x'\n",
+        ),
+        (
+            ("sweep", "figure1", "--set", "arrival.rate=abc", "--serial"),
+            "error: arrival rate lambda must be a number, got 'abc'\n",
+        ),
+        (("sweep", "figure1", "--set", "run.n_reps=2.5", "--serial"), "error: n_reps must be an integer, got '2.5'\n"),
+        (("sweep", "figure1", "--set", "service.rate=", "--serial"), "error: service rate mu must be a number, got ''\n"),
+        (
+            ("simulate", "fcfs pareto alpha=abc", "--lam", "0.5", "--mu", "0.8", "--serial"),
+            "error: alpha must be a number, got 'abc'\n",
+        ),
+        # Path('') is the working directory: the refusal quotes what was typed, not '.'
+        (("sweep", ""), "error: cannot read config '': the path is empty\n"),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -681,6 +715,17 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         "nan-mu",
         "default-section-override",
         "repeated-override",
+        "non-numeric-lambda-flag",
+        "non-integer-n-arrivals-flag",
+        "non-integer-seed-flag",
+        "non-numeric-warmup-flag",
+        "non-numeric-mu-oracle-point",
+        "non-numeric-lambda-tail-table",
+        "non-numeric-lambda-override",
+        "non-integer-n-reps-override",
+        "empty-mu-override",
+        "non-numeric-grid-line-shape",
+        "empty-suite",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, argv, fragment):

@@ -12,7 +12,7 @@ from scipy import integrate
 from scipy.special import gammainc
 
 from agedelay import ParameterError, ServiceDistribution, ArrivalProcess, parse_arrival, parse_service
-from agedelay.distributions import _gammainc
+from agedelay.distributions import _gammainc, parse_number
 
 MU = 0.8
 
@@ -494,3 +494,14 @@ def test_parse_service_specs():
             parse_service(bad, MU)
     with pytest.raises(ParameterError):
         parse_arrival("pareto alpha=2", 0.5)
+
+
+def test_parse_number_reads_what_float_and_int_read():
+    for text in ("1_000", " 0.5 ", "-0", "nan", "inf", "1e-320"):
+        # repr tells -0.0 from 0.0 and matches nan to nan, so value and type both match
+        assert repr(parse_number(text, "x")) == repr(float(text))
+    for text in ("1_000", "-0"):
+        assert repr(parse_number(text, "x", integer=True)) == repr(int(text))
+    for text in ("1e6", "2000.0", ""):
+        with pytest.raises(ParameterError, match=f"^n_arrivals must be an integer, got {text!r}$"):
+            parse_number(text, "n_arrivals", integer=True)

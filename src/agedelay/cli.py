@@ -14,27 +14,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .distributions import canonical_family, parse_number
+from .distributions import canonical_family
 from .engine import parse_grid_line
 from .errors import DegenerateSampleError, ParameterError, StabilityError
 from . import experiments, oracles
 
 
-def _rates(args) -> tuple[float, float]:
-    """--lam and --mu, read as the [arrival] and [service] rates of a config are."""
-    return parse_number(args.lam, "arrival rate lambda"), parse_number(args.mu, "service rate mu")
-
-
 def _cmd_simulate(args) -> int:
-    lam, mu = _rates(args)
-    cfg = experiments.SweepConfig(
-        grid=(parse_grid_line(args.point, mu, lam),),
-        n_arrivals=parse_number(args.n_arrivals, "n_arrivals", integer=True),
-        n_reps=parse_number(args.n_reps, "n_reps", integer=True),
-        base_seed=parse_number(args.base_seed, "seed", integer=True),
-        warmup_fraction=parse_number(args.warmup, "warmup_fraction"),
-        nu_grid=(0.0,),
-    )
+    # each flag is read as the config key it maps to is; the point is the suite's one grid line
+    cfg = experiments._read_suite({
+        "arrival.rate": args.lam,
+        "service.rate": args.mu,
+        "run.n_arrivals": args.n_arrivals,
+        "run.n_reps": args.n_reps,
+        "run.base_seed": args.base_seed,
+        "run.warmup_fraction": args.warmup,
+        "grid.points": [args.point],
+        "scalarization.nu_grid": "0",
+    })
     (point,) = experiments.run_suite(cfg, parallel=not args.serial)
     if args.json:
         import json
@@ -59,7 +56,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kind = args.oracle_kind
-    lam, mu = _rates(args)
+    lam = experiments._read_number("arrival.rate", args.lam)
+    mu = experiments._read_number("service.rate", args.mu)
     note = None
     if kind == "point":
         point = parse_grid_line(args.point, mu, lam)
@@ -93,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Age-of-information vs. delay simulator and oracle toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # numbers stay text here: the commands read each with parse_number, whose refusal names its setting
+    # numbers stay text here: the commands read each as its config key is read, so a refusal names its setting
     rates = argparse.ArgumentParser(add_help=False)
     rates.add_argument("--lam", "--lambda", dest="lam", required=True, help="generation rate")
     rates.add_argument("--mu", required=True, help="service rate")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -141,11 +142,19 @@ def format_shape(shape: float) -> str:
     return text if float(text) == shape else repr(shape)
 
 
+# The decimal integers int() reads: one it matches and int() refuses has more digits than int() converts.
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def parse_number(text: str, name: str, *, integer: bool = False) -> float | int:
     """text read as float(text), or int(text) if integer; a ParameterError naming the setting where it reads none."""
     try:
         return int(text) if integer else float(text)
     except ValueError:
+        if integer and _INTEGER.fullmatch(text):
+            digits = sum(map(str.isdecimal, text))
+            limit = sys.get_int_max_str_digits()
+            raise ParameterError(f"{name} is too long: {digits} digits, more than the {limit} int() reads") from None
         raise ParameterError(f"{name} must be {'an integer' if integer else 'a number'}, got {text!r}") from None
 
 

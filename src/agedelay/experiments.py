@@ -38,6 +38,11 @@ from .oracles import gginf_age_estimate  # noqa: F401
 
 PRESETS = ("figure1", "tradeoff-sweep", "no-tradeoff")
 
+# The most jobs, n_reps per law, that a suite may run.  run_suite holds a tuple and the reports of every job,
+# over 512 bytes a job (measured: 176 and 352 for a law of one discipline), and a 64-bit process on x86-64 or
+# arm64 addresses at most 2^48 bytes: past 2^48 / 512 jobs, a suite fills no host's memory before it fails.
+_MAX_JOBS = 1 << 39
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -67,6 +72,12 @@ class SweepConfig:
         # plain ints: a numpy integer's seed arithmetic can wrap, and json cannot write one
         for name in ("n_arrivals", "n_reps", "base_seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
+        laws = len({(p.arrival, p.service) for p in self.grid})
+        if self.n_reps * laws > _MAX_JOBS:
+            raise ParameterError(
+                f"n_reps={self.n_reps} makes {self.n_reps * laws} jobs, n_reps per law, more than the "
+                f"{_MAX_JOBS} (2^39) whose bookkeeping a 64-bit process can hold"
+            )
         nus = self.nu_grid
         if not nus or not all(0 <= nu < math.inf for nu in nus):
             raise ParameterError(f"nu_grid must be nonempty, finite and nonnegative, got {list(nus)}")
@@ -416,15 +427,19 @@ def run_and_emit(cfg: SweepConfig, out_dir: Path, parallel: bool = True) -> list
 
 # ---- configuration files ----------------------------------------------------
 
-# Every key a config may set, by section.
-_SCHEMA = {
-    "arrival": ("rate",),
-    "service": ("rate",),
-    "run": ("n_arrivals", "n_reps", "base_seed", "warmup_fraction"),
-    "grid": ("points",),
-    "scalarization": ("nu_grid",),
-    "output": ("csv", "json", "plot"),
+# Each number of a suite, by its key: the name its refusal gives it, and whether it is an integer.
+_NUMBERS = {
+    "arrival.rate": ("arrival rate lambda", False),
+    "service.rate": ("service rate mu", False),
+    "run.n_arrivals": ("n_arrivals", True),
+    "run.n_reps": ("n_reps", True),
+    "run.base_seed": ("seed", True),
+    "run.warmup_fraction": ("warmup_fraction", False),
 }
+# Each optional key of a suite, an output file name, by the SweepConfig field it sets.
+_NAMES = {"output.csv": "csv_name", "output.json": "json_name", "output.plot": "plot_name"}
+# Every key a suite is read from: the output names may be left out, no other key.
+_KEYS = (*_NUMBERS, "grid.points", "scalarization.nu_grid", *_NAMES)
 # A key dropped from the schema that older configs still set: ignored with a note.
 _RETIRED = {"run.gginf_samples": "the gginf_age column is exact"}
 
@@ -438,6 +453,30 @@ def parse_number_list(text: str) -> list[float]:
     if not numbers:
         raise ParameterError(f"expected a list of numbers, got {text!r}")
     return numbers
+
+
+def _read_number(key: str, text: str) -> float | int:
+    """text read as the number of the suite's key, by the name and type _NUMBERS gives it."""
+    name, integer = _NUMBERS[key]
+    return parse_number(text, name, integer=integer)
+
+
+def _read_suite(settings: dict) -> SweepConfig:
+    """The suite of settings, each key of _KEYS mapped to its text as typed, but grid.points to its grid lines.
+
+    The one reader of a suite's settings, from a config file, --set and simulate's flags alike, so each mistake
+    is refused in one order: the rates, the [run] numbers, the grid lines, nu_grid, then SweepConfig's checks.
+    """
+    lam, mu, n_arrivals, n_reps, base_seed, warmup = (_read_number(key, settings[key]) for key in _NUMBERS)
+    return SweepConfig(
+        grid=tuple(parse_grid_line(line, mu, lam) for line in settings["grid.points"]),
+        n_arrivals=n_arrivals,
+        n_reps=n_reps,
+        base_seed=base_seed,
+        warmup_fraction=warmup,
+        nu_grid=tuple(parse_number_list(settings["scalarization.nu_grid"])),
+        **{field: settings[key] for key, field in _NAMES.items() if key in settings},
+    )
 
 
 def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
@@ -454,58 +493,41 @@ def load_config(path, overrides: Sequence[str] = ()) -> SweepConfig:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
-    settings: dict[str, dict[str, str]] = {}
+    overridden: dict[str, dict[str, str]] = {}
     for item in overrides:
         key, sep, value = item.partition("=")
         section, dot, option = (part.strip() for part in key.partition("."))
-        if not (sep and dot and section and option):
+        # a key is one line, as in a file
+        if not (sep and dot and section and option) or len(key.splitlines()) > 1:
             raise ParameterError(f"override must look like section.key=value, got {item!r}")
         option = cp.optionxform(option)  # configparser's key form: 'CSV' and 'csv' are one key
-        if option in settings.setdefault(section, {}):
+        if option in overridden.setdefault(section, {}):
             raise ParameterError(f"override {section}.{option} is given twice")
-        settings[section][option] = value.strip()
+        overridden[section][option] = value.strip()
     try:
-        cp.read_string(text)
-        cp.read_dict(settings)
+        cp.read_string(text, source=str(path))
+        cp.read_dict(overridden)
     except configparser.Error as exc:
-        raise ParameterError(f"bad config: {exc}") from exc
+        # one line: configparser splits its message over lines, and quotes each line of the file it shows
+        raise ParameterError(f"bad config: {' '.join(part.strip() for part in str(exc).splitlines())}") from exc
     defaults = cp.defaults()  # a [DEFAULT] key shows in every section; name it once
-    outside = [f"{cp.default_section}.{option}" for option in defaults] + [
-        f"{section}.{option}"
+    settings = {
+        f"{section}.{option}": cp.get(section, option)
         for section in cp.sections()
         for option in cp.options(section)
-        if option not in defaults and option not in _SCHEMA.get(section, ())
-    ]
+        if option not in defaults
+    }
+    outside = [f"{cp.default_section}.{option}" for option in defaults] + [k for k in settings if k not in _KEYS]
     unknown = [name for name in outside if name not in _RETIRED]
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
     for name in outside:
         print(f"note: {name} is ignored: {_RETIRED[name]}", file=sys.stderr)
-
-    try:
-        lam = parse_number(cp.get("arrival", "rate"), "arrival rate lambda")
-        mu = parse_number(cp.get("service", "rate"), "service rate mu")
-        n_arrivals = parse_number(cp.get("run", "n_arrivals"), "n_arrivals", integer=True)
-        n_reps = parse_number(cp.get("run", "n_reps"), "n_reps", integer=True)
-        base_seed = parse_number(cp.get("run", "base_seed"), "seed", integer=True)
-        warmup = parse_number(cp.get("run", "warmup_fraction"), "warmup_fraction")
-        grid_lines = [ln.strip() for ln in cp.get("grid", "points").splitlines() if ln.strip()]
-        nu_text = cp.get("scalarization", "nu_grid")
-        names = {
-            f"{key}_name": cp.get("output", key, fallback=getattr(SweepConfig, f"{key}_name"))
-            for key in _SCHEMA["output"]
-        }
-    except configparser.Error as exc:
-        raise ParameterError(f"bad config: {exc}") from exc
-    return SweepConfig(
-        grid=tuple(parse_grid_line(line, mu, lam) for line in grid_lines),
-        n_arrivals=n_arrivals,
-        n_reps=n_reps,
-        base_seed=base_seed,
-        warmup_fraction=warmup,
-        nu_grid=tuple(parse_number_list(nu_text)),
-        **names,
-    )
+    missing = [key for key in _KEYS if key not in settings and key not in _NAMES]
+    if missing:
+        raise ParameterError(f"missing config keys: {', '.join(missing)}")
+    settings["grid.points"] = [line.strip() for line in settings["grid.points"].splitlines() if line.strip()]
+    return _read_suite(settings)
 
 
 def load_preset(name: str, overrides: Sequence[str] = ()) -> SweepConfig:

@@ -387,6 +387,62 @@ def test_each_law_mistake_gets_one_message_from_every_entry_point(capsys, build,
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "point,flags",
+    [
+        ("lcfs-p pareto alpha=1.5", ()),
+        ("lcfs-p pareto alpha=1.5", ("--lambda", "5e-1")),
+        ("fcfs exp arrival=det", ("--mu", " 0.8 ")),
+        ("inf weibull k=0.5", ("--n-arrivals", "2_000", "--base-seed", "7")),
+        # two mistakes: each path refuses the [run] number before the grid line
+        ("fcfs nosuch", ("--n-arrivals", "1e6")),
+    ],
+    ids=["defaults", "lambda", "spaced-mu", "underscored-n-arrivals", "two-mistakes"],
+)
+def test_simulate_reads_its_flags_as_its_one_point_config_file(tmp_path, monkeypatch, capsys, point, flags):
+    # each flag sets the key it maps to, over simulate's defaults
+    keys = {
+        "--lambda": "arrival.rate", "--mu": "service.rate", "--n-arrivals": "run.n_arrivals", "--base-seed": "run.base_seed"
+    }
+    settings = {
+        "arrival.rate": "0.5", "service.rate": "0.8", "run.n_arrivals": "100000", "run.n_reps": "4",
+        "run.base_seed": "0", "run.warmup_fraction": "0.1", "grid.points": point, "scalarization.nu_grid": "0",
+    }
+    settings.update((keys[flag], value) for flag, value in zip(flags[::2], flags[1::2]))
+    sections = {}
+    for key, value in settings.items():
+        section, option = key.split(".")
+        sections.setdefault(section, []).append(f"{option} = {value}")
+    config = tmp_path / "point.ini"
+    config.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items()))
+
+    class Built(Exception):
+        pass
+
+    def run_suite(cfg, parallel=True):
+        raise Built(cfg)
+
+    def outcome(*argv):
+        """The suite the command would run, or the line it refuses with."""
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except Built as built:
+            return built.args[0]
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        return err
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(experiments, "run_suite", run_suite)
+    simulated = outcome("simulate", point, "--lam", "0.5", "--mu", "0.8", *flags)
+    assert outcome("sweep", str(config)) == simulated
+    if point == "fcfs nosuch":
+        assert simulated == "error: n_arrivals must be an integer, got '1e6'\n"
+        argv = ("sweep", "figure1", "--set", f"grid.points={point}", "--set", "run.n_arrivals=1e6")
+        assert outcome(*argv) == simulated
+    else:
+        assert isinstance(simulated, SweepConfig) and len(simulated.grid) == 1
+
+
 def test_a_malformed_number_list_gets_one_message_from_the_cli_and_a_config(capsys):
     refusal = (1, "", "error: expected a list of numbers, got '2, x'\n")
     rates = ("--lam", "0.5", "--mu", "0.8")
@@ -663,6 +719,37 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         ),
         # Path('') is the working directory: the refusal quotes what was typed, not '.'
         (("sweep", ""), "error: cannot read config '': the path is empty\n"),
+        # a config refusal is one line that names the file, and quotes the file's line as configparser does
+        (("sweep", "no-header.ini"), "file: 'no-header.ini', line: 1 'rate = 0.5\\n'\n"),
+        (("sweep", "run-twice.ini"), "While reading from 'run-twice.ini' [line  3]: section 'run' already exists\n"),
+        (
+            ("sweep", "incomplete.ini"),
+            "error: missing config keys: service.rate, run.n_arrivals, run.n_reps, run.base_seed, "
+            "run.warmup_fraction, grid.points, scalarization.nu_grid\n",
+        ),
+        # a key spans no lines, as in a file
+        (("sweep", "figure1", "--set", "run.x\ny=1", "--serial"), "got 'run.x\\ny=1'\n"),
+        # int() converts at most 4300 digits: a longer integer is refused as one, and never formatted
+        (
+            ("simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--base-seed", "1" * 4301, "--serial"),
+            "error: seed is too long: 4301 digits, more than the 4300 int() reads\n",
+        ),
+        (
+            ("sweep", "figure1", "--set", "run.n_arrivals=" + "2" * 4301, "--serial"),
+            "error: n_arrivals is too long: 4301 digits",
+        ),
+        # 10^12 jobs are refused before run_suite lists them; figure1's 9 laws take 10^11 reps past 2^39 jobs
+        (
+            (
+                "simulate", "fcfs exp", "--lam", "0.5", "--mu", "0.8", "--n-arrivals", "1000",
+                "--n-reps", "1000000000000", "--serial",
+            ),
+            "error: n_reps=1000000000000 makes 1000000000000 jobs",
+        ),
+        (
+            ("sweep", "figure1", "--set", "run.n_reps=100000000000", "--serial"),
+            "error: n_reps=100000000000 makes 900000000000 jobs",
+        ),
     ],
     ids=[
         "tiny-lambda-simulate",
@@ -726,9 +813,21 @@ def test_oracle_moment_table_weibull_small_k(capsys):
         "empty-mu-override",
         "non-numeric-grid-line-shape",
         "empty-suite",
+        "config-without-section-header",
+        "config-repeating-a-section",
+        "config-missing-keys",
+        "override-key-spanning-lines",
+        "seed-past-int-digits-flag",
+        "n-arrivals-past-int-digits-override",
+        "n-reps-past-job-bound-simulate",
+        "n-reps-past-job-bound-sweep",
     ],
 )
-def test_bad_input_exits_with_one_line(capsys, argv, fragment):
+def test_bad_input_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, fragment):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no-header.ini").write_text("rate = 0.5\n")
+    (tmp_path / "run-twice.ini").write_text("[run]\nn_reps = 2\n[run]\n")
+    (tmp_path / "incomplete.ini").write_text("[arrival]\nrate = abc\n")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -422,6 +422,19 @@ def test_sweep_config_takes_numpy_integers():
     assert [p.seed for p in wide] == [250, 258, 266]
 
 
+def test_sweep_config_bounds_its_jobs_by_law():
+    # fcfs exp and lcfs-p exp are one law, so 2^39 reps make 2^39 jobs; a second law doubles them
+    assert small_config(reps=2**39).n_reps == 2**39
+    for points, reps, jobs in [
+        (("fcfs exp", "fcfs det"), 2**39, 2**40),
+        (("fcfs exp",), 2**39 + 1, 2**39 + 1),
+        (("fcfs exp",), np.int64(2**62), 2**62),
+    ]:
+        # a numpy integer is counted as a plain int, and cannot wrap (a RuntimeWarning is an error here)
+        with pytest.raises(ParameterError, match=f"^n_reps={reps} makes {jobs} jobs, n_reps per law"):
+            small_config(points=points, reps=reps)
+
+
 def test_run_and_emit_writes_json_for_numpy_integers(tmp_path):
     cfg = small_config(n=np.int64(800), reps=np.int64(2), seed=np.int64(5))
     _, json_path, _ = run_and_emit(cfg, tmp_path, parallel=False)
